@@ -13,7 +13,6 @@ from .generation import (
     GeneratorSet,
     GradedFamily,
     NonEnumerableError,
-    dimension_sequence,
     equals_predicate,
     generate_closure,
     quotient_image,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 from . import families as fam
 from .generation import (
     GeneratorSet,
-    dimension_sequence,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -77,15 +75,6 @@ def _resolve_generated(args) -> tuple[str, GeneratorSet]:
     return "custom", GeneratorSet(m, gens, args.symmetric)
 
 
-def _threads() -> int:
-    # parallelism cap honored for interface compatibility; the closure engine
-    # is single-threaded, which trivially respects any cap
-    try:
-        return max(1, int(os.environ.get("OPERAD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -94,7 +83,7 @@ def cmd_gen(args) -> RunReport:
     report = RunReport(f"gen --operad {args.operad or 'custom'} --max-arity {args.max_arity}")
     name, gens = _resolve_generated(args)
     closure = generate_closure(gens, args.max_arity)
-    dims = dimension_sequence(closure)
+    dims = closure.dimensions()
     report.add(f"{name}: dimensions {_format_dims(dims)}")
     report.data["dimensions"] = list(dims)
     if args.out:
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dims = sub.add_parser("dims", parents=[common], help="dimension sequence of a preset")
     dims.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
-    dims.add_argument("--max-arity", type=int, default=5)
+    dims.add_argument("--max-arity", type=_arity, default=5)
     dims.set_defaults(func=cmd_dims)
 
     check = sub.add_parser("check", help="run a verification")
@@ -348,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     axioms = kinds.add_parser("axioms", parents=[common])
     axioms.add_argument("--monoid", required=True)
-    axioms.add_argument("--max-arity", type=int, default=3)
+    axioms.add_argument("--max-arity", type=_arity, default=3)
     axioms.add_argument("--letter-cap", type=int, default=3)
     axioms.set_defaults(func=cmd_check_axioms)
 
     charac = kinds.add_parser("characterization", parents=[common])
     charac.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
-    charac.add_argument("--max-arity", type=int, default=6)
+    charac.add_argument("--max-arity", type=_arity, default=6)
     charac.set_defaults(func=cmd_check_characterization)
 
     rels = kinds.add_parser("relations", parents=[common])
@@ -363,18 +352,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     pres = kinds.add_parser("presentation", parents=[common])
     pres.add_argument("--operad", required=True)
-    pres.add_argument("--max-arity", type=int, default=6)
+    pres.add_argument("--max-arity", type=_arity, default=6)
     pres.set_defaults(func=cmd_check_presentation)
 
     bij = kinds.add_parser("bijections", parents=[common])
     bij.add_argument("--operad", required=True)
-    bij.add_argument("--max-arity", type=int, default=6)
+    bij.add_argument("--max-arity", type=_arity, default=6)
     bij.set_defaults(func=cmd_check_bijections)
 
     fun = kinds.add_parser("functor", parents=[common])
-    fun.add_argument("--max-arity", type=int, default=5)
+    fun.add_argument("--max-arity", type=_arity, default=5)
     fun.set_defaults(func=cmd_check_functor)
     return parser
+
+
+def _arity(text: str) -> int:
+    """An arity bound; a bound below 1 would check nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, not {text!r}"
+        )
+    return n
 
 
 def _operad_args(p: argparse.ArgumentParser) -> None:
@@ -382,17 +384,16 @@ def _operad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--monoid", help="custom monoid: N, N2, N3, ..., B01")
     p.add_argument("--generators", help="comma-separated generator words, e.g. 00,01")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--max-arity", type=int, default=6)
+    p.add_argument("--max-arity", type=_arity, default=6)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads()
     start = time.perf_counter()
     try:
         report: RunReport = args.func(args)
-    except (UsageError, KeyError, ValueError) as exc:
+    except (UsageError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.seconds = time.perf_counter() - start

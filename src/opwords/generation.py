@@ -1,11 +1,18 @@
 """Suboperad generation by closure under substitution.
 
-A worklist closure: every newly found word is paired with every word found
-so far, in both substitution orders and at every position whose result still
-fits the arity bound.  Results never shrink in arity, so the truncation of a
-large closure agrees with the closure computed at the smaller bound.  When
-the symmetric flag is set, each word is inserted together with all
-rearrangements of its letters.
+Every word but the unit of the suboperad generated by a set G is x o_i g
+for an earlier member x and some g in G, so the closure is a frontier
+search: start from the unit word and splice each generator into each
+position of each word found, as long as the result fits the arity bound.
+It is complete because x o_i (y o_j g) = (x o_i y) o_{i+j-1} g and arities
+never shrink, so induction on y shows the result closed under every
+substitution, truncation included.
+
+When the symmetric flag is set, the search runs over sorted words, one per
+orbit of the letter-permuting action.  The monoids are commutative, so the
+letters of x o_i g, as a multiset, depend only on the multisets of x and g
+and on the letter x_i; splicing at equal letters of a sorted word is done
+once.  Each orbit is expanded into all of its rearrangements at the end.
 """
 from __future__ import annotations
 
@@ -23,7 +30,6 @@ __all__ = [
     "ComparisonVerdict",
     "NonEnumerableError",
     "generate_closure",
-    "dimension_sequence",
     "equals_predicate",
     "quotient_image",
 ]
@@ -99,51 +105,42 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     """Smallest family containing the unit and the generators, closed under
     substitution (and under letter permutation when symmetric), truncated to
     the arity bound."""
+    m = gens.monoid
     top = max(len(g) for g in gens.generators)
     if max_arity < top:
         raise ValueError(
             f"arity bound {max_arity} is below the largest generator arity {top}"
         )
-    op = gens.monoid.op
-    symmetric = gens.symmetric
-    by_arity: dict[int, set[Letters]] = {n: set() for n in range(1, max_arity + 1)}
-    pools: dict[int, list[Letters]] = {n: [] for n in range(1, max_arity + 1)}
-    queue: deque[Letters] = deque()
-
-    def insert(w: Letters) -> None:
-        target = by_arity[len(w)]
-        if w in target:
-            return
-        orbit = set(itertools.permutations(w)) if symmetric else (w,)
-        for v in orbit:
-            if v not in target:
-                target.add(v)
-                pools[len(v)].append(v)
-                queue.append(v)
-
-    insert((gens.monoid.unit,))
     for g in gens.generators:
-        insert(g)
-
-    # every unordered pair is attempted when its later member leaves the
-    # queue; only arity-compatible buckets are scanned
+        if len(g) == 1 and g[0] != m.unit and not m.is_finite:
+            raise ValueError(
+                f"arity-1 generator {g[0]} over {m.name} is not the unit, so "
+                "the closure has infinitely many words of arity 1"
+            )
+    op = m.op
+    symmetric = gens.symmetric
+    found: set[Letters] = {(m.unit,)}
+    queue: deque[Letters] = deque(found)
     while queue:
-        w = queue.popleft()
-        nw = len(w)
-        for b in range(1, max_arity - nw + 2):
-            for v in pools[b].copy():
-                for i in range(1, len(v) + 1):
-                    insert(splice(v, i, w, op))
-                for i in range(1, nw + 1):
-                    insert(splice(w, i, v, op))
+        x = queue.popleft()
+        room = max_arity - len(x) + 1
+        fitting = [g for g in gens.generators if len(g) <= room]
+        for i in range(1, len(x) + 1):
+            if symmetric and i > 1 and x[i - 1] == x[i - 2]:
+                continue  # same multiset as splicing at i - 1
+            for g in fitting:
+                w = splice(x, i, g, op)
+                if symmetric:
+                    w = tuple(sorted(w))
+                if w not in found:
+                    found.add(w)
+                    queue.append(w)
 
+    by_arity: dict[int, set[Letters]] = {n: set() for n in range(1, max_arity + 1)}
+    for w in found:
+        by_arity[len(w)].update(itertools.permutations(w) if symmetric else (w,))
     frozen = {n: frozenset(s) for n, s in by_arity.items()}
-    return GradedFamily(gens.monoid, max_arity, frozen)
-
-
-def dimension_sequence(family: GradedFamily) -> tuple[int, ...]:
-    """Cardinalities per arity, from arity 1 up to the bound."""
-    return family.dimensions()
+    return GradedFamily(m, max_arity, frozen)
 
 
 class MembershipPredicate(Protocol):

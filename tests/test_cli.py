@@ -93,6 +93,49 @@ def test_unknown_preset_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "axioms", "--monoid", "N2", "--max-arity", "0"),
+        ("dims", "--operad", "end", "--max-arity", "0"),
+        ("gen", "--operad", "prt", "--max-arity", "-1"),
+        ("check", "functor", "--max-arity", "x"),
+    ],
+)
+def test_arity_bound_below_one_is_usage_error(capsys, argv):
+    # a run over no arity would print pass after checking nothing
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "pass" not in out.out
+    assert "at least 1" in out.err
+
+
+def test_gen_unwritable_out_is_an_error_not_a_mismatch(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(
+        capsys, "gen", "--operad", "prt", "--max-arity", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_gen_non_unit_arity_one_generator_over_naturals(capsys):
+    code, _, err = run(
+        capsys, "gen", "--monoid", "N", "--generators", "1,01", "--max-arity", "3"
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "arity-1 generator" in err
+    # over a finite monoid the same generators close to a finite family
+    code, out, _ = run(
+        capsys, "gen", "--monoid", "N3", "--generators", "1,01", "--max-arity", "3"
+    )
+    assert code == 0
+    assert "3, 9, 27" in out
+
+
 def test_check_axioms(capsys):
     code, out, _ = run(capsys, "check", "axioms", "--monoid", "N2", "--max-arity", "3")
     assert code == 0

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -7,13 +9,19 @@ from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
     NonEnumerableError,
-    dimension_sequence,
     equals_predicate,
     generate_closure,
     quotient_image,
 )
-from opwords.monoids import NATURALS, cyclic, identity_morphism, reduce_mod
-from opwords.words import Word, act, all_perms, substitute
+from opwords.monoids import (
+    BOOLEAN,
+    NATURALS,
+    cyclic,
+    identity_morphism,
+    parse_monoid,
+    reduce_mod,
+)
+from opwords.words import Word, act, all_perms, splice, substitute
 
 
 def closure_of(name, bound):
@@ -41,13 +49,28 @@ def closure_of(name, bound):
     ],
 )
 def test_closure_dimensions(name, bound, dims):
-    assert dimension_sequence(closure_of(name, bound)) == dims
+    assert closure_of(name, bound).dimensions() == dims
 
 
 def test_bound_below_generator_arity():
     gens = fam.get_family("motz").generator_set()  # includes an arity-3 generator
     with pytest.raises(ValueError):
         generate_closure(gens, 2)
+
+
+def test_non_unit_arity_one_generator_over_naturals_is_refused():
+    # x o_i (1) adds 1 to a letter, so arity 1 alone would hold 0, 1, 2, ...
+    with pytest.raises(ValueError, match="arity-1 generator"):
+        generate_closure(GeneratorSet(NATURALS, ((1,), (0, 1))), 3)
+    unit = generate_closure(GeneratorSet(NATURALS, ((0,), (0, 1))), 4)
+    assert unit.dimensions() == (1, 1, 2, 5)
+
+
+def test_arity_one_generators_over_finite_monoids():
+    closure = generate_closure(GeneratorSet(cyclic(3), ((1,), (0, 1))), 3)
+    assert closure.dimensions() == (3, 9, 27)
+    closure = generate_closure(GeneratorSet(BOOLEAN, ((0,),)), 3)
+    assert closure.dimensions() == (2, 0, 0)
 
 
 def test_generator_set_validation():
@@ -103,6 +126,60 @@ def test_monotonicity(name):
     big = generate_closure(family.generator_set(), 6)
     small = generate_closure(family.generator_set(), 4)
     assert big.truncate(4).by_arity == small.by_arity
+
+
+def all_pairs_closure(gens, max_arity):
+    """Reference closure by the all-pairs worklist: every word found is
+    substituted with every word found so far, in both orders, at every
+    position that fits the bound; symmetric sets insert whole orbits."""
+    op = gens.monoid.op
+    found = set()
+    queue = []
+
+    def insert(w):
+        for v in set(itertools.permutations(w)) if gens.symmetric else (w,):
+            if v not in found:
+                found.add(v)
+                queue.append(v)
+
+    insert((gens.monoid.unit,))
+    for g in gens.generators:
+        insert(g)
+    while queue:
+        w = queue.pop()
+        for v in list(found):
+            if len(v) + len(w) - 1 <= max_arity:
+                for i in range(1, len(v) + 1):
+                    insert(splice(v, i, w, op))
+                for i in range(1, len(w) + 1):
+                    insert(splice(w, i, v, op))
+    return {
+        n: frozenset(w for w in found if len(w) == n) for n in range(1, max_arity + 1)
+    }
+
+
+def random_generator_set(seed):
+    """Seeded small generator sets over N2, N3, N4, B01 and N, symmetric or
+    not; arity-1 generators on the finite monoids, the unit word sometimes."""
+    rng = random.Random(seed)
+    name = ("N2", "N3", "N4", "B01", "N")[seed % 5]
+    m = parse_monoid(name)
+    letters = range(3) if name == "N" else m.elements()
+    shortest = 2 if name == "N" else 1
+    gens = [
+        tuple(rng.choice(letters) for _ in range(rng.randint(shortest, 3)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    if seed % 7 == 0:
+        gens.append((m.unit,))
+    return GeneratorSet(m, tuple(gens), symmetric=(seed // 5) % 2 == 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_frontier_closure_matches_all_pairs_reference(seed):
+    gens = random_generator_set(seed)
+    bound = 4 if gens.symmetric else 5
+    assert generate_closure(gens, bound).by_arity == all_pairs_closure(gens, bound)
 
 
 def test_truncate_upward_rejected():
