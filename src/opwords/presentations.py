@@ -2,15 +2,25 @@
 
 A term is a planar tree whose internal nodes carry generator symbols and
 whose leaves are input slots; its arity is the leaf count.  Relations are
-pairs of terms of equal arity whose leaves pair up left to right.  The
-congruence generated by a relation set is computed by enumerating every term
-of an arity, rewriting at every subterm in both directions, and joining the
-results with a union-find; the class count can then be compared with the
+pairs of terms of equal arity whose leaves pair up left to right.  Every
+symbol has arity at least 2, so a term's proper subterms all have smaller
+arity than the term.
+
+The congruence the relations generate is counted arity by arity over nodes,
+not terms (congruence closure over shared subterms, as in Downey, Sethi and
+Tarjan, J. ACM 1980).  A node of arity n is a symbol applied to the class
+ids of its children, which all have smaller arity; the leaf is class 0.  Two
+nodes are joined when one relation, in either direction, rewrites one into
+the other at the root.  Since a rewrite below the root only moves a child
+within its class, the classes of arity n are the connected components of
+these root edges, and the class count can then be compared with the
 dimensions of the operad the generators realize.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .monoids import BOOLEAN, Monoid, NATURALS, cyclic
@@ -39,7 +49,7 @@ __all__ = [
 
 
 class SizeError(ValueError):
-    """A term enumeration would exceed the configured guard."""
+    """A congruence count would build more nodes than its guard allows."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +209,17 @@ def eval_term(
     return go(t)
 
 
+def _require_branching(symbols: Mapping[str, GeneratorSymbol]) -> None:
+    # with a symbol of arity below 2 a term can contain subterms of its own
+    # arity, so no enumeration or count by arity would terminate
+    for name, sym in symbols.items():
+        if sym.arity < 2:
+            raise ValueError(f"symbol {name} has arity {sym.arity}; terms need arity >= 2")
+
+
 def count_terms(symbols: Mapping[str, GeneratorSymbol], arity: int) -> int:
     """Number of planar terms of the arity, by dynamic programming."""
+    _require_branching(symbols)
     counts = [0] * (arity + 1)
     counts[1] = 1
     for n in range(2, arity + 1):
@@ -225,6 +244,7 @@ def enumerate_terms(
     symbols: Mapping[str, GeneratorSymbol], arity: int
 ) -> list[Term]:
     """All planar terms of the arity over the symbols, in a stable order."""
+    _require_branching(symbols)
     by_arity: list[list[Term]] = [[] for _ in range(arity + 1)]
     if arity >= 1:
         by_arity[1] = [LEAF]
@@ -368,20 +388,106 @@ def congruence_class_count(
     """Number of classes of arity-`arity` terms under the congruence the
     relations generate.
 
-    Every single-step rewrite lands on another enumerated term, so the
-    congruence closure is exactly the connected components of the rewrite
-    graph; no orientation or confluence assumption is needed.
+    Works arity by arity over nodes `(symbol, child class ids)`.  The nodes
+    of arity n are every symbol applied to a composition of n whose parts
+    are filled with the classes already found at smaller arities; the leaf
+    is class 0.  A union-find joins two nodes when one relation, in either
+    direction, applies at the root: a pattern leaf captures a child class,
+    an inner pattern node matches any node of its symbol in that child's
+    class, and the other side is built bottom-up from the captured classes.
+
+    This is exact, with no orientation or confluence assumption.  A rewrite
+    below the root of a term moves a child only within its class, so the
+    term's node stays the same; a rewrite at the root is one of the edges;
+    and every edge lifts to a root rewrite of concrete terms once children
+    are chosen from their classes.  By induction on arity, the components
+    are the congruence classes.
+
+    `max_terms` bounds the number of nodes built over all arities; a
+    `SizeError` is raised before an arity whose nodes would exceed it.
     """
-    total = count_terms(symbols, arity)
-    if total > max_terms:
-        raise SizeError(f"{total} terms at arity {arity} exceed the {max_terms} guard")
-    terms = enumerate_terms(symbols, arity)
-    index = {t: i for i, t in enumerate(terms)}
-    uf = _UnionFind(len(terms))
-    for t, ti in index.items():
-        for neighbor in rewrites(t, relations):
-            uf.union(ti, index[neighbor])
-    return sum(1 for i in range(len(terms)) if uf.find(i) == i)
+    _require_branching(symbols)
+    # left to right is enough: a right-to-left match at a node T builds a
+    # node N whose inner nodes are members of their classes, so the left
+    # side matches at N through them and rebuilds T; that edge is found at N
+    rules: dict[str, list[tuple[Term, Term]]] = {}
+    for rel in relations:
+        _check_relation_term(rel.left, symbols)
+        _check_relation_term(rel.right, symbols)
+        if not rel.left.is_leaf:
+            rules.setdefault(rel.left.sym, []).append((rel.left, rel.right))
+    arities = {name: symbols[name].arity for name in sorted(symbols)}
+    classes: list[list[int]] = [[], [0]]  # class ids by arity
+    class_of: dict[tuple, int] = {}  # node -> class id, at smaller arities
+    members: dict[tuple[int, str], list[tuple]] = {}  # (class, symbol) -> nodes
+    built = 0
+    for n in range(2, arity + 1):
+        sizes = [len(ids) for ids in classes]
+        built += sum(_compositions_product(sizes, n, k) for k in arities.values())
+        if built > max_terms:
+            raise SizeError(f"{built} nodes through arity {n} exceed the {max_terms} guard")
+        nodes = [
+            (name, args)
+            for name, k in arities.items()
+            for parts in _compositions(n, k)
+            for args in itertools.product(*(classes[p] for p in parts))
+        ]
+        index = {nd: i for i, nd in enumerate(nodes)}
+        uf = _UnionFind(len(nodes))
+        for i, (name, args) in enumerate(nodes):
+            for pattern, other in rules.get(name, ()):
+                for slots in _root_matches(pattern, args, members):
+                    uf.union(i, index[_build(other, iter(slots), class_of)])
+        first = sum(len(ids) for ids in classes)
+        roots: dict[int, int] = {}
+        for i, nd in enumerate(nodes):
+            cid = roots.setdefault(uf.find(i), first + len(roots))
+            class_of[nd] = cid
+            members.setdefault((cid, nd[0]), []).append(nd)
+        classes.append(list(roots.values()))
+    return len(classes[arity]) if arity >= 1 else 0
+
+
+def _check_relation_term(t: Term, symbols: Mapping[str, GeneratorSymbol]) -> None:
+    if t.is_leaf:
+        return
+    if t.sym not in symbols:
+        raise ValueError(f"relation uses unknown symbol {t.sym!r}")
+    if len(t.args) != symbols[t.sym].arity:
+        raise ValueError(
+            f"{t.sym} has arity {symbols[t.sym].arity}, got {len(t.args)} children"
+        )
+    for arg in t.args:
+        _check_relation_term(arg, symbols)
+
+
+def _root_matches(
+    pattern: Term, args: tuple[int, ...], members: Mapping[tuple[int, str], list[tuple]]
+) -> list[tuple[int, ...]]:
+    """The class tuples the leaves of `pattern` capture, left to right, when
+    its root sits on a node of its symbol with child classes `args`."""
+    found: list[tuple[int, ...]] = [()]
+    for sub, cid in zip(pattern.args, args):
+        if sub.is_leaf:
+            options = [(cid,)]
+        else:
+            options = [
+                slots
+                for _, below in members.get((cid, sub.sym), ())
+                for slots in _root_matches(sub, below, members)
+            ]
+        found = [head + tail for head in found for tail in options]
+    return found
+
+
+def _build(pattern: Term, slots: Iterator[int], class_of: Mapping[tuple, int]) -> tuple:
+    """The node of `pattern` with its leaves filled by `slots`; inner nodes
+    are replaced by their classes."""
+    args = tuple(
+        next(slots) if sub.is_leaf else class_of[_build(sub, slots, class_of)]
+        for sub in pattern.args
+    )
+    return (pattern.sym, args)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +506,7 @@ class PresentationPreset:
     asserted_complete: bool
     family: str
 
-    @property
+    @cached_property
     def relations(self) -> tuple[Relation, ...]:
         return parse_relations(self.relations_text)
 

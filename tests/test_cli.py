@@ -179,6 +179,16 @@ def test_check_presentation(capsys):
     assert code == 0 and "reported only" in out
 
 
+def test_check_presentation_schr_at_arity_eight(capsys):
+    code, out, _ = run(
+        capsys, "check", "presentation", "--operad", "schr", "--max-arity", "8", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class_counts"] == payload["dimensions"]
+    assert payload["class_counts"][-1] == 20793
+
+
 def test_check_bijections(capsys):
     code, out, _ = run(
         capsys, "check", "bijections", "--operad", "prt", "--max-arity", "6"

@@ -179,6 +179,112 @@ def test_size_guard():
         congruence_class_count(COMP.symbols, COMP.relations, 6, max_terms=10)
 
 
+def test_size_guard_counts_nodes_through_the_arity():
+    # comp builds 2 nodes at arity 2, 8 at arity 3 and 24 at arity 4
+    assert congruence_class_count(COMP.symbols, COMP.relations, 3, max_terms=10) == 4
+    with pytest.raises(SizeError, match="34 nodes through arity 4"):
+        congruence_class_count(COMP.symbols, COMP.relations, 4, max_terms=10)
+
+
+def reference_class_count(symbols, relations, arity):
+    """Enumerate every term, rewrite it in both directions at every subterm,
+    and count the components of the rewrite graph."""
+    terms = enumerate_terms(symbols, arity)
+    index = {t: i for i, t in enumerate(terms)}
+    parent = list(range(len(terms)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for t, i in index.items():
+        for other in rewrites(t, relations):
+            parent[find(i)] = find(index[other])
+    return sum(1 for i in range(len(terms)) if find(i) == i)
+
+
+def term_depth(t):
+    return 0 if t.is_leaf else 1 + max(term_depth(a) for a in t.args)
+
+
+def random_presentation(rng):
+    names = "abc"[: rng.randint(2, 3)]
+    symbols = {
+        name: GeneratorSymbol(name, word(NATURALS, "0" * rng.randint(2, 3)))
+        for name in names
+    }
+    pools = {}
+    for n in range(3, 6):
+        pool = [t for t in enumerate_terms(symbols, n) if term_depth(t) in (2, 3)]
+        if len(pool) >= 2:
+            pools[n] = pool
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        left, right = rng.sample(pools[rng.choice(sorted(pools))], 2)
+        relations.append(Relation(left, right))
+    return symbols, tuple(relations)
+
+
+def test_class_counts_match_term_rewriting_on_random_relations():
+    rng = random.Random(2012)
+    for _ in range(100):
+        symbols, relations = random_presentation(rng)
+        for n in range(1, 6):
+            expected = reference_class_count(symbols, relations, n)
+            got = congruence_class_count(symbols, relations, n)
+            assert got == expected, ([str(r) for r in relations], n)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_class_counts_match_term_rewriting_on_presets(name):
+    preset = PRESENTATIONS[name]
+    for n in range(1, 7):
+        expected = reference_class_count(preset.symbols, preset.relations, n)
+        assert congruence_class_count(preset.symbols, preset.relations, n) == expected
+
+
+def test_schroder_classes_reach_arity_eight():
+    # little Schröder numbers; arity 8 has 938,223 terms
+    schr = PRESENTATIONS["schr"]
+    counts = [congruence_class_count(schr.symbols, schr.relations, n) for n in range(1, 9)]
+    assert counts == [1, 3, 11, 45, 197, 903, 4279, 20793]
+
+
+def test_motzkin_classes_reach_arity_ten():
+    motz = PRESENTATIONS["motz"]
+    counts = [congruence_class_count(motz.symbols, motz.relations, n) for n in range(1, 11)]
+    assert counts == [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
+
+
+def test_terms_need_symbols_of_arity_two():
+    unary = {"a": A, "u": GeneratorSymbol("u", word(NATURALS, "1"))}
+    for call in (
+        lambda: count_terms(unary, 3),
+        lambda: enumerate_terms(unary, 3),
+        lambda: congruence_class_count(unary, (), 2),
+        lambda: congruence_class_count(unary, parse_relations("u(u(.)) == ."), 1),
+    ):
+        with pytest.raises(ValueError, match="arity 1"):
+            call()
+    # evaluation still accepts them
+    assert eval_term(parse_term("u(a(.,.))"), unary) == word(NATURALS, "11")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("c(.,.) == a(.,.)", "unknown symbol 'c'"),
+    ("a(.,c(.,.)) == a(a(.,.),.)", "unknown symbol 'c'"),
+    ("a(b(.,.,.),.) == a(.,b(.,.,.))", "b has arity 2, got 3 children"),
+])
+def test_relations_must_fit_the_symbols(text, message):
+    with pytest.raises(ValueError, match=message):
+        congruence_class_count(FCAT1.symbols, parse_relations(text), 3)
+
+
+def test_preset_relations_are_parsed_once():
+    assert COMP.relations is COMP.relations
+
+
 def test_rewrites_preserve_evaluation():
     # a verified relation applied anywhere in a term never moves the value
     rng = random.Random(7)
