@@ -153,10 +153,25 @@ def enumerate_motz(n: int) -> list[Letters]:
 
 
 def enumerate_schr(n: int) -> list[Letters]:
-    # letters of an arity-n member never exceed n - 1: below any b the whole
-    # chain b-1, ..., 0 must occur
-    candidates = itertools.product(range(n), repeat=n)
-    return [w for w in candidates if is_schr_word(w)]
+    """Members in lexicographic order, built from the run structure of
+    `is_schr_word` rather than by filtering all n^n candidates.
+
+    A word is a member when it holds a 0 and each maximal run of nonzero
+    letters, lowered by one, is a shorter member: a 1 reaches the 0 that
+    bounds its run, and the chain below a letter b >= 2 stays inside the run.
+    """
+    # raised[k]: members of arity k with every letter raised by one;
+    # spans[k]: words of length k whose maximal nonzero runs are raised members
+    raised: list[list[Letters]] = [[]]
+    spans: list[list[Letters]] = [[()]]
+    found: list[Letters] = []
+    for k in range(1, n + 1):
+        found = [(0,) + tail for tail in spans[k - 1]]
+        for r in range(1, k):
+            found += [run + (0,) + tail for run in raised[r] for tail in spans[k - r - 1]]
+        raised.append([tuple(a + 1 for a in w) for w in found])
+        spans.append(found + raised[k])
+    return sorted(found)
 
 
 def enumerate_comp(n: int) -> list[Letters]:

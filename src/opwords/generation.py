@@ -17,6 +17,7 @@ once.  Each orbit is expanded into all of its rearrangements at the end.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Protocol
@@ -97,7 +98,16 @@ class GradedFamily:
         return GradedFamily(self.monoid, max_arity, kept)
 
     def to_jsonl(self) -> str:
-        lines = [Word(self.monoid, w).to_record() for w in self.iter_all()]
+        """One `Word.to_record` line per word, ordered by arity then word.
+
+        Each distinct letter is checked against the carrier once, and the
+        lines are formatted directly instead of through `json.dumps`.
+        """
+        words = list(self.iter_all())
+        for a in set(itertools.chain.from_iterable(words)):
+            self.monoid.check(a)
+        head = '{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": ['
+        lines = [head + ", ".join(map(str, w)) + "]}" for w in words]
         return "\n".join(lines) + ("\n" if lines else "")
 
 

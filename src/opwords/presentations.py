@@ -218,8 +218,11 @@ def _require_branching(symbols: Mapping[str, GeneratorSymbol]) -> None:
 
 
 def count_terms(symbols: Mapping[str, GeneratorSymbol], arity: int) -> int:
-    """Number of planar terms of the arity, by dynamic programming."""
+    """Number of planar terms of the arity, by dynamic programming; 0 below
+    arity 1."""
     _require_branching(symbols)
+    if arity < 1:
+        return 0
     counts = [0] * (arity + 1)
     counts[1] = 1
     for n in range(2, arity + 1):

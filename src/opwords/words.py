@@ -85,8 +85,7 @@ def unit_word(m: Monoid) -> Word:
 
 def splice(x: Letters, i: int, y: Letters, op: Callable[[int, int], int]) -> Letters:
     """Raw substitution on letter tuples: y replaces slot i, scaled by x[i-1]."""
-    xi = x[i - 1]
-    return x[: i - 1] + tuple(op(xi, b) for b in y) + x[i:]
+    return x[: i - 1] + tuple(map(op, itertools.repeat(x[i - 1]), y)) + x[i:]
 
 
 def substitute(x: Word, i: int, y: Word) -> Word:
@@ -211,7 +210,15 @@ def check_axioms(
 
     max_arities bounds the arities of the three operands (two for the laws
     that take two).  `subst` replaces the substitution under test, which lets
-    a corrupted version be fed in to prove the checker catches it.
+    a corrupted version be fed in to prove the checker catches it; it must be
+    a pure function of its arguments.
+
+    Each law runs over every operand tuple in a fixed loop order.  Its
+    innermost loop is compared as one row of left sides against one row of
+    right sides, with each distinct substitution computed once
+    (`_Substitutions`).  Only a failing row is scanned for its first failing
+    index, so `checked` and the counterexample are those of checking one
+    tuple at a time.
     """
     op = m.op
     if subst is None:
@@ -220,59 +227,133 @@ def check_axioms(
 
     ax, ay, az = max_arities
     xs = words_up_to(m, ax, letter_cap)
-    ys = words_up_to(m, ay, letter_cap)
-    zs = words_up_to(m, az, letter_cap)
+    ys = tuple(words_up_to(m, ay, letter_cap))
+    zs = tuple(words_up_to(m, az, letter_cap))
+    memo = _Substitutions(subst)
     reports = [
-        _check_series(subst, xs, ys, zs),
-        _check_parallel(subst, xs, ys, zs),
+        _check_series(memo, xs, ys, zs),
+        _check_parallel(memo, xs, ys, zs),
         _check_unit(subst, m, xs),
-        _check_equivariance(subst, xs, ys),
+        _check_equivariance(memo, xs, ys),
     ]
     return reports
 
 
-def _check_series(subst, xs, ys, zs) -> AxiomReport:
-    # (x o_i y) o_{i+j-1} z == x o_i (y o_j z)
+# Distinct substitution results held before every memo is cleared.  The
+# finite monoids never reach it at arity 3; over N it bounds memory.
+_MEMO_CAP = 1 << 15
+
+
+class _Substitutions:
+    """`subst` memoised, with equal results shared as one tuple so that rows
+    of them compare mostly by identity.
+
+    Rows over a fixed sequence are kept per (w, i); `apply` keeps w o_i v
+    per (w, i, v) for arguments that do not come as a fixed sequence.
+    """
+
+    def __init__(self, subst: Callable[[Letters, int, Letters], Letters]) -> None:
+        self.subst = subst
+        self.shared: dict[Letters, Letters] = {}
+        self.rows: dict[tuple, dict[tuple[Letters, int], tuple]] = {}
+        self.slots: dict[tuple[Letters, int], dict[Letters, Letters]] = {}
+        self.blocks: dict[tuple[Perm, int, int], tuple[tuple[int, ...], ...]] = {}
+
+    def _make_room(self) -> None:
+        # clear in place: the functions returned by `over` hold their tables
+        if len(self.shared) >= _MEMO_CAP:
+            self.shared.clear()
+            self.slots.clear()
+            self.blocks.clear()
+            for table in self.rows.values():
+                table.clear()
+
+    def over(self, vs: tuple) -> Callable[[Letters, int], tuple]:
+        """The function (w, i) -> (w o_i v for v in vs), memoised per (w, i)."""
+        table = self.rows.setdefault(vs, {})
+        subst, share = self.subst, self.shared.setdefault
+
+        def row(w: Letters, i: int) -> tuple:
+            found = table.get((w, i))
+            if found is None:
+                self._make_room()
+                results = [subst(w, i, v) for v in vs]
+                found = table[(w, i)] = tuple(map(share, results, results))
+            return found
+
+        return row
+
+    def apply(self, w: Letters, i: int, vs: Sequence[Letters]) -> tuple:
+        """(w o_i v for v in vs), memoised per (w, i, v)."""
+        slot = self.slots.get((w, i))
+        if slot is not None:
+            try:
+                return tuple(map(slot.__getitem__, vs))
+            except KeyError:
+                pass
+        self._make_room()
+        slot = self.slots.setdefault((w, i), {})
+        subst, share = self.subst, self.shared.setdefault
+        for v in vs:
+            if v not in slot:
+                r = subst(w, i, v)
+                slot[v] = share(r, r)
+        return tuple(map(slot.__getitem__, vs))
+
+    def block_indices(self, sigma: Perm, i: int, m: int) -> tuple[tuple[int, ...], ...]:
+        """0-based B_i(sigma, nu) for each nu of degree m, in `all_perms` order."""
+        key = (sigma, i, m)
+        found = self.blocks.get(key)
+        if found is None:
+            found = self.blocks[key] = tuple(
+                tuple(j - 1 for j in block_substitute(sigma, i, nu))
+                for nu in all_perms(m)
+            )
+        return found
+
+
+def _first_difference(lhs: tuple, rhs: tuple) -> int:
+    return next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _check_series(memo: _Substitutions, xs, ys, zs) -> AxiomReport:
+    # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a row over z
     checked = 0
-    inner_cache: dict[tuple, Letters] = {}
-    for y in ys:
-        for j in range(1, len(y) + 1):
-            for z in zs:
-                inner_cache[(y, j, z)] = subst(y, j, z)
+    row_y, row_z = memo.over(ys), memo.over(zs)
     for x in xs:
         for i in range(1, len(x) + 1):
-            for y in ys:
-                xy = subst(x, i, y)
+            for y, xy in zip(ys, row_y(x, i)):
                 for j in range(1, len(y) + 1):
-                    off = i + j - 1
-                    for z in zs:
-                        checked += 1
-                        lhs = subst(xy, off, z)
-                        rhs = subst(x, i, inner_cache[(y, j, z)])
-                        if lhs != rhs:
-                            return AxiomReport(
-                                "series-associativity", checked, (x, i, y, j, z)
-                            )
+                    lhs = row_z(xy, i + j - 1)
+                    rhs = memo.apply(x, i, row_z(y, j))
+                    if lhs != rhs:
+                        k = _first_difference(lhs, rhs)
+                        return AxiomReport(
+                            "series-associativity", checked + k + 1, (x, i, y, j, zs[k])
+                        )
+                    checked += len(zs)
     return AxiomReport("series-associativity", checked)
 
 
-def _check_parallel(subst, xs, ys, zs) -> AxiomReport:
-    # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y  for i < j
+def _check_parallel(memo: _Substitutions, xs, ys, zs) -> AxiomReport:
+    # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y  for i < j, a row over y
     checked = 0
+    row_y, row_z = memo.over(ys), memo.over(zs)
     for x in xs:
         n = len(x)
-        for i in range(1, n + 1):
+        for i in range(1, n):
+            xys = row_y(x, i)
             for j in range(i + 1, n + 1):
-                for z in zs:
-                    xz = subst(x, j, z)
-                    for y in ys:
-                        checked += 1
-                        lhs = subst(subst(x, i, y), j + len(y) - 1, z)
-                        rhs = subst(xz, i, y)
-                        if lhs != rhs:
-                            return AxiomReport(
-                                "parallel-associativity", checked, (x, i, y, j, z)
-                            )
+                # column k holds (x o_i y_k) o_{j+|y_k|-1} z over every z
+                columns = [row_z(xy, j + len(y) - 1) for xy, y in zip(xys, ys)]
+                for z, xz, lhs in zip(zs, row_z(x, j), zip(*columns)):
+                    rhs = row_y(xz, i)
+                    if lhs != rhs:
+                        k = _first_difference(lhs, rhs)
+                        return AxiomReport(
+                            "parallel-associativity", checked + k + 1, (x, i, ys[k], j, z)
+                        )
+                    checked += len(ys)
     return AxiomReport("parallel-associativity", checked)
 
 
@@ -290,28 +371,30 @@ def _check_unit(subst, m: Monoid, xs) -> AxiomReport:
     return AxiomReport("unit", checked)
 
 
-def _check_equivariance(subst, xs, ys) -> AxiomReport:
-    # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu)
+def _check_equivariance(memo: _Substitutions, xs, ys) -> AxiomReport:
+    # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a row over nu
     checked = 0
-    plain_cache: dict[tuple, Letters] = {}
-    for y in ys:
-        acted_y = [(nu, permute(y, nu)) for nu in all_perms(len(y))]
+    row_y = memo.over(ys)
+    for k_y, y in enumerate(ys):
+        m = len(y)
+        nus = tuple(all_perms(m))
+        row_acted = memo.over(tuple(permute(y, nu) for nu in nus))
         for x in xs:
             n = len(x)
+            plains = [row_y(x, p)[k_y] for p in range(1, n + 1)]
             for sigma in all_perms(n):
-                xs_acted = permute(x, sigma)
+                x_acted = permute(x, sigma)
                 for i in range(1, n + 1):
-                    si = sigma[i - 1]
-                    key = (x, si, y)
-                    plain = plain_cache.get(key)
-                    if plain is None:
-                        plain = plain_cache[key] = subst(x, si, y)
-                    for nu, ys_acted in acted_y:
-                        checked += 1
-                        lhs = subst(xs_acted, i, ys_acted)
-                        rhs = permute(plain, block_substitute(sigma, i, nu))
-                        if lhs != rhs:
-                            return AxiomReport(
-                                "equivariance", checked, (x, sigma, i, y, nu)
-                            )
+                    lhs = row_acted(x_acted, i)
+                    plain = plains[sigma[i - 1] - 1]
+                    rhs = tuple([
+                        tuple(map(plain.__getitem__, block))
+                        for block in memo.block_indices(sigma, i, m)
+                    ])
+                    if lhs != rhs:
+                        k = _first_difference(lhs, rhs)
+                        return AxiomReport(
+                            "equivariance", checked + k + 1, (x, sigma, i, y, nus[k])
+                        )
+                    checked += len(nus)
     return AxiomReport("equivariance", checked)

@@ -1,7 +1,18 @@
+import zlib
+
 import pytest
 
+from opwords import words
 from opwords.monoids import BOOLEAN, NATURALS, cyclic
-from opwords.words import check_axioms, splice
+from opwords.words import (
+    AxiomReport,
+    all_perms,
+    block_substitute,
+    check_axioms,
+    permute,
+    splice,
+    words_up_to,
+)
 
 AXIOM_NAMES = {
     "series-associativity",
@@ -51,3 +62,173 @@ def test_reports_render():
 
     bad = [r for r in check_axioms(cyclic(2), (2, 2, 2), subst=broken) if not r.ok]
     assert bad and "FAILED" in str(bad[0])
+
+
+# ---------------------------------------------------------------------------
+# the checker against a one-check-at-a-time reference
+
+
+def reference_check_axioms(m, max_arities, letter_cap=3, subst=None):
+    """`check_axioms` as plain nested loops: one substitution per side of
+    each check, in the same loop order."""
+    op = m.op
+    if subst is None:
+        def subst(x, i, y):
+            return splice(x, i, y, op)
+
+    ax, ay, az = max_arities
+    xs = words_up_to(m, ax, letter_cap)
+    ys = words_up_to(m, ay, letter_cap)
+    zs = words_up_to(m, az, letter_cap)
+    return [
+        _reference_series(subst, xs, ys, zs),
+        _reference_parallel(subst, xs, ys, zs),
+        _reference_unit(subst, m, xs),
+        _reference_equivariance(subst, xs, ys),
+    ]
+
+
+def _reference_series(subst, xs, ys, zs):
+    checked = 0
+    for x in xs:
+        for i in range(1, len(x) + 1):
+            for y in ys:
+                xy = subst(x, i, y)
+                for j in range(1, len(y) + 1):
+                    for z in zs:
+                        checked += 1
+                        if subst(xy, i + j - 1, z) != subst(x, i, subst(y, j, z)):
+                            return AxiomReport(
+                                "series-associativity", checked, (x, i, y, j, z)
+                            )
+    return AxiomReport("series-associativity", checked)
+
+
+def _reference_parallel(subst, xs, ys, zs):
+    checked = 0
+    for x in xs:
+        n = len(x)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for z in zs:
+                    xz = subst(x, j, z)
+                    for y in ys:
+                        checked += 1
+                        lhs = subst(subst(x, i, y), j + len(y) - 1, z)
+                        if lhs != subst(xz, i, y):
+                            return AxiomReport(
+                                "parallel-associativity", checked, (x, i, y, j, z)
+                            )
+    return AxiomReport("parallel-associativity", checked)
+
+
+def _reference_unit(subst, m, xs):
+    one = (m.unit,)
+    checked = 0
+    for x in xs:
+        checked += 1
+        if subst(one, 1, x) != x:
+            return AxiomReport("unit", checked, ("left", x))
+        for i in range(1, len(x) + 1):
+            checked += 1
+            if subst(x, i, one) != x:
+                return AxiomReport("unit", checked, ("right", x, i))
+    return AxiomReport("unit", checked)
+
+
+def _reference_equivariance(subst, xs, ys):
+    checked = 0
+    for y in ys:
+        for x in xs:
+            n = len(x)
+            for sigma in all_perms(n):
+                for i in range(1, n + 1):
+                    plain = subst(x, sigma[i - 1], y)
+                    for nu in all_perms(len(y)):
+                        checked += 1
+                        lhs = subst(permute(x, sigma), i, permute(y, nu))
+                        if lhs != permute(plain, block_substitute(sigma, i, nu)):
+                            return AxiomReport(
+                                "equivariance", checked, (x, sigma, i, y, nu)
+                            )
+    return AxiomReport("equivariance", checked)
+
+
+def outcomes(reports):
+    return [(r.axiom, r.checked, r.counterexample) for r in reports]
+
+
+CORRUPTED_MONOIDS = (cyclic(2), cyclic(3), BOOLEAN, NATURALS)
+CORRUPTED_ARITIES = ((3, 3, 3), (2, 3, 2), (1, 3, 2), (3, 2, 3), (2, 2, 2))
+CORRUPTED_SEEDS = range(160)
+
+
+def corrupted_case(seed):
+    """A seeded substitution that reverses, sorts or drops letters of the true
+    result on a hashed subset of argument triples, keeping its arity."""
+    m = CORRUPTED_MONOIDS[seed % 4]
+    arities = CORRUPTED_ARITIES[seed // 4 % 5]
+    if m == cyclic(3) and arities == (3, 3, 3):
+        arities = (3, 2, 2)  # the reference takes seconds on a law that holds
+    kind = ("reverse", "sort", "drop")[seed % 3]
+    rate = (5, 29, 113, 401)[seed // 20 % 4]
+    op = m.op
+
+    def subst(x, i, y):
+        r = splice(x, i, y, op)
+        h = zlib.crc32(repr((seed, x, i, y)).encode())
+        if h % rate:
+            return r
+        if kind == "reverse":
+            return r[::-1]
+        if kind == "sort":
+            return tuple(sorted(r))
+        k = h // rate % len(r)
+        return r[:k] + r[k + 1:] + (m.unit,)
+
+    return m, arities, subst
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("m", [cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name)
+def test_reports_match_reference_on_finite_monoids(m, arity):
+    bound = (arity,) * 3
+    assert outcomes(check_axioms(m, bound)) == outcomes(reference_check_axioms(m, bound))
+
+
+@pytest.mark.parametrize("seed", CORRUPTED_SEEDS)
+def test_corrupted_reports_match_reference(seed):
+    m, arities, subst = corrupted_case(seed)
+    got = check_axioms(m, arities, letter_cap=2, subst=subst)
+    assert outcomes(got) == outcomes(reference_check_axioms(m, arities, 2, subst))
+
+
+def test_corrupted_set_fails_every_law():
+    failed = set()
+    for seed in CORRUPTED_SEEDS:
+        m, arities, subst = corrupted_case(seed)
+        failed |= {
+            r.axiom for r in check_axioms(m, arities, letter_cap=2, subst=subst) if not r.ok
+        }
+    assert failed == AXIOM_NAMES
+
+
+def test_reports_match_reference_when_memos_are_cleared(monkeypatch):
+    monkeypatch.setattr(words, "_MEMO_CAP", 40)
+    clears = []
+    make_room = words._Substitutions._make_room
+
+    def counting(self):
+        if len(self.shared) >= words._MEMO_CAP:
+            clears.append(len(self.shared))
+        make_room(self)
+
+    monkeypatch.setattr(words._Substitutions, "_make_room", counting)
+    assert outcomes(check_axioms(cyclic(2), (3, 3, 3))) == outcomes(
+        reference_check_axioms(cyclic(2), (3, 3, 3))
+    )
+    for seed in CORRUPTED_SEEDS:
+        m, arities, subst = corrupted_case(seed)
+        got = check_axioms(m, arities, letter_cap=2, subst=subst)
+        assert outcomes(got) == outcomes(reference_check_axioms(m, arities, 2, subst)), seed
+    assert clears

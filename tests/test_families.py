@@ -97,6 +97,12 @@ def test_schr_factor_condition_edges():
     assert not fam.is_schr_word((0, 2, 0))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_schr_enumerator_matches_predicate_filter(n):
+    brute = [w for w in itertools.product(range(n), repeat=n) if fam.is_schr_word(w)]
+    assert fam.enumerate_schr(n) == brute
+
+
 def test_motz_words_end_at_zero():
     assert fam.is_motz_word((0, 1, 0))
     assert not fam.is_motz_word((0, 1, 1))

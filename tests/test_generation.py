@@ -8,6 +8,7 @@ from opwords import families as fam
 from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
+    GradedFamily,
     NonEnumerableError,
     equals_predicate,
     generate_closure,
@@ -15,6 +16,7 @@ from opwords.generation import (
 )
 from opwords.monoids import (
     BOOLEAN,
+    CarrierError,
     NATURALS,
     cyclic,
     identity_morphism,
@@ -289,6 +291,27 @@ def test_end_pf_pw_are_stable_under_substitution_and_action():
 
 # ---------------------------------------------------------------------------
 # export
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda: closure_of("fcat1", 5),
+        lambda: closure_of("da", 5),
+        lambda: generate_closure(GeneratorSet(BOOLEAN, ((0, 1), (1, 1, 0))), 5),
+    ],
+    ids=["fcat1-N", "da-N3", "custom-B01"],
+)
+def test_jsonl_lines_are_word_records(family):
+    closure = family()
+    expected = [Word(closure.monoid, w).to_record() for w in closure.iter_all()]
+    assert closure.to_jsonl() == "\n".join(expected) + "\n"
+
+
+def test_jsonl_export_checks_the_carrier():
+    family = GradedFamily(cyclic(2), 2, {1: frozenset({(0,)}), 2: frozenset({(0, 2)})})
+    with pytest.raises(CarrierError):
+        family.to_jsonl()
 
 
 def test_jsonl_export_sorted_and_deterministic():

@@ -85,6 +85,13 @@ def test_enumerate_terms_counts():
         assert count_terms(motz, n) == len(enumerate_terms(motz, n))
 
 
+def test_count_terms_below_arity_one_is_zero():
+    one = {"a": A}
+    for arity in (0, -1, -5):
+        assert count_terms(one, arity) == 0
+    assert count_terms(PRESENTATIONS["motz"].symbols, 0) == 0
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
