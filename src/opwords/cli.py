@@ -208,50 +208,26 @@ def cmd_check_bijections(args) -> RunReport:
         f"check bijections --operad {args.operad} --max-arity {args.max_arity}"
     )
     family = fam.get_family(args.operad)
-    converters = {
-        "prt": lambda w: fam.tree_to_word(fam.word_to_tree(w)),
-        "fcat0": lambda w: fam.kdyck_to_word(fam.word_to_kdyck(w, 0), 0),
-        "fcat1": lambda w: fam.kdyck_to_word(fam.word_to_kdyck(w, 1), 1),
-        "fcat2": lambda w: fam.kdyck_to_word(fam.word_to_kdyck(w, 2), 2),
-        "fcat3": lambda w: fam.kdyck_to_word(fam.word_to_kdyck(w, 3), 3),
-        "motz": lambda w: fam.motzkin_to_word(fam.word_to_motzkin(w)),
-        "comp": lambda w: fam.composition_to_word(fam.word_to_composition(w)),
-        "schr": lambda w: fam.schr_tree_to_word(fam.schr_word_to_tree(w)),
-        "da": lambda w: fam.steps_from_phi(fam.da_phi(w)),
-    }
-    displays = {
-        "prt": lambda w: fam.tree_to_parens(fam.word_to_tree(w)),
-        "fcat0": lambda w: fam.word_to_kdyck(w, 0),
-        "fcat1": lambda w: fam.word_to_kdyck(w, 1),
-        "fcat2": lambda w: fam.word_to_kdyck(w, 2),
-        "fcat3": lambda w: fam.word_to_kdyck(w, 3),
-        "motz": fam.word_to_motzkin,
-        "comp": lambda w: fam.format_composition(fam.word_to_composition(w)),
-        "schr": lambda w: fam.tree_to_parens(fam.schr_word_to_tree(w)),
-        "da": lambda w: fam.steps_to_string(fam.da_phi(w)),
-    }
-    if args.operad not in converters:
+    if family.to_object is None:
         raise UsageError(f"{args.operad} has no object view to round-trip")
-    round_trip = converters[args.operad]
-    display = displays[args.operad]
     closure = family.closure(args.max_arity)
     for n in range(1, args.max_arity + 1):
         words_n = closure.words(n)
-        bad = [w for w in words_n if round_trip(w) != w]
-        sample = f"  e.g. {format_letters(words_n[-1])} ~ {display(words_n[-1])}"
+        bad = [w for w in words_n if family.from_object(family.to_object(w)) != w]
+        shown = family.show(family.to_object(words_n[-1]))
+        sample = f"  e.g. {format_letters(words_n[-1])} ~ {shown}"
         report.add(
             f"arity {n}: {len(words_n)} words round-trip"
             + (sample if not bad else f"; first failure {format_letters(bad[0])}"),
             ok=not bad,
         )
-    if args.operad in ("prt", "comp"):
-        ok, checked = _object_substitution_agrees(args.operad, min(args.max_arity, 4))
+    if family.graft is not None:
+        ok, checked = _object_substitution_agrees(family, min(args.max_arity, 4))
         report.add(f"object-level substitution vs word splice: {checked} cases", ok=ok)
     return report
 
 
-def _object_substitution_agrees(name: str, bound: int) -> tuple[bool, int]:
-    family = fam.get_family(name)
+def _object_substitution_agrees(family: fam.Family, bound: int) -> tuple[bool, int]:
     closure = family.closure(bound)
     op = family.monoid.op
     checked = 0
@@ -260,16 +236,9 @@ def _object_substitution_agrees(name: str, bound: int) -> tuple[bool, int]:
             for i in range(1, len(x) + 1):
                 checked += 1
                 expected = splice(x, i, y, op)
-                if name == "prt":
-                    got = fam.tree_to_word(
-                        fam.prt_graft(fam.word_to_tree(x), i, fam.word_to_tree(y))
-                    )
-                else:
-                    got = fam.composition_to_word(
-                        fam.ribbon_substitute(
-                            fam.word_to_composition(x), i, fam.word_to_composition(y)
-                        )
-                    )
+                got = family.from_object(
+                    family.graft(family.to_object(x), i, family.to_object(y))
+                )
                 if got != expected:
                     return False, checked
     return True, checked

@@ -191,12 +191,29 @@ def enumerate_dias(n: int) -> list[Letters]:
     return out
 
 
+# the most candidates an n^n or n! enumeration may build: n^n up to n = 7,
+# n! up to n = 9
+MAX_CANDIDATES = 10**6
+
+
+def _check_candidates(n: int, count: int) -> None:
+    if count > MAX_CANDIDATES:
+        raise ValueError(
+            f"arity {n} would build {count} candidates, over the cap of {MAX_CANDIDATES}"
+        )
+
+
+def _all_words(n: int) -> Iterable[Letters]:
+    _check_candidates(n, n**n)
+    return itertools.product(range(n), repeat=n)
+
+
 def _filtered_words(n: int, predicate: Callable[[Letters], bool]) -> list[Letters]:
-    return [w for w in itertools.product(range(n), repeat=n) if predicate(w)]
+    return [w for w in _all_words(n) if predicate(w)]
 
 
 def enumerate_end(n: int) -> list[Letters]:
-    return list(itertools.product(range(n), repeat=n))
+    return list(_all_words(n))
 
 
 def enumerate_pf(n: int) -> list[Letters]:
@@ -208,6 +225,7 @@ def enumerate_pw(n: int) -> list[Letters]:
 
 
 def enumerate_per(n: int) -> list[Letters]:
+    _check_candidates(n, math.factorial(n))
     return [tuple(p) for p in itertools.permutations(range(n))]
 
 
@@ -257,12 +275,23 @@ def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
 
 # ---------------------------------------------------------------------------
 # family registry
+#
+# The tree and ribbon views import the predicates above, so they are imported
+# only once those are defined.
+
+from . import paths, ribbons, trees  # noqa: E402
 
 
 @dataclass(frozen=True)
 class Family:
     """A named family: monoid, generators when finitely generated, predicate,
-    and a per-arity enumerator."""
+    and a per-arity enumerator.
+
+    `count` is the closed-form dimension at each arity, where one is known.
+    A family with an object view maps a word to its object with `to_object`
+    and back with `from_object`, and prints the object with `show`; `graft`
+    is substitution on the objects, where it is implemented.
+    """
 
     name: str
     monoid: Monoid
@@ -273,6 +302,11 @@ class Family:
     table_dims: tuple[int, ...] | None = None
     description: str = ""
     note: str | None = None
+    count: Callable[[int], int] | None = None
+    to_object: Callable[[Letters], object] | None = None
+    from_object: Callable[[object], Letters] | None = None
+    show: Callable[[object], str] = str
+    graft: Callable[[object, int, object], object] | None = None
 
     @property
     def finitely_generated(self) -> bool:
@@ -290,10 +324,9 @@ class Family:
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
         """Reference dimensions from a closed-form count, where one is known."""
-        formula = _DIMENSION_FORMULAS.get(self.name)
-        if formula is None:
+        if self.count is None:
             return None
-        return tuple(formula(n) for n in range(1, max_arity + 1))
+        return tuple(self.count(n) for n in range(1, max_arity + 1))
 
 
 def _gens(*texts: str) -> tuple[Letters, ...]:
@@ -307,20 +340,6 @@ def _fuss_catalan(k: int) -> Callable[[int], int]:
     return count
 
 
-_DIMENSION_FORMULAS: dict[str, Callable[[int], int]] = {
-    "end": lambda n: n**n,
-    "pf": lambda n: (n + 1) ** (n - 1),
-    "per": math.factorial,
-    "comp": lambda n: 2 ** (n - 1),
-    "scomp": lambda n: 3 ** (n - 1),
-    "dias": lambda n: n,
-    "fcat0": _fuss_catalan(0),
-    "fcat1": _fuss_catalan(1),
-    "fcat2": _fuss_catalan(2),
-    "fcat3": _fuss_catalan(3),
-}
-
-
 def fcat_family(k: int) -> Family:
     return Family(
         name=f"fcat{k}",
@@ -331,6 +350,9 @@ def fcat_family(k: int) -> Family:
         enumerate_arity=lambda n, k=k: enumerate_fcat(n, k),
         table_dims=None,
         description=f"{k}-Dyck paths (up steps rise by {k})",
+        count=_fuss_catalan(k),
+        to_object=lambda w, k=k: paths.word_to_kdyck(w, k),
+        from_object=lambda path, k=k: paths.kdyck_to_word(path, k),
     )
 
 
@@ -339,11 +361,13 @@ FAMILIES: dict[str, Family] = {
         "end", NATURALS, None, True, is_twisted_endofunction, enumerate_end,
         table_dims=(1, 4, 27, 256, 3125),
         description="twisted endofunctions",
+        count=lambda n: n**n,
     ),
     "pf": Family(
         "pf", NATURALS, None, True, is_twisted_parking_function, enumerate_pf,
         table_dims=(1, 3, 16, 125, 1296),
         description="twisted parking functions",
+        count=lambda n: (n + 1) ** (n - 1),
     ),
     "pw": Family(
         "pw", NATURALS, _gens("00", "01"), True, is_twisted_packed_word,
@@ -355,11 +379,16 @@ FAMILIES: dict[str, Family] = {
         "per", NATURALS, None, True, is_twisted_permutation, enumerate_per,
         table_dims=(1, 2, 6, 24, 120),
         description="twisted permutations with an absorbing zero",
+        count=math.factorial,
     ),
     "prt": Family(
         "prt", NATURALS, _gens("01"), False, is_prt_word, enumerate_prt,
         table_dims=(1, 1, 2, 5, 14, 42),
         description="planar rooted trees as depth words",
+        to_object=trees.word_to_tree,
+        from_object=trees.tree_to_word,
+        show=trees.tree_to_parens,
+        graft=trees.prt_graft,
     ),
     "fcat0": fcat_family(0),
     "fcat1": fcat_family(1),
@@ -370,21 +399,34 @@ FAMILIES: dict[str, Family] = {
         enumerate_schr,
         table_dims=(1, 3, 11, 45, 197),
         description="Schroeder trees as sector-depth words",
+        to_object=trees.schr_word_to_tree,
+        from_object=trees.schr_tree_to_word,
+        show=trees.tree_to_parens,
     ),
     "motz": Family(
         "motz", NATURALS, _gens("00", "010"), False, is_motz_word, enumerate_motz,
         table_dims=(1, 1, 2, 4, 9, 21, 51),
         description="Motzkin paths as ordinate words",
+        to_object=paths.word_to_motzkin,
+        from_object=paths.motzkin_to_word,
     ),
     "comp": Family(
         "comp", cyclic(2), _gens("00", "01"), False, is_comp_word, enumerate_comp,
         table_dims=(1, 2, 4, 8, 16, 32),
         description="integer compositions",
+        count=lambda n: 2 ** (n - 1),
+        to_object=ribbons.word_to_composition,
+        from_object=ribbons.composition_to_word,
+        show=ribbons.format_composition,
+        graft=ribbons.ribbon_substitute,
     ),
     "da": Family(
         "da", cyclic(3), _gens("00", "01"), False, is_da_word, enumerate_da,
         table_dims=(1, 2, 5, 13, 35, 96),
         description="directed animals (membership defined by the closure)",
+        to_object=paths.da_phi,
+        from_object=paths.steps_from_phi,
+        show=paths.steps_to_string,
     ),
     "scomp": Family(
         "scomp", cyclic(3), _gens("00", "01", "02"), False, is_scomp_word,
@@ -396,11 +438,13 @@ FAMILIES: dict[str, Family] = {
             "is 3^(n-1) = 1, 3, 9, 27, 81; the printed row is a suspected "
             "misprint and is flagged, not matched"
         ),
+        count=lambda n: 3 ** (n - 1),
     ),
     "dias": Family(
         "dias", BOOLEAN, _gens("10", "01"), False, is_dias_word, enumerate_dias,
         table_dims=None,
         description="words with exactly one 1; the two-sided associative pair",
+        count=lambda n: n,
     ),
 }
 

@@ -246,11 +246,13 @@ def _compositions_product(counts: list[int], n: int, k: int) -> int:
 def enumerate_terms(
     symbols: Mapping[str, GeneratorSymbol], arity: int
 ) -> list[Term]:
-    """All planar terms of the arity over the symbols, in a stable order."""
+    """All planar terms of the arity over the symbols, in a stable order; none
+    below arity 1."""
     _require_branching(symbols)
+    if arity < 1:
+        return []
     by_arity: list[list[Term]] = [[] for _ in range(arity + 1)]
-    if arity >= 1:
-        by_arity[1] = [LEAF]
+    by_arity[1] = [LEAF]
     ordered = sorted(symbols.values(), key=lambda s: s.name)
     for n in range(2, arity + 1):
         bucket = by_arity[n]

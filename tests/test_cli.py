@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from opwords import families as fam
 from opwords.cli import main
+from opwords.families import membership
 from opwords.families.membership import Family
 from opwords.monoids import NATURALS
 
@@ -209,6 +213,46 @@ def test_check_bijections(capsys):
         capsys, "check", "bijections", "--operad", "pw", "--max-arity", "4"
     )
     assert code == 2 and "object view" in err
+
+
+def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatch):
+    monkeypatch.setattr(membership, "MAX_CANDIDATES", 100)
+    code, out, _ = run(capsys, "dims", "--operad", "end", "--max-arity", "3")
+    assert code == 0 and "1, 4, 27" in out
+    for argv in (
+        ("dims", "--operad", "end", "--max-arity", "4"),
+        ("dims", "--operad", "pf", "--max-arity", "4"),
+        ("dims", "--operad", "per", "--max-arity", "5"),
+        ("check", "characterization", "--operad", "pw", "--max-arity", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "over the cap of 100" in err
+
+
+def test_traced_commands_still_run():
+    """The benchmark's tracer wraps the view functions where the modules and
+    the family records hold them; it patches them process-wide, so it runs in
+    a child process."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "import tracing\n"
+        "tracer = tracing.install()\n"
+        "import opwords.cli\n"
+        "codes = [opwords.cli.main(['check', 'bijections', '--operad', 'comp',"
+        " '--max-arity', '4']),\n"
+        "         opwords.cli.main(['dims', '--operad', 'da', '--max-arity', '4'])]\n"
+        "counts = tracer.dump()['counts']\n"
+        "print(codes, counts['families.view_calls'], counts['families.da_calls'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    # two view calls per round trip (15) and sample (4), four per graft (735)
+    assert done.stdout.splitlines()[-1] == "[0, 0] 2978 1"
 
 
 def test_check_functor(capsys):

@@ -1,8 +1,11 @@
 import itertools
+import math
 
 import pytest
 
 from opwords import families as fam
+from opwords.families import membership
+from opwords.generation import NonEnumerableError
 from opwords.monoids import NATURALS, cyclic
 from opwords.words import MonoidMismatchError, Word, act, all_perms, substitute, word
 
@@ -65,6 +68,56 @@ def test_family_counts():
         3 ** (n - 1) for n in range(1, 6)
     ]
     assert [len(fam.enumerate_dias(n)) for n in range(1, 6)] == [1, 2, 3, 4, 5]
+
+
+def test_candidate_cap_keeps_the_arities_in_use():
+    assert 7**7 <= membership.MAX_CANDIDATES < 8**8
+    assert math.factorial(9) <= membership.MAX_CANDIDATES < math.factorial(10)
+
+
+def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
+    monkeypatch.setattr(membership, "MAX_CANDIDATES", 100)
+    assert len(fam.enumerate_end(3)) == 27
+    assert len(fam.enumerate_per(4)) == 24
+    for enumerate_arity, n in ((fam.enumerate_end, 4), (fam.enumerate_pf, 4),
+                               (fam.enumerate_pw, 4), (fam.enumerate_per, 5)):
+        with pytest.raises(ValueError, match="over the cap of 100") as exc:
+            enumerate_arity(n)
+        # a refusal, not a mismatch: equals_predicate turns this error into one
+        assert not isinstance(exc.value, NonEnumerableError)
+
+
+# ---------------------------------------------------------------------------
+# per-family knowledge held on the Family records
+
+VIEW_FAMILIES = {"prt", "fcat0", "fcat1", "fcat2", "fcat3", "motz", "comp", "schr", "da"}
+GRAFT_FAMILIES = {"prt", "comp"}
+CLOSED_FORMS = {
+    "end": (1, 4, 27, 256, 3125, 46656, 823543, 16777216),
+    "pf": (1, 3, 16, 125, 1296, 16807, 262144, 4782969),
+    "per": (1, 2, 6, 24, 120, 720, 5040, 40320),
+    "comp": (1, 2, 4, 8, 16, 32, 64, 128),
+    "scomp": (1, 3, 9, 27, 81, 243, 729, 2187),
+    "dias": (1, 2, 3, 4, 5, 6, 7, 8),
+    "fcat0": (1, 1, 1, 1, 1, 1, 1, 1),
+    "fcat1": (1, 2, 5, 14, 42, 132, 429, 1430),
+    "fcat2": (1, 3, 12, 55, 273, 1428, 7752, 43263),
+    "fcat3": (1, 4, 22, 140, 969, 7084, 53820, 420732),
+}
+
+
+@pytest.mark.parametrize("name", sorted(fam.FAMILIES))
+def test_family_record_views_and_counts(name):
+    family = fam.FAMILIES[name]
+    assert (family.to_object is not None) == (name in VIEW_FAMILIES)
+    assert (family.from_object is not None) == (name in VIEW_FAMILIES)
+    assert (family.graft is not None) == (name in GRAFT_FAMILIES)
+    assert (family.count is not None) == (name in CLOSED_FORMS)
+    assert family.expected_dims(8) == CLOSED_FORMS.get(name)
+    if name in VIEW_FAMILIES:
+        for w in family.closure(6).iter_all():
+            assert family.from_object(family.to_object(w)) == w
+            assert isinstance(family.show(family.to_object(w)), str)
 
 
 # ---------------------------------------------------------------------------

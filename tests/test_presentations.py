@@ -92,6 +92,13 @@ def test_count_terms_below_arity_one_is_zero():
     assert count_terms(PRESENTATIONS["motz"].symbols, 0) == 0
 
 
+def test_enumerate_terms_below_arity_one_is_empty():
+    one = {"a": A}
+    for arity in (0, -1, -5):
+        assert enumerate_terms(one, arity) == []
+    assert enumerate_terms(PRESENTATIONS["motz"].symbols, -1) == []
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
