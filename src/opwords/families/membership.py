@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from ..generation import GeneratorSet, GradedFamily, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, MonoidMismatchError, Word, parse_letters
-from .paths import da_phi, is_motzkin_prefix
+from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
 
 
 class NotAMemberError(ValueError):
@@ -259,16 +259,17 @@ def da_prefix_description(letters: Letters) -> bool:
 
 
 def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
-    """Per arity: (n, agreement, closure count, description count)."""
+    """Per arity: (n, agreement, closure count, description count).
+
+    The described words are built as `steps_from_phi` of the nonnegative step
+    sequences, the unique preimages starting at 0 of the words that
+    `da_prefix_description` accepts, independently of the closure.
+    """
     rows = []
     closure = da_closure(max_arity)
     for n in range(1, max_arity + 1):
         generated = closure.arity_set(n)
-        described = frozenset(
-            w
-            for w in itertools.product(range(3), repeat=n)
-            if da_prefix_description(w)
-        )
+        described = frozenset(map(steps_from_phi, motzkin_prefixes(n - 1)))
         rows.append((n, generated == described, len(generated), len(described)))
     return rows
 

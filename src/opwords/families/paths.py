@@ -7,7 +7,6 @@ letters as the ordinates of the path's points.
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 from ..words import Letters
@@ -134,10 +133,20 @@ def is_motzkin_prefix(steps: Sequence[int]) -> bool:
 
 
 def motzkin_prefixes(length: int) -> Iterator[Steps]:
-    """All step sequences of the given length with nonnegative partial sums."""
-    for steps in itertools.product((-1, 0, 1), repeat=length):
-        if is_motzkin_prefix(steps):
-            yield steps
+    """All step sequences of the given length with nonnegative partial sums,
+    in lexicographic order, by a depth-first walk that never steps below
+    height 0."""
+    if length < 0:
+        raise ValueError(f"negative length {length}")
+
+    def walk(prefix: Steps, height: int) -> Iterator[Steps]:
+        if len(prefix) == length:
+            yield prefix
+            return
+        for s in (-1, 0, 1) if height else (0, 1):
+            yield from walk(prefix + (s,), height + s)
+
+    return walk((), 0)
 
 
 def steps_to_string(steps: Sequence[int]) -> str:

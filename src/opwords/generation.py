@@ -13,9 +13,16 @@ orbit of the letter-permuting action.  The monoids are commutative, so the
 letters of x o_i g, as a multiset, depend only on the multisets of x and g
 and on the letter x_i; splicing at equal letters of a sorted word is done
 once.  Each orbit is expanded into all of its rearrangements at the end.
+
+During the search a word is packed as `bytes`, one letter per byte, and
+x o_i g is three C-level slices: x[:i-1], the block of g with every letter
+multiplied by x_i (built once per generator and letter), and x[i:].  The
+words are converted to tuples once, arity by arity, at the end.  A letter
+above 255 cannot be packed and is refused with `ValueError`.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 from collections import deque
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from .monoids import Monoid, Morphism
-from .words import Letters, Word, splice
+from .words import Letters, Word
 
 __all__ = [
     "GeneratorSet",
@@ -114,7 +121,11 @@ class GradedFamily:
 def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     """Smallest family containing the unit and the generators, closed under
     substitution (and under letter permutation when symmetric), truncated to
-    the arity bound."""
+    the arity bound.
+
+    Raises `ValueError` when a word of the closure would hold a letter above
+    255, which cannot be packed into `bytes`.
+    """
     m = gens.monoid
     top = max(len(g) for g in gens.generators)
     if max_arity < top:
@@ -129,28 +140,58 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
             )
     op = m.op
     symmetric = gens.symmetric
-    found: set[Letters] = {(m.unit,)}
-    queue: deque[Letters] = deque(found)
+    # sorted by length, so the generators that fit a word are a prefix;
+    # blocks[a][k] is generator k with every letter multiplied by a, packed
+    generators = sorted(gens.generators, key=len)
+    lengths = [len(g) for g in generators]
+    blocks: dict[int, list[bytes]] = {}
+
+    def blocks_for(a: int) -> list[bytes]:
+        scaled = [[op(a, c) for c in g] for g in generators]
+        big = max(map(max, scaled))
+        if big > 255:
+            raise ValueError(
+                f"letter {big} over {m.name} is above 255 and cannot be "
+                "packed into a closure word"
+            )
+        blocks[a] = row = list(map(bytes, scaled))
+        return row
+
+    found = {bytes([m.unit])}
+    queue = deque(found)
     while queue:
         x = queue.popleft()
-        room = max_arity - len(x) + 1
-        fitting = [g for g in gens.generators if len(g) <= room]
-        for i in range(1, len(x) + 1):
-            if symmetric and i > 1 and x[i - 1] == x[i - 2]:
-                continue  # same multiset as splicing at i - 1
-            for g in fitting:
-                w = splice(x, i, g, op)
+        fitting = bisect.bisect_right(lengths, max_arity - len(x) + 1)
+        if not fitting:
+            continue
+        previous = -1
+        for i, a in enumerate(x):
+            if symmetric and a == previous:
+                continue  # same multiset as splicing at the previous slot
+            previous = a
+            row = blocks.get(a) or blocks_for(a)
+            head, tail = x[:i], x[i + 1 :]
+            for block in row[:fitting]:
+                w = head + block + tail
                 if symmetric:
-                    w = tuple(sorted(w))
+                    w = bytes(sorted(w))
                 if w not in found:
                     found.add(w)
                     queue.append(w)
 
-    by_arity: dict[int, set[Letters]] = {n: set() for n in range(1, max_arity + 1)}
+    buckets: dict[int, list[bytes]] = {n: [] for n in range(1, max_arity + 1)}
     for w in found:
-        by_arity[len(w)].update(itertools.permutations(w) if symmetric else (w,))
-    frozen = {n: frozenset(s) for n, s in by_arity.items()}
-    return GradedFamily(m, max_arity, frozen)
+        buckets[len(w)].append(w)
+    del found
+    by_arity: dict[int, frozenset[Letters]] = {}
+    for n in range(1, max_arity + 1):
+        bucket = buckets.pop(n)
+        if symmetric:
+            words = itertools.chain.from_iterable(map(itertools.permutations, bucket))
+        else:
+            words = map(tuple, bucket)
+        by_arity[n] = frozenset(words)
+    return GradedFamily(m, max_arity, by_arity)
 
 
 class MembershipPredicate(Protocol):

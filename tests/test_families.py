@@ -188,6 +188,35 @@ def test_da_description_report_shape():
         assert n_closure > 0 and n_described > 0
 
 
+def brute_motzkin_prefixes(length):
+    """Reference: filter every step sequence of the length."""
+    steps = itertools.product((-1, 0, 1), repeat=length)
+    return [s for s in steps if fam.is_motzkin_prefix(s)]
+
+
+def brute_da_description_report(max_arity):
+    """Reference: filter all 3^n words through the description predicate."""
+    closure = fam.da_closure(max_arity)
+    rows = []
+    for n in range(1, max_arity + 1):
+        generated = closure.arity_set(n)
+        words = itertools.product(range(3), repeat=n)
+        described = frozenset(w for w in words if fam.da_prefix_description(w))
+        rows.append((n, generated == described, len(generated), len(described)))
+    return rows
+
+
+def test_motzkin_prefixes_match_the_brute_force_filter():
+    for length in range(11):
+        assert list(fam.motzkin_prefixes(length)) == brute_motzkin_prefixes(length)
+    with pytest.raises(ValueError):
+        fam.motzkin_prefixes(-1)
+
+
+def test_da_description_report_matches_the_brute_force_filter():
+    assert fam.da_description_report(9) == brute_da_description_report(9)
+
+
 def test_da_membership_is_closure_membership():
     assert fam.is_member("da", word(cyclic(3), "011220201"))
     assert not fam.is_member("da", word(cyclic(3), "002"))

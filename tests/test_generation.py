@@ -184,6 +184,39 @@ def test_frontier_closure_matches_all_pairs_reference(seed):
     assert generate_closure(gens, bound).by_arity == all_pairs_closure(gens, bound)
 
 
+def top_byte_generator_set(seed):
+    """Seeded generator sets over N256 with every letter in 200..255, so the
+    products wrap around the top of the byte range; every third set also has
+    the arity-1 generator 224, of order 8.  Returns the set and an arity
+    bound that keeps the all-pairs reference fast."""
+    rng = random.Random(seed)
+    symmetric, unary = seed % 2 == 1, seed % 3 == 0
+    longest = 2 if symmetric and unary else 3
+    gens = [
+        tuple(rng.randint(200, 255) for _ in range(rng.randint(2, longest)))
+        for _ in range(rng.randint(1, 2))
+    ]
+    if unary:
+        gens.append((224,))
+    return GeneratorSet(cyclic(256), tuple(gens), symmetric), 4 - symmetric - unary
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_frontier_closure_matches_all_pairs_reference_at_the_top_byte(seed):
+    gens, bound = top_byte_generator_set(seed)
+    assert generate_closure(gens, bound).by_arity == all_pairs_closure(gens, bound)
+
+
+def test_letters_above_255_are_refused():
+    with pytest.raises(ValueError, match="letter 256 over N "):
+        generate_closure(GeneratorSet(NATURALS, ((0, 256),)), 2)
+    # (0, 128) packs, but splicing it at its own 128 gives the block (128, 256)
+    gens = GeneratorSet(cyclic(300), ((0, 128),))
+    assert generate_closure(gens, 2).dimensions() == (1, 1)
+    with pytest.raises(ValueError, match="letter 256 over N300 "):
+        generate_closure(gens, 3)
+
+
 def test_truncate_upward_rejected():
     with pytest.raises(ValueError):
         closure_of("comp", 4).truncate(5)
