@@ -8,8 +8,10 @@ exhaustively on small domains.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -189,6 +191,8 @@ class AxiomReport:
 
 def letter_range(m: Monoid, letter_cap: int) -> range:
     """Letters enumerated for exhaustive checks; the infinite monoid is capped."""
+    if letter_cap < 0:
+        raise ValueError(f"letter cap {letter_cap} is negative")
     return range(letter_cap + 1) if not m.is_finite else m.elements()
 
 
@@ -198,6 +202,31 @@ def words_up_to(m: Monoid, max_arity: int, letter_cap: int = 3) -> list[Letters]
     for n in range(1, max_arity + 1):
         out.extend(itertools.product(alphabet, repeat=n))
     return out
+
+
+# the most checks `check_axioms` may make; N at arity 3 makes 6.3 * 10^6
+MAX_CHECKS = 10**7
+
+
+def axiom_check_count(
+    m: Monoid, max_arities: tuple[int, int, int] = (3, 3, 3), letter_cap: int = 3
+) -> int:
+    """The checks `check_axioms` makes when every law holds, from the sizes
+    of its operand lists alone: series, parallel, unit and equivariance."""
+    size = len(letter_range(m, letter_cap))
+
+    def over(bound: int, weight: Callable[[int], int] = lambda n: 1) -> int:
+        # weight(|w|) summed over the words w of arity 1..bound
+        return sum(weight(n) * size**n for n in range(1, bound + 1))
+
+    ax, ay, az = max_arities
+    sx = over(ax, lambda n: n)
+    return (
+        sx * over(ay, lambda n: n) * over(az)
+        + over(ax, lambda n: math.comb(n, 2)) * over(ay) * over(az)
+        + over(ax) + sx
+        + over(ax, lambda n: math.factorial(n) * n) * over(ay, math.factorial)
+    )
 
 
 def check_axioms(
@@ -211,121 +240,84 @@ def check_axioms(
     max_arities bounds the arities of the three operands (two for the laws
     that take two).  `subst` replaces the substitution under test, which lets
     a corrupted version be fed in to prove the checker catches it; it must be
-    a pure function of its arguments.
+    a pure function of its arguments.  More than `MAX_CHECKS` checks are
+    refused with `ValueError` before any substitution.
 
     Each law runs over every operand tuple in a fixed loop order.  Its
     innermost loop is compared as one row of left sides against one row of
-    right sides, with each distinct substitution computed once
-    (`_Substitutions`).  Only a failing row is scanned for its first failing
+    right sides, built by one memoised row function (`_rows`) that shares
+    equal results.  Only a failing row is scanned for its first failing
     index, so `checked` and the counterexample are those of checking one
     tuple at a time.
     """
+    count = axiom_check_count(m, max_arities, letter_cap)
+    if count > MAX_CHECKS:
+        raise ValueError(f"{count} axiom checks, over the cap of {MAX_CHECKS}")
     op = m.op
     if subst is None:
         def subst(x: Letters, i: int, y: Letters) -> Letters:
             return splice(x, i, y, op)
 
-    ax, ay, az = max_arities
-    xs = words_up_to(m, ax, letter_cap)
-    ys = tuple(words_up_to(m, ay, letter_cap))
-    zs = tuple(words_up_to(m, az, letter_cap))
-    memo = _Substitutions(subst)
-    reports = [
-        _check_series(memo, xs, ys, zs),
-        _check_parallel(memo, xs, ys, zs),
+    xs, ys, zs = (tuple(words_up_to(m, a, letter_cap)) for a in max_arities)
+    row = _rows(subst)
+    return [
+        _check_series(row, subst, xs, ys, zs),
+        _check_parallel(row, xs, ys, zs),
         _check_unit(subst, m, xs),
-        _check_equivariance(memo, xs, ys),
+        _check_equivariance(row, xs, ys),
     ]
-    return reports
 
 
-# Distinct substitution results held before every memo is cleared.  The
+# Distinct substitution results held before the row memo is cleared.  The
 # finite monoids never reach it at arity 3; over N it bounds memory.
 _MEMO_CAP = 1 << 15
 
 
-class _Substitutions:
-    """`subst` memoised, with equal results shared as one tuple so that rows
-    of them compare mostly by identity.
+def _rows(subst: Callable[[Letters, int, Letters], Letters]) -> Callable:
+    """The function (w, i, vs) -> (w o_i v for v in vs), memoised, with equal
+    results shared as one tuple so that rows of them compare mostly by
+    identity.  Rows are keyed by id(vs), and each entry holds its vs so that
+    the id cannot be reused while the entry lives."""
+    rows: dict[tuple[Letters, int, int], tuple[tuple, tuple]] = {}
+    shared: dict[Letters, Letters] = {}
+    share = shared.setdefault
 
-    Rows over a fixed sequence are kept per (w, i); `apply` keeps w o_i v
-    per (w, i, v) for arguments that do not come as a fixed sequence.
-    """
+    def row(w: Letters, i: int, vs: tuple) -> tuple:
+        key = (w, i, id(vs))
+        entry = rows.get(key)
+        if entry is None:
+            if len(shared) >= _MEMO_CAP:
+                rows.clear()
+                shared.clear()
+            results = [subst(w, i, v) for v in vs]
+            entry = rows[key] = (vs, tuple(map(share, results, results)))
+        return entry[1]
 
-    def __init__(self, subst: Callable[[Letters, int, Letters], Letters]) -> None:
-        self.subst = subst
-        self.shared: dict[Letters, Letters] = {}
-        self.rows: dict[tuple, dict[tuple[Letters, int], tuple]] = {}
-        self.slots: dict[tuple[Letters, int], dict[Letters, Letters]] = {}
-        self.blocks: dict[tuple[Perm, int, int], tuple[tuple[int, ...], ...]] = {}
-
-    def _make_room(self) -> None:
-        # clear in place: the functions returned by `over` hold their tables
-        if len(self.shared) >= _MEMO_CAP:
-            self.shared.clear()
-            self.slots.clear()
-            self.blocks.clear()
-            for table in self.rows.values():
-                table.clear()
-
-    def over(self, vs: tuple) -> Callable[[Letters, int], tuple]:
-        """The function (w, i) -> (w o_i v for v in vs), memoised per (w, i)."""
-        table = self.rows.setdefault(vs, {})
-        subst, share = self.subst, self.shared.setdefault
-
-        def row(w: Letters, i: int) -> tuple:
-            found = table.get((w, i))
-            if found is None:
-                self._make_room()
-                results = [subst(w, i, v) for v in vs]
-                found = table[(w, i)] = tuple(map(share, results, results))
-            return found
-
-        return row
-
-    def apply(self, w: Letters, i: int, vs: Sequence[Letters]) -> tuple:
-        """(w o_i v for v in vs), memoised per (w, i, v)."""
-        slot = self.slots.get((w, i))
-        if slot is not None:
-            try:
-                return tuple(map(slot.__getitem__, vs))
-            except KeyError:
-                pass
-        self._make_room()
-        slot = self.slots.setdefault((w, i), {})
-        subst, share = self.subst, self.shared.setdefault
-        for v in vs:
-            if v not in slot:
-                r = subst(w, i, v)
-                slot[v] = share(r, r)
-        return tuple(map(slot.__getitem__, vs))
-
-    def block_indices(self, sigma: Perm, i: int, m: int) -> tuple[tuple[int, ...], ...]:
-        """0-based B_i(sigma, nu) for each nu of degree m, in `all_perms` order."""
-        key = (sigma, i, m)
-        found = self.blocks.get(key)
-        if found is None:
-            found = self.blocks[key] = tuple(
-                tuple(j - 1 for j in block_substitute(sigma, i, nu))
-                for nu in all_perms(m)
-            )
-        return found
+    return row
 
 
 def _first_difference(lhs: tuple, rhs: tuple) -> int:
     return next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def _check_series(memo: _Substitutions, xs, ys, zs) -> AxiomReport:
+def _check_series(row, subst, xs, ys, zs) -> AxiomReport:
     # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a row over z
+    # the right side takes x o_i v once for each distinct v = y o_j z, and
+    # picks[(y, j)] holds the index into vs of each y o_j z in its row
+    index: dict[Letters, int] = {}
+    picks = {
+        (y, j): tuple([index.setdefault(v, len(index)) for v in row(y, j, zs)])
+        for y in ys for j in range(1, len(y) + 1)
+    }
+    vs = tuple(index)
     checked = 0
-    row_y, row_z = memo.over(ys), memo.over(zs)
     for x in xs:
         for i in range(1, len(x) + 1):
-            for y, xy in zip(ys, row_y(x, i)):
+            outer = [subst(x, i, v) for v in vs]
+            for y, xy in zip(ys, row(x, i, ys)):
                 for j in range(1, len(y) + 1):
-                    lhs = row_z(xy, i + j - 1)
-                    rhs = memo.apply(x, i, row_z(y, j))
+                    lhs = row(xy, i + j - 1, zs)
+                    rhs = tuple(map(outer.__getitem__, picks[(y, j)]))
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)
                         return AxiomReport(
@@ -335,19 +327,18 @@ def _check_series(memo: _Substitutions, xs, ys, zs) -> AxiomReport:
     return AxiomReport("series-associativity", checked)
 
 
-def _check_parallel(memo: _Substitutions, xs, ys, zs) -> AxiomReport:
+def _check_parallel(row, xs, ys, zs) -> AxiomReport:
     # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y  for i < j, a row over y
     checked = 0
-    row_y, row_z = memo.over(ys), memo.over(zs)
     for x in xs:
         n = len(x)
         for i in range(1, n):
-            xys = row_y(x, i)
+            xys = row(x, i, ys)
             for j in range(i + 1, n + 1):
                 # column k holds (x o_i y_k) o_{j+|y_k|-1} z over every z
-                columns = [row_z(xy, j + len(y) - 1) for xy, y in zip(xys, ys)]
-                for z, xz, lhs in zip(zs, row_z(x, j), zip(*columns)):
-                    rhs = row_y(xz, i)
+                columns = [row(xy, j + len(y) - 1, zs) for xy, y in zip(xys, ys)]
+                for z, xz, lhs in zip(zs, row(x, j, zs), zip(*columns)):
+                    rhs = row(xz, i, ys)
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)
                         return AxiomReport(
@@ -371,25 +362,32 @@ def _check_unit(subst, m: Monoid, xs) -> AxiomReport:
     return AxiomReport("unit", checked)
 
 
-def _check_equivariance(memo: _Substitutions, xs, ys) -> AxiomReport:
+def _check_equivariance(row, xs, ys) -> AxiomReport:
     # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a row over nu
+
+    @functools.cache
+    def block_indices(sigma: Perm, i: int, m: int) -> tuple[tuple[int, ...], ...]:
+        # 0-based B_i(sigma, nu) for each nu of degree m, in `all_perms` order
+        return tuple(
+            tuple(j - 1 for j in block_substitute(sigma, i, nu)) for nu in all_perms(m)
+        )
+
     checked = 0
-    row_y = memo.over(ys)
     for k_y, y in enumerate(ys):
         m = len(y)
         nus = tuple(all_perms(m))
-        row_acted = memo.over(tuple(permute(y, nu) for nu in nus))
+        acted = tuple(permute(y, nu) for nu in nus)
         for x in xs:
             n = len(x)
-            plains = [row_y(x, p)[k_y] for p in range(1, n + 1)]
+            plains = [row(x, p, ys)[k_y] for p in range(1, n + 1)]
             for sigma in all_perms(n):
                 x_acted = permute(x, sigma)
                 for i in range(1, n + 1):
-                    lhs = row_acted(x_acted, i)
+                    lhs = row(x_acted, i, acted)
                     plain = plains[sigma[i - 1] - 1]
                     rhs = tuple([
                         tuple(map(plain.__getitem__, block))
-                        for block in memo.block_indices(sigma, i, m)
+                        for block in block_indices(sigma, i, m)
                     ])
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)

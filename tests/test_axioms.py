@@ -7,6 +7,7 @@ from opwords.monoids import BOOLEAN, NATURALS, cyclic
 from opwords.words import (
     AxiomReport,
     all_perms,
+    axiom_check_count,
     block_substitute,
     check_axioms,
     permute,
@@ -215,15 +216,22 @@ def test_corrupted_set_fails_every_law():
 
 def test_reports_match_reference_when_memos_are_cleared(monkeypatch):
     monkeypatch.setattr(words, "_MEMO_CAP", 40)
-    clears = []
-    make_room = words._Substitutions._make_room
+    recomputed = []
+    rows = words._rows
 
-    def counting(self):
-        if len(self.shared) >= words._MEMO_CAP:
-            clears.append(len(self.shared))
-        make_room(self)
+    def watched_rows(subst):
+        # a row returned again as a new tuple was dropped by a clear
+        row, first = rows(subst), {}
 
-    monkeypatch.setattr(words._Substitutions, "_make_room", counting)
+        def watched(w, i, vs):
+            got = row(w, i, vs)
+            if got is not first.setdefault((w, i, id(vs)), (vs, got))[1]:
+                recomputed.append((w, i))
+            return got
+
+        return watched
+
+    monkeypatch.setattr(words, "_rows", watched_rows)
     assert outcomes(check_axioms(cyclic(2), (3, 3, 3))) == outcomes(
         reference_check_axioms(cyclic(2), (3, 3, 3))
     )
@@ -231,4 +239,19 @@ def test_reports_match_reference_when_memos_are_cleared(monkeypatch):
         m, arities, subst = corrupted_case(seed)
         got = check_axioms(m, arities, letter_cap=2, subst=subst)
         assert outcomes(got) == outcomes(reference_check_axioms(m, arities, 2, subst)), seed
-    assert clears
+    assert recomputed
+
+
+@pytest.mark.parametrize("m", [cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name)
+def test_check_count_equals_the_checks_made(m):
+    checked = sum(r.checked for r in check_axioms(m, (3, 3, 3)))
+    assert axiom_check_count(m, (3, 3, 3)) == checked
+
+
+def test_check_count_over_naturals_and_past_the_cap():
+    # the four counts `check axioms --monoid N --max-arity 3` prints
+    assert axiom_check_count(NATURALS, (3, 3, 3), 3) == 4366656 + 1467648 + 312 + 512400
+    assert axiom_check_count(cyclic(2), (5, 5, 5)) > words.MAX_CHECKS
+    assert axiom_check_count(cyclic(9), (3, 3, 3)) > words.MAX_CHECKS
+    with pytest.raises(ValueError, match="over the cap"):
+        check_axioms(cyclic(2), (5, 5, 5))

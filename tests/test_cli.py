@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from opwords import families as fam
+from opwords import words
 from opwords.cli import main
 from opwords.families import membership
 from opwords.families.membership import Family
@@ -228,6 +229,21 @@ def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatc
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "over the cap of 100" in err
+
+
+def test_axiom_checks_over_the_cap_are_usage_errors(capsys, monkeypatch):
+    monkeypatch.setattr(words, "MAX_CHECKS", 1000)
+    code, out, err = run(capsys, "check", "axioms", "--monoid", "N2", "--max-arity", "3")
+    assert code == 2 and out == ""
+    assert "over the cap of 1000" in err
+
+
+def test_negative_letter_cap_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "check", "axioms", "--monoid", "N", "--max-arity", "2", "--letter-cap", "-1"
+    )
+    assert code == 2 and out == "" and "pass" not in err
+    assert "negative" in err
 
 
 def test_traced_commands_still_run():
