@@ -7,6 +7,7 @@ identical reports and exports, except for the wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -282,7 +283,9 @@ def _presentation(name: str):
 # argument plumbing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="opwords",
         description="generate and verify word operads over a monoid",

@@ -4,7 +4,9 @@ A word of arity n is a nonempty tuple of n monoid elements.  Substituting y
 at position i of x splices y into x, multiplying every letter of y by the
 letter it replaces.  Permutations act by rearranging letters, and a monoid
 morphism lifts to words letterwise.  `check_axioms` verifies the operad laws
-exhaustively on small domains.
+exhaustively on small domains.  It packs each word as `bytes`, one letter
+per byte, and substitutes by slices and `bytes.translate`, so a compared
+word holding a letter above 255 is refused.
 """
 from __future__ import annotations
 
@@ -240,71 +242,119 @@ def check_axioms(
     max_arities bounds the arities of the three operands (two for the laws
     that take two).  `subst` replaces the substitution under test, which lets
     a corrupted version be fed in to prove the checker catches it; it must be
-    a pure function of its arguments.  More than `MAX_CHECKS` checks are
-    refused with `ValueError` before any substitution.
+    a pure function of its arguments, taking and returning letter tuples.
+    More than `MAX_CHECKS` checks, or a compared word that may hold a letter
+    above 255, are refused with `ValueError` before any substitution.
 
-    Each law runs over every operand tuple in a fixed loop order.  Its
-    innermost loop is compared as one row of left sides against one row of
-    right sides, built by one memoised row function (`_rows`) that shares
-    equal results.  Only a failing row is scanned for its first failing
-    index, so `checked` and the counterexample are those of checking one
-    tuple at a time.
+    The words are packed as `bytes`, one letter per byte, and every
+    substitution goes through one row kernel (`_splice_rows`): w o_i v for
+    each v of a row is w[:i-1] + v.translate(T[w_i]) + w[i:], where T[a] is
+    a 256-byte table multiplying by a.  A `subst` is called on tuples and
+    its result packed.  Each law runs over every operand tuple in a fixed
+    loop order.  Its innermost loop is compared as one row of left sides
+    against one row of right sides, memoised by `_rows`.  Only a failing row
+    is scanned for its first failing index, so `checked` and the
+    counterexample, unpacked to tuples, are those of checking one tuple at a
+    time.
     """
     count = axiom_check_count(m, max_arities, letter_cap)
     if count > MAX_CHECKS:
         raise ValueError(f"{count} axiom checks, over the cap of {MAX_CHECKS}")
-    op = m.op
-    if subst is None:
-        def subst(x: Letters, i: int, y: Letters) -> Letters:
-            return splice(x, i, y, op)
-
-    xs, ys, zs = (tuple(words_up_to(m, a, letter_cap)) for a in max_arities)
-    row = _rows(subst)
+    # a compared word holds products of up to three letters; over N, sums
+    top = letter_range(m, letter_cap)[-1] * (1 if m.is_finite else 3)
+    if top > 255:
+        raise ValueError(
+            f"letter {top} over {m.name} is above 255 and cannot be packed "
+            "into an axiom-check word"
+        )
+    xs, ys, zs = (tuple(map(bytes, words_up_to(m, a, letter_cap))) for a in max_arities)
+    splice_row = _splice_rows(m, top, subst)
+    row = _rows(splice_row)
     return [
-        _check_series(row, subst, xs, ys, zs),
+        _check_series(row, splice_row, xs, ys, zs),
         _check_parallel(row, xs, ys, zs),
-        _check_unit(subst, m, xs),
+        _check_unit(splice_row, bytes([m.unit]), xs),
         _check_equivariance(row, xs, ys),
     ]
 
 
-# Distinct substitution results held before the row memo is cleared.  The
-# finite monoids never reach it at arity 3; over N it bounds memory.
+def _splice_rows(
+    m: Monoid, top: int, subst: Callable[[Letters, int, Letters], Letters] | None
+) -> Callable[[bytes, int, Sequence[bytes]], list[bytes]]:
+    """The row kernel (w, i, vs) -> [w o_i v for v in vs] on packed words
+    whose letters are at most `top`.
+
+    By default w o_i v is w[:i-1] + v.translate(T[w_i]) + w[i:], where T[a]
+    is a 256-byte table multiplying by a; each vs is translated once per
+    letter a.  A `subst` is called on tuples instead and its results packed.
+    """
+    if subst is not None:
+        def splice_row(w: bytes, i: int, vs: Sequence[bytes]) -> list[bytes]:
+            x = tuple(w)
+            return [bytes(subst(x, i, tuple(v))) for v in vs]
+
+        return splice_row
+
+    op = m.op
+    # T[a][b] is the product of a and b; entries past `top` are never read
+    tables = [bytes([op(a, b) & 255 for b in range(256)]) for a in range(top + 1)]
+    # scaled[(id(vs), a)] holds vs and each v of it multiplied by a
+    scaled: dict[tuple[int, int], tuple[Sequence[bytes], list[bytes]]] = {}
+
+    def splice_row(w: bytes, i: int, vs: Sequence[bytes]) -> list[bytes]:
+        a = w[i - 1]
+        entry = scaled.get((id(vs), a))
+        if entry is None:
+            t = tables[a]
+            entry = scaled[id(vs), a] = (vs, [v.translate(t) for v in vs])
+        head, tail = w[: i - 1], w[i:]
+        return [head + v + tail for v in entry[1]]
+
+    return splice_row
+
+
+# Substitution results held in memoised rows before the memo is cleared;
+# N3 and N reach it at arity 3, and it bounds their memory.
 _MEMO_CAP = 1 << 15
 
 
-def _rows(subst: Callable[[Letters, int, Letters], Letters]) -> Callable:
-    """The function (w, i, vs) -> (w o_i v for v in vs), memoised, with equal
-    results shared as one tuple so that rows of them compare mostly by
-    identity.  Rows are keyed by id(vs), and each entry holds its vs so that
+def _rows(splice_row: Callable[[bytes, int, Sequence[bytes]], list[bytes]]) -> Callable:
+    """The row kernel memoised: (w, i, vs) -> (w o_i v for v in vs) as a
+    tuple.  Rows are keyed by id(vs), and each entry holds its vs so that
     the id cannot be reused while the entry lives."""
-    rows: dict[tuple[Letters, int, int], tuple[tuple, tuple]] = {}
-    shared: dict[Letters, Letters] = {}
-    share = shared.setdefault
+    rows: dict[tuple[bytes, int, int], tuple[Sequence[bytes], tuple[bytes, ...]]] = {}
+    held = 0
 
-    def row(w: Letters, i: int, vs: tuple) -> tuple:
+    def row(w: bytes, i: int, vs: Sequence[bytes]) -> tuple[bytes, ...]:
+        nonlocal held
         key = (w, i, id(vs))
         entry = rows.get(key)
         if entry is None:
-            if len(shared) >= _MEMO_CAP:
+            if held >= _MEMO_CAP:
                 rows.clear()
-                shared.clear()
-            results = [subst(w, i, v) for v in vs]
-            entry = rows[key] = (vs, tuple(map(share, results, results)))
+                held = 0
+            held += len(vs)
+            entry = rows[key] = (vs, tuple(splice_row(w, i, vs)))
         return entry[1]
 
     return row
+
+
+def _failed(axiom: str, checked: int, *operands) -> AxiomReport:
+    """A failing report, with packed words given back as letter tuples."""
+    unpacked = tuple(tuple(v) if isinstance(v, bytes) else v for v in operands)
+    return AxiomReport(axiom, checked, unpacked)
 
 
 def _first_difference(lhs: tuple, rhs: tuple) -> int:
     return next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
 
 
-def _check_series(row, subst, xs, ys, zs) -> AxiomReport:
+def _check_series(row, splice_row, xs, ys, zs) -> AxiomReport:
     # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a row over z
     # the right side takes x o_i v once for each distinct v = y o_j z, and
     # picks[(y, j)] holds the index into vs of each y o_j z in its row
-    index: dict[Letters, int] = {}
+    index: dict[bytes, int] = {}
     picks = {
         (y, j): tuple([index.setdefault(v, len(index)) for v in row(y, j, zs)])
         for y in ys for j in range(1, len(y) + 1)
@@ -313,15 +363,15 @@ def _check_series(row, subst, xs, ys, zs) -> AxiomReport:
     checked = 0
     for x in xs:
         for i in range(1, len(x) + 1):
-            outer = [subst(x, i, v) for v in vs]
+            outer = splice_row(x, i, vs)
             for y, xy in zip(ys, row(x, i, ys)):
                 for j in range(1, len(y) + 1):
                     lhs = row(xy, i + j - 1, zs)
                     rhs = tuple(map(outer.__getitem__, picks[(y, j)]))
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)
-                        return AxiomReport(
-                            "series-associativity", checked + k + 1, (x, i, y, j, zs[k])
+                        return _failed(
+                            "series-associativity", checked + k + 1, x, i, y, j, zs[k]
                         )
                     checked += len(zs)
     return AxiomReport("series-associativity", checked)
@@ -341,58 +391,69 @@ def _check_parallel(row, xs, ys, zs) -> AxiomReport:
                     rhs = row(xz, i, ys)
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)
-                        return AxiomReport(
-                            "parallel-associativity", checked + k + 1, (x, i, ys[k], j, z)
+                        return _failed(
+                            "parallel-associativity", checked + k + 1, x, i, ys[k], j, z
                         )
                     checked += len(ys)
     return AxiomReport("parallel-associativity", checked)
 
 
-def _check_unit(subst, m: Monoid, xs) -> AxiomReport:
-    one = (m.unit,)
+def _check_unit(splice_row, one: bytes, xs) -> AxiomReport:
+    ones = (one,)
     checked = 0
-    for x in xs:
+    for x, left in zip(xs, splice_row(one, 1, xs)):
         checked += 1
-        if subst(one, 1, x) != x:
-            return AxiomReport("unit", checked, ("left", x))
+        if left != x:
+            return _failed("unit", checked, "left", x)
         for i in range(1, len(x) + 1):
             checked += 1
-            if subst(x, i, one) != x:
-                return AxiomReport("unit", checked, ("right", x, i))
+            if splice_row(x, i, ones)[0] != x:
+                return _failed("unit", checked, "right", x, i)
     return AxiomReport("unit", checked)
 
 
 def _check_equivariance(row, xs, ys) -> AxiomReport:
     # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a row over nu
+    # B_i(sigma, nu) keeps the letters outside the block of y in an order set
+    # by (sigma, i) alone and permutes the block by nu, so the right side is
+    # head + q + tail over the rearrangements q of the block
 
     @functools.cache
-    def block_indices(sigma: Perm, i: int, m: int) -> tuple[tuple[int, ...], ...]:
-        # 0-based B_i(sigma, nu) for each nu of degree m, in `all_perms` order
-        return tuple(
-            tuple(j - 1 for j in block_substitute(sigma, i, nu)) for nu in all_perms(m)
-        )
+    def rearranged(w: bytes) -> tuple[bytes, ...]:
+        # w acted on by each permutation, in `all_perms` order
+        return tuple(bytes(permute(w, nu)) for nu in all_perms(len(w)))
+
+    @functools.cache
+    def layout(n: int, m: int) -> tuple[tuple[Perm, tuple], ...]:
+        # for each sigma of degree n and each slot i: the 0-based places in
+        # x o_{sigma_i} y of the letters outside the block, and its start
+        spots = []
+        for sigma in all_perms(n):
+            slots = []
+            for i, si in enumerate(sigma, start=1):
+                outside = [s - 1 if s < si else s + m - 2 for s in sigma]
+                del outside[i - 1]
+                slots.append((outside, si - 1))
+            spots.append((sigma, tuple(slots)))
+        return tuple(spots)
 
     checked = 0
     for k_y, y in enumerate(ys):
         m = len(y)
         nus = tuple(all_perms(m))
-        acted = tuple(permute(y, nu) for nu in nus)
+        acted = rearranged(y)
         for x in xs:
             n = len(x)
             plains = [row(x, p, ys)[k_y] for p in range(1, n + 1)]
-            for sigma in all_perms(n):
-                x_acted = permute(x, sigma)
-                for i in range(1, n + 1):
+            blocks = [rearranged(plain[s : s + m]) for s, plain in enumerate(plains)]
+            for (sigma, slots), x_acted in zip(layout(n, m), rearranged(x)):
+                for i, (outside_at, s) in enumerate(slots, start=1):
                     lhs = row(x_acted, i, acted)
-                    plain = plains[sigma[i - 1] - 1]
-                    rhs = tuple([
-                        tuple(map(plain.__getitem__, block))
-                        for block in block_indices(sigma, i, m)
-                    ])
+                    outside = bytes(map(plains[s].__getitem__, outside_at))
+                    head, tail = outside[: i - 1], outside[i - 1 :]
+                    rhs = tuple([head + q + tail for q in blocks[s]])
                     if lhs != rhs:
                         k = _first_difference(lhs, rhs)
-                        return AxiomReport(
-                            "equivariance", checked + k + 1, (x, sigma, i, y, nus[k])
-                        )
+                        return _failed("equivariance", checked + k + 1, x, sigma, i, y, nus[k])
                     checked += len(nus)
     return AxiomReport("equivariance", checked)

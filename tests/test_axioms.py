@@ -1,3 +1,4 @@
+import random
 import zlib
 
 import pytest
@@ -255,3 +256,51 @@ def test_check_count_over_naturals_and_past_the_cap():
     assert axiom_check_count(cyclic(9), (3, 3, 3)) > words.MAX_CHECKS
     with pytest.raises(ValueError, match="over the cap"):
         check_axioms(cyclic(2), (5, 5, 5))
+
+
+# ---------------------------------------------------------------------------
+# the packed row kernel
+
+
+@pytest.mark.parametrize(
+    "m", [NATURALS, cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name
+)
+def test_packed_row_kernel_equals_splice(m):
+    # over N with letter cap 3, a slot holds up to 6 and a result up to 9
+    slot_letters, letters = (range(7), range(4)) if m == NATURALS else (m.elements(),) * 2
+    row = words._splice_rows(m, 9 if m == NATURALS else letters[-1], None)
+    rng = random.Random(8)
+
+    def draw(alphabet, longest):
+        return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, longest)))
+
+    rows = [tuple(draw(letters, 3) for _ in range(rng.randint(1, 5))) for _ in range(4)]
+    packed_rows = [tuple(map(bytes, vs)) for vs in rows]
+    for _ in range(300):
+        x = draw(slot_letters, 4)
+        i = rng.randint(1, len(x))
+        k = rng.randrange(len(rows))
+        expected = [bytes(splice(x, i, v, m.op)) for v in rows[k]]
+        assert row(bytes(x), i, packed_rows[k]) == expected, (x, i, rows[k])
+
+
+def test_failing_reports_give_operands_as_tuples():
+    first = {}
+    for seed in CORRUPTED_SEEDS:
+        m, arities, subst = corrupted_case(seed)
+        for r in check_axioms(m, arities, letter_cap=2, subst=subst):
+            if not r.ok:
+                first.setdefault(r.axiom, r)
+        if len(first) == len(AXIOM_NAMES):
+            break
+    assert set(first) == AXIOM_NAMES
+    for r in first.values():
+        assert all(isinstance(v, (tuple, int, str)) for v in r.counterexample), r
+        assert "FAILED at (" in str(r) and "b'" not in str(r)
+
+
+def test_reports_match_reference_over_naturals():
+    bound = (3, 2, 2)
+    assert outcomes(check_axioms(NATURALS, bound, letter_cap=2)) == outcomes(
+        reference_check_axioms(NATURALS, bound, 2)
+    )

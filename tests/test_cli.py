@@ -7,7 +7,7 @@ import pytest
 
 from opwords import families as fam
 from opwords import words
-from opwords.cli import main
+from opwords.cli import build_parser, main
 from opwords.families import membership
 from opwords.families.membership import Family
 from opwords.monoids import NATURALS
@@ -244,6 +244,46 @@ def test_negative_letter_cap_is_a_usage_error(capsys):
     )
     assert code == 2 and out == "" and "pass" not in err
     assert "negative" in err
+
+
+def test_letter_cap_past_a_packed_letter_is_a_usage_error(capsys):
+    # over N a compared word holds sums of up to three letters: 3 * 85 = 255
+    code, out, _ = run(
+        capsys, "check", "axioms", "--monoid", "N", "--max-arity", "1", "--letter-cap", "85"
+    )
+    assert code == 0 and out.splitlines()[-1].startswith("pass")
+    code, out, err = run(
+        capsys, "check", "axioms", "--monoid", "N", "--max-arity", "1", "--letter-cap", "86"
+    )
+    assert code == 2 and out == ""
+    assert "letter 258 over N is above 255" in err
+
+
+def test_calls_in_one_process_print_what_a_first_call_prints(capsys):
+    """`main` builds its parser once per process; no call, a usage error
+    included, changes what a later call prints."""
+    commands = [
+        ("gen", "--operad", "prt", "--max-arity", "5"),
+        ("dims", "--operad", "pw", "--max-arity", "4"),
+        ("dims", "--operad", "pw", "--max-arity", "0"),
+        ("check", "axioms", "--monoid", "N2", "--max-arity", "2"),
+    ]
+
+    def once(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out.splitlines()[:-1], err  # the last line carries wall time
+
+    first = []
+    for argv in commands:
+        build_parser.cache_clear()
+        first.append(once(argv))
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert [once(argv) for _ in range(2) for argv in commands] == first * 2
+    assert build_parser.cache_info().misses == 1
 
 
 def test_traced_commands_still_run():
