@@ -13,8 +13,9 @@ ids of its children, which all have smaller arity; the leaf is class 0.  Two
 nodes are joined when one relation, in either direction, rewrites one into
 the other at the root.  Since a rewrite below the root only moves a child
 within its class, the classes of arity n are the connected components of
-these root edges, and the class count can then be compared with the
-dimensions of the operad the generators realize.
+these root edges.  One pass up to an arity bound gives the class count of
+every arity below it, to compare with the dimensions of the operad the
+generators realize; it builds at most `MAX_NODES` nodes.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ __all__ = [
     "enumerate_terms",
     "count_terms",
     "congruence_class_count",
+    "congruence_class_counts",
     "PresentationPreset",
     "PRESENTATIONS",
 ]
@@ -258,7 +260,7 @@ def enumerate_terms(
         bucket = by_arity[n]
         for sym in ordered:
             for parts in _compositions(n, sym.arity):
-                for args in _product([by_arity[p] for p in parts]):
+                for args in itertools.product(*(by_arity[p] for p in parts)):
                     bucket.append(Term(sym.name, args))
     return by_arity[arity]
 
@@ -270,15 +272,6 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, n - k + 2):
         for rest in _compositions(n - first, k - 1):
             yield (first,) + rest
-
-
-def _product(pools: list[list[Term]]) -> Iterator[tuple[Term, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +377,26 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+# the most nodes a congruence count may build over all arities
+MAX_NODES = 500_000
+
+
 def congruence_class_count(
-    symbols: Mapping[str, GeneratorSymbol],
-    relations: tuple[Relation, ...],
-    arity: int,
-    max_terms: int = 500_000,
+    symbols: Mapping[str, GeneratorSymbol], relations: tuple[Relation, ...], arity: int
 ) -> int:
     """Number of classes of arity-`arity` terms under the congruence the
-    relations generate.
+    relations generate; 0 below arity 1.  See `congruence_class_counts`."""
+    counts = congruence_class_counts(symbols, relations, arity)
+    return counts[-1] if counts else 0
+
+
+def congruence_class_counts(
+    symbols: Mapping[str, GeneratorSymbol],
+    relations: tuple[Relation, ...],
+    max_arity: int,
+) -> tuple[int, ...]:
+    """Number of classes of terms of each arity 1..`max_arity` under the
+    congruence the relations generate, from one pass over the arities.
 
     Works arity by arity over nodes `(symbol, child class ids)`.  The nodes
     of arity n are every symbol applied to a composition of n whose parts
@@ -408,8 +413,8 @@ def congruence_class_count(
     are chosen from their classes.  By induction on arity, the components
     are the congruence classes.
 
-    `max_terms` bounds the number of nodes built over all arities; a
-    `SizeError` is raised before an arity whose nodes would exceed it.
+    At most `MAX_NODES` nodes are built over all arities; a `SizeError` is
+    raised before an arity whose nodes would exceed it.
     """
     _require_branching(symbols)
     # left to right is enough: a right-to-left match at a node T builds a
@@ -426,11 +431,11 @@ def congruence_class_count(
     class_of: dict[tuple, int] = {}  # node -> class id, at smaller arities
     members: dict[tuple[int, str], list[tuple]] = {}  # (class, symbol) -> nodes
     built = 0
-    for n in range(2, arity + 1):
+    for n in range(2, max_arity + 1):
         sizes = [len(ids) for ids in classes]
         built += sum(_compositions_product(sizes, n, k) for k in arities.values())
-        if built > max_terms:
-            raise SizeError(f"{built} nodes through arity {n} exceed the {max_terms} guard")
+        if built > MAX_NODES:
+            raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
         nodes = [
             (name, args)
             for name, k in arities.items()
@@ -450,7 +455,7 @@ def congruence_class_count(
             class_of[nd] = cid
             members.setdefault((cid, nd[0]), []).append(nd)
         classes.append(list(roots.values()))
-    return len(classes[arity]) if arity >= 1 else 0
+    return tuple(len(classes[n]) for n in range(1, max_arity + 1))
 
 
 def _check_relation_term(t: Term, symbols: Mapping[str, GeneratorSymbol]) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from opwords import families as fam
-from opwords import words
+from opwords import presentations, words
 from opwords.cli import build_parser, main
 from opwords.families import membership
 from opwords.families.membership import Family
@@ -184,6 +184,23 @@ def test_check_presentation(capsys):
     assert code == 0 and "reported only" in out
 
 
+def test_check_presentation_builds_each_arity_once(capsys, monkeypatch):
+    built = []
+
+    class CountingUnionFind(presentations._UnionFind):
+        def __init__(self, size):
+            built.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr(presentations, "_UnionFind", CountingUnionFind)
+    code, _, _ = run(
+        capsys, "check", "presentation", "--operad", "comp", "--max-arity", "6"
+    )
+    assert code == 0
+    # one union-find per arity 2..6; one call per arity would build 15
+    assert len(built) == 5
+
+
 def test_check_presentation_schr_at_arity_eight(capsys):
     code, out, _ = run(
         capsys, "check", "presentation", "--operad", "schr", "--max-arity", "8", "--json"
@@ -299,7 +316,9 @@ def test_traced_commands_still_run():
         "import opwords.cli\n"
         "codes = [opwords.cli.main(['check', 'bijections', '--operad', 'comp',"
         " '--max-arity', '4']),\n"
-        "         opwords.cli.main(['dims', '--operad', 'da', '--max-arity', '4'])]\n"
+        "         opwords.cli.main(['dims', '--operad', 'da', '--max-arity', '4']),\n"
+        "         opwords.cli.main(['check', 'presentation', '--operad', 'schr',"
+        " '--max-arity', '5'])]\n"
         "counts = tracer.dump()['counts']\n"
         "print(codes, counts['families.view_calls'], counts['families.da_calls'])\n"
     )
@@ -308,7 +327,7 @@ def test_traced_commands_still_run():
     )
     assert done.returncode == 0, done.stderr
     # two view calls per round trip (15) and sample (4), four per graft (735)
-    assert done.stdout.splitlines()[-1] == "[0, 0] 2978 1"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] 2978 1"
 
 
 def test_check_functor(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from opwords import families as fam
+from opwords import presentations
 from opwords.monoids import NATURALS, cyclic
 from opwords.presentations import (
     LEAF,
@@ -11,6 +12,7 @@ from opwords.presentations import (
     Relation,
     SizeError,
     congruence_class_count,
+    congruence_class_counts,
     count_terms,
     enumerate_terms,
     eval_term,
@@ -188,16 +190,18 @@ def test_degree_two_relations_are_sound(name):
     assert all(c >= d for c, d in zip(counts, dims)), (counts, dims)
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    monkeypatch.setattr(presentations, "MAX_NODES", 10)
     with pytest.raises(SizeError):
-        congruence_class_count(COMP.symbols, COMP.relations, 6, max_terms=10)
+        congruence_class_count(COMP.symbols, COMP.relations, 6)
 
 
-def test_size_guard_counts_nodes_through_the_arity():
+def test_size_guard_counts_nodes_through_the_arity(monkeypatch):
     # comp builds 2 nodes at arity 2, 8 at arity 3 and 24 at arity 4
-    assert congruence_class_count(COMP.symbols, COMP.relations, 3, max_terms=10) == 4
+    monkeypatch.setattr(presentations, "MAX_NODES", 10)
+    assert congruence_class_count(COMP.symbols, COMP.relations, 3) == 4
     with pytest.raises(SizeError, match="34 nodes through arity 4"):
-        congruence_class_count(COMP.symbols, COMP.relations, 4, max_terms=10)
+        congruence_class_count(COMP.symbols, COMP.relations, 4)
 
 
 def reference_class_count(symbols, relations, arity):
@@ -244,18 +248,24 @@ def test_class_counts_match_term_rewriting_on_random_relations():
     rng = random.Random(2012)
     for _ in range(100):
         symbols, relations = random_presentation(rng)
+        counts = []
         for n in range(1, 6):
             expected = reference_class_count(symbols, relations, n)
             got = congruence_class_count(symbols, relations, n)
             assert got == expected, ([str(r) for r in relations], n)
+            counts.append(got)
+        assert congruence_class_counts(symbols, relations, 5) == tuple(counts)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_class_counts_match_term_rewriting_on_presets(name):
     preset = PRESENTATIONS[name]
+    counts = []
     for n in range(1, 7):
         expected = reference_class_count(preset.symbols, preset.relations, n)
         assert congruence_class_count(preset.symbols, preset.relations, n) == expected
+        counts.append(expected)
+    assert congruence_class_counts(preset.symbols, preset.relations, 6) == tuple(counts)
 
 
 def test_schroder_classes_reach_arity_eight():

@@ -5,7 +5,7 @@ import pytest
 
 from opwords import families as fam
 from opwords.monoids import NATURALS
-from opwords.presentations import LEAF, node
+from opwords.presentations import LEAF, PRESENTATIONS, eval_term, node
 from opwords.words import splice
 
 
@@ -297,16 +297,19 @@ def test_ribbon_substitute_matches_word_oracle_exhaustively():
 # the two one-sided products
 
 
+DIAS = PRESENTATIONS["dias"].symbols
+
+
 def test_dias_encode_generators():
     left = node("l", LEAF, LEAF)
     right = node("r", LEAF, LEAF)
-    assert fam.dias_encode(left).letters == (1, 0)
-    assert fam.dias_encode(right).letters == (0, 1)
+    assert eval_term(left, DIAS).letters == (1, 0)
+    assert eval_term(right, DIAS).letters == (0, 1)
 
 
 def test_dias_encode_relation_instance():
-    lhs = fam.dias_encode(node("l", node("r", LEAF, LEAF), LEAF))
-    rhs = fam.dias_encode(node("r", LEAF, node("l", LEAF, LEAF)))
+    lhs = eval_term(node("l", node("r", LEAF, LEAF), LEAF), DIAS)
+    rhs = eval_term(node("r", LEAF, node("l", LEAF, LEAF)), DIAS)
     assert lhs.letters == (0, 1, 0)
     assert lhs == rhs
 
@@ -314,4 +317,4 @@ def test_dias_encode_relation_instance():
 def test_dias_encode_lands_on_single_one_words():
     terms = [node("l", LEAF, node("r", LEAF, LEAF)), node("r", node("l", LEAF, LEAF), LEAF)]
     for t in terms:
-        assert fam.is_dias_word(fam.dias_encode(t).letters)
+        assert fam.is_dias_word(eval_term(t, DIAS).letters)
