@@ -237,19 +237,26 @@ _da_cache: GradedFamily | None = None
 
 
 def da_closure(max_arity: int) -> GradedFamily:
+    """The `da` closure to the arity bound, kept across calls; the bound is
+    checked against the generators before the kept closure is read."""
     global _da_cache
+    gens = FAMILIES["da"].generator_set()
+    gens.check_bound(max_arity)
     if _da_cache is None or _da_cache.max_arity < max_arity:
-        gens = GeneratorSet(cyclic(3), ((0, 0), (0, 1)))
-        _da_cache = generate_closure(gens, max(max_arity, 2))
+        _da_cache = generate_closure(gens, max_arity)
     return _da_cache
 
 
+# the closure refuses a bound below the generators' arity 2, so these two
+# read a one-letter word from the arity-2 closure
+
+
 def is_da_word(letters: Letters) -> bool:
-    return da_closure(len(letters)).contains(letters)
+    return da_closure(max(len(letters), 2)).contains(letters)
 
 
 def enumerate_da(n: int) -> list[Letters]:
-    return da_closure(n).words(n)
+    return da_closure(max(n, 2)).words(n)
 
 
 def da_prefix_description(letters: Letters) -> bool:
@@ -301,7 +308,6 @@ class Family:
     contains: Callable[[Letters], bool]
     enumerate_arity: Callable[[int], list[Letters]]
     table_dims: tuple[int, ...] | None = None
-    description: str = ""
     note: str | None = None
     count: Callable[[int], int] | None = None
     to_object: Callable[[Letters], object] | None = None
@@ -350,7 +356,6 @@ def fcat_family(k: int) -> Family:
         contains=lambda w, k=k: is_fcat_word(w, k),
         enumerate_arity=lambda n, k=k: enumerate_fcat(n, k),
         table_dims=None,
-        description=f"{k}-Dyck paths (up steps rise by {k})",
         count=_fuss_catalan(k),
         to_object=lambda w, k=k: paths.word_to_kdyck(w, k),
         from_object=lambda path, k=k: paths.kdyck_to_word(path, k),
@@ -361,31 +366,26 @@ FAMILIES: dict[str, Family] = {
     "end": Family(
         "end", NATURALS, None, True, is_twisted_endofunction, enumerate_end,
         table_dims=(1, 4, 27, 256, 3125),
-        description="twisted endofunctions",
         count=lambda n: n**n,
     ),
     "pf": Family(
         "pf", NATURALS, None, True, is_twisted_parking_function, enumerate_pf,
         table_dims=(1, 3, 16, 125, 1296),
-        description="twisted parking functions",
         count=lambda n: (n + 1) ** (n - 1),
     ),
     "pw": Family(
         "pw", NATURALS, _gens("00", "01"), True, is_twisted_packed_word,
         enumerate_pw,
         table_dims=(1, 3, 13, 75, 541),
-        description="twisted packed words",
     ),
     "per": Family(
         "per", NATURALS, None, True, is_twisted_permutation, enumerate_per,
         table_dims=(1, 2, 6, 24, 120),
-        description="twisted permutations with an absorbing zero",
         count=math.factorial,
     ),
     "prt": Family(
         "prt", NATURALS, _gens("01"), False, is_prt_word, enumerate_prt,
         table_dims=(1, 1, 2, 5, 14, 42),
-        description="planar rooted trees as depth words",
         to_object=trees.word_to_tree,
         from_object=trees.tree_to_word,
         show=trees.tree_to_parens,
@@ -399,7 +399,6 @@ FAMILIES: dict[str, Family] = {
         "schr", NATURALS, _gens("00", "01", "10"), False, is_schr_word,
         enumerate_schr,
         table_dims=(1, 3, 11, 45, 197),
-        description="Schroeder trees as sector-depth words",
         to_object=trees.schr_word_to_tree,
         from_object=trees.schr_tree_to_word,
         show=trees.tree_to_parens,
@@ -407,14 +406,12 @@ FAMILIES: dict[str, Family] = {
     "motz": Family(
         "motz", NATURALS, _gens("00", "010"), False, is_motz_word, enumerate_motz,
         table_dims=(1, 1, 2, 4, 9, 21, 51),
-        description="Motzkin paths as ordinate words",
         to_object=paths.word_to_motzkin,
         from_object=paths.motzkin_to_word,
     ),
     "comp": Family(
         "comp", cyclic(2), _gens("00", "01"), False, is_comp_word, enumerate_comp,
         table_dims=(1, 2, 4, 8, 16, 32),
-        description="integer compositions",
         count=lambda n: 2 ** (n - 1),
         to_object=ribbons.word_to_composition,
         from_object=ribbons.composition_to_word,
@@ -424,7 +421,6 @@ FAMILIES: dict[str, Family] = {
     "da": Family(
         "da", cyclic(3), _gens("00", "01"), False, is_da_word, enumerate_da,
         table_dims=(1, 2, 5, 13, 35, 96),
-        description="directed animals (membership defined by the closure)",
         to_object=paths.da_phi,
         from_object=paths.steps_from_phi,
         show=paths.steps_to_string,
@@ -433,7 +429,6 @@ FAMILIES: dict[str, Family] = {
         "scomp", cyclic(3), _gens("00", "01", "02"), False, is_scomp_word,
         enumerate_scomp,
         table_dims=(1, 3, 27, 81, 243),
-        description="segmented integer compositions",
         note=(
             "reference table prints 1, 3, 27, 81, 243 but the membership count "
             "is 3^(n-1) = 1, 3, 9, 27, 81; the printed row is a suspected "
@@ -444,7 +439,6 @@ FAMILIES: dict[str, Family] = {
     "dias": Family(
         "dias", BOOLEAN, _gens("10", "01"), False, is_dias_word, enumerate_dias,
         table_dims=None,
-        description="words with exactly one 1; the two-sided associative pair",
         count=lambda n: n,
     ),
 }

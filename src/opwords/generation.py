@@ -73,6 +73,14 @@ class GeneratorSet:
             raise ValueError("generators must share one monoid")
         return cls(monoids.pop(), tuple(w.letters for w in words), symmetric)
 
+    def check_bound(self, max_arity: int) -> None:
+        """Refuse an arity bound below the largest generator arity."""
+        top = max(map(len, self.generators))
+        if max_arity < top:
+            raise ValueError(
+                f"arity bound {max_arity} is below the largest generator arity {top}"
+            )
+
 
 @dataclass
 class GradedFamily:
@@ -127,11 +135,7 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     255, which cannot be packed into `bytes`.
     """
     m = gens.monoid
-    top = max(len(g) for g in gens.generators)
-    if max_arity < top:
-        raise ValueError(
-            f"arity bound {max_arity} is below the largest generator arity {top}"
-        )
+    gens.check_bound(max_arity)
     for g in gens.generators:
         if len(g) == 1 and g[0] != m.unit and not m.is_finite:
             raise ValueError(

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .monoids import BOOLEAN, Monoid, NATURALS, cyclic
-from .words import PositionError, Word, substitute, word
+from .families import FAMILIES
+from .monoids import Monoid
+from .words import PositionError, Word, substitute
 
 __all__ = [
     "Term",
@@ -506,94 +507,89 @@ def _build(pattern: Term, slots: Iterator[int], class_of: Mapping[tuple, int]) -
 
 @dataclass(frozen=True)
 class PresentationPreset:
-    """Generators with realizations, their relations, and whether the class
-    counts are asserted to match the operad's dimensions (as opposed to being
-    reported only)."""
+    """A generated family's relations over its generators, named in the
+    family's order, and whether the class counts are asserted to match the
+    operad's dimensions (as opposed to being reported only).  The generator
+    words are read from `FAMILIES`; a name count that differs from the
+    generator count raises `ValueError`."""
 
-    name: str
-    symbols: Mapping[str, GeneratorSymbol]
+    family: str
+    names: tuple[str, ...]
     relations_text: str
     asserted_complete: bool
-    family: str
+
+    @cached_property
+    def symbols(self) -> dict[str, GeneratorSymbol]:
+        family = FAMILIES[self.family]
+        pairs = zip(self.names, family.generators, strict=True)
+        return {name: GeneratorSymbol(name, Word(family.monoid, g)) for name, g in pairs}
 
     @cached_property
     def relations(self) -> tuple[Relation, ...]:
         return parse_relations(self.relations_text)
 
 
-def _symbols(m: Monoid, **images: str) -> dict[str, GeneratorSymbol]:
-    return {name: GeneratorSymbol(name, word(m, text)) for name, text in images.items()}
-
-
 PRESENTATIONS: dict[str, PresentationPreset] = {
-    "prt": PresentationPreset(
-        "prt",
-        _symbols(NATURALS, a="01"),
-        "",
-        asserted_complete=True,
-        family="prt",
-    ),
-    "fcat1": PresentationPreset(
-        "fcat1",
-        _symbols(NATURALS, a="00", b="01"),
-        """
-        a(a(.,.),.) == a(.,a(.,.))
-        b(a(.,.),.) == a(.,b(.,.))
-        b(b(.,.),.) == b(.,a(.,.))
-        """,
-        asserted_complete=True,
-        family="fcat1",
-    ),
-    "comp": PresentationPreset(
-        "comp",
-        _symbols(cyclic(2), a="00", b="01"),
-        """
-        a(a(.,.),.) == a(.,a(.,.))
-        b(a(.,.),.) == a(.,b(.,.))
-        b(b(.,.),.) == b(.,a(.,.))
-        a(b(.,.),.) == b(.,b(.,.))
-        """,
-        asserted_complete=True,
-        family="comp",
-    ),
-    "schr": PresentationPreset(
-        "schr",
-        _symbols(NATURALS, a="00", b="01", c="10"),
-        """
-        a(a(.,.),.) == a(.,a(.,.))
-        b(c(.,.),.) == c(.,b(.,.))
-        a(b(.,.),.) == a(.,c(.,.))
-        b(a(.,.),.) == a(.,b(.,.))
-        a(c(.,.),.) == c(.,a(.,.))
-        b(b(.,.),.) == b(.,a(.,.))
-        c(a(.,.),.) == c(.,c(.,.))
-        """,
-        asserted_complete=False,
-        family="schr",
-    ),
-    "motz": PresentationPreset(
-        "motz",
-        _symbols(NATURALS, a="00", b="010"),
-        """
-        a(a(.,.),.) == a(.,a(.,.))
-        b(a(.,.),.,.) == a(.,b(.,.,.))
-        a(b(.,.,.),.) == b(.,.,a(.,.))
-        b(b(.,.,.),.,.) == b(.,.,b(.,.,.))
-        """,
-        asserted_complete=False,
-        family="motz",
-    ),
-    "dias": PresentationPreset(
-        "dias",
-        _symbols(BOOLEAN, l="10", r="01"),
-        """
-        l(l(.,.),.) == l(.,l(.,.))
-        l(.,l(.,.)) == l(.,r(.,.))
-        r(.,r(.,.)) == r(r(.,.),.)
-        r(r(.,.),.) == r(l(.,.),.)
-        l(r(.,.),.) == r(.,l(.,.))
-        """,
-        asserted_complete=True,
-        family="dias",
-    ),
+    preset.family: preset
+    for preset in (
+        PresentationPreset("prt", ("a",), "", asserted_complete=True),
+        PresentationPreset(
+            "fcat1",
+            ("a", "b"),
+            """
+            a(a(.,.),.) == a(.,a(.,.))
+            b(a(.,.),.) == a(.,b(.,.))
+            b(b(.,.),.) == b(.,a(.,.))
+            """,
+            asserted_complete=True,
+        ),
+        PresentationPreset(
+            "comp",
+            ("a", "b"),
+            """
+            a(a(.,.),.) == a(.,a(.,.))
+            b(a(.,.),.) == a(.,b(.,.))
+            b(b(.,.),.) == b(.,a(.,.))
+            a(b(.,.),.) == b(.,b(.,.))
+            """,
+            asserted_complete=True,
+        ),
+        PresentationPreset(
+            "schr",
+            ("a", "b", "c"),
+            """
+            a(a(.,.),.) == a(.,a(.,.))
+            b(c(.,.),.) == c(.,b(.,.))
+            a(b(.,.),.) == a(.,c(.,.))
+            b(a(.,.),.) == a(.,b(.,.))
+            a(c(.,.),.) == c(.,a(.,.))
+            b(b(.,.),.) == b(.,a(.,.))
+            c(a(.,.),.) == c(.,c(.,.))
+            """,
+            asserted_complete=False,
+        ),
+        PresentationPreset(
+            "motz",
+            ("a", "b"),
+            """
+            a(a(.,.),.) == a(.,a(.,.))
+            b(a(.,.),.,.) == a(.,b(.,.,.))
+            a(b(.,.,.),.) == b(.,.,a(.,.))
+            b(b(.,.,.),.,.) == b(.,.,b(.,.,.))
+            """,
+            asserted_complete=False,
+        ),
+        PresentationPreset(
+            "dias",
+            ("l", "r"),
+            """
+            l(l(.,.),.) == l(.,l(.,.))
+            l(.,l(.,.)) == l(.,r(.,.))
+            r(.,r(.,.)) == r(r(.,.),.)
+            r(r(.,.),.) == r(l(.,.),.)
+            l(r(.,.),.) == r(.,l(.,.))
+            """,
+            asserted_complete=True,
+        ),
+    )
 }

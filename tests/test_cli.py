@@ -117,6 +117,23 @@ def test_arity_bound_below_one_is_usage_error(capsys, argv):
     assert "at least 1" in out.err
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_da_bound_below_its_generator_arity_is_usage_error(capsys, monkeypatch, warm):
+    """`da` refuses arity bound 1 like every generated family, whether or not
+    the process already holds a larger `da` closure."""
+    monkeypatch.setattr(membership, "_da_cache", None)
+    if warm:
+        assert run(capsys, "dims", "--operad", "da", "--max-arity", "5")[0] == 0
+    refusal = "error: arity bound 1 is below the largest generator arity 2\n"
+    for argv in (
+        ("dims", "--operad", "da", "--max-arity", "1"),
+        ("check", "characterization", "--operad", "da", "--max-arity", "1"),
+        ("check", "bijections", "--operad", "da", "--max-arity", "1"),
+        ("gen", "--operad", "da", "--max-arity", "1"),
+    ):
+        assert run(capsys, *argv) == (2, "", refusal), argv
+
+
 def test_gen_unwritable_out_is_an_error_not_a_mismatch(capsys, tmp_path):
     target = tmp_path / "missing" / "x.jsonl"
     code, out, err = run(

@@ -180,6 +180,15 @@ def test_da_counts_match_nonnegative_step_sequences():
     assert closure.dimensions()[:6] == (1, 2, 5, 13, 35, 96)
 
 
+def test_da_readers_answer_for_one_letter_words(monkeypatch):
+    # the closure refuses bound 1; the readers read the arity-2 closure
+    monkeypatch.setattr(membership, "_da_cache", None)
+    assert fam.is_member("da", word(cyclic(3), "0"))
+    assert fam.enumerate_da(1) == [(0,)]
+    with pytest.raises(ValueError, match="below the largest generator arity 2"):
+        fam.da_closure(1)
+
+
 def test_da_description_report_shape():
     rows = fam.da_description_report(5)
     assert [r[0] for r in rows] == [1, 2, 3, 4, 5]

@@ -268,6 +268,14 @@ def test_class_counts_match_term_rewriting_on_presets(name):
     assert congruence_class_counts(preset.symbols, preset.relations, 6) == tuple(counts)
 
 
+@pytest.mark.parametrize("names", [("a", "b", "c"), ("a",)])
+def test_preset_names_must_match_the_generator_count(names):
+    # fcat1 has the two generators 00 and 01
+    preset = presentations.PresentationPreset("fcat1", names, "", asserted_complete=False)
+    with pytest.raises(ValueError):
+        preset.symbols
+
+
 def test_schroder_classes_reach_arity_eight():
     # little Schröder numbers; arity 8 has 938,223 terms
     schr = PRESENTATIONS["schr"]
