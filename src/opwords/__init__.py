@@ -12,7 +12,6 @@ from .generation import (
     ComparisonVerdict,
     GeneratorSet,
     GradedFamily,
-    NonEnumerableError,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -46,7 +45,6 @@ from .words import (
     lift_morphism,
     parse_letters,
     substitute,
-    unit_word,
     word,
 )
 

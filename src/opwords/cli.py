@@ -66,6 +66,11 @@ def _format_dims(dims: tuple[int, ...]) -> str:
 def _resolve_generated(args) -> tuple[str, GeneratorSet]:
     """A preset name or a custom monoid/generator description."""
     if args.operad:
+        if args.monoid or args.generators or args.symmetric:
+            raise UsageError(
+                "--operad takes its monoid, generators and symmetry from the preset; "
+                "drop --monoid, --generators and --symmetric"
+            )
         family = fam.get_family(args.operad)
         if not family.finitely_generated:
             raise UsageError(f"{family.name} is not finitely generated")

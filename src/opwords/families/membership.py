@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from ..generation import GeneratorSet, GradedFamily, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
-from ..words import Letters, MonoidMismatchError, Word, parse_letters
+from ..words import Letters, Word, parse_letters, substitute
 from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
 
 
@@ -451,17 +451,6 @@ def get_family(name: str) -> Family:
         raise KeyError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}")
 
 
-def is_member(name: str, x: Word) -> bool:
-    """Does the word belong to the named family?  The word must live over the
-    family's monoid."""
-    fam = get_family(name)
-    if x.monoid != fam.monoid:
-        raise MonoidMismatchError(
-            f"{name} lives over {fam.monoid.name}, word is over {x.monoid.name}"
-        )
-    return fam.contains(x.letters)
-
-
 # ---------------------------------------------------------------------------
 # the permutation quotient: substitution with an absorbing zero
 
@@ -484,7 +473,8 @@ def per_substitute(x: PerElement, i: int, y: PerElement) -> PerElement:
     the absorbing zero otherwise.
 
     The result is duplicate-free exactly when y is the unit or the letter
-    x_i is the maximum of x.
+    x_i is the maximum of x, which is len(x) - 1 once x is checked to be a
+    permutation of 0..n-1.
     """
     if isinstance(x, _PerZero) or isinstance(y, _PerZero):
         return PER_ZERO
@@ -492,8 +482,6 @@ def per_substitute(x: PerElement, i: int, y: PerElement) -> PerElement:
         raise NotAMemberError("operands must be duplicate-free words on 0..n-1")
     if not 1 <= i <= len(x):
         raise IndexError(f"position {i} not in 1..{len(x)}")
-    if len(y) > 1 and x.letters[i - 1] != max(x.letters):
+    if len(y) > 1 and x.letters[i - 1] != len(x) - 1:
         return PER_ZERO
-    from ..words import substitute
-
     return substitute(x, i, y)

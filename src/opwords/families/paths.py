@@ -55,14 +55,6 @@ def kdyck_to_word(path: str, k: int) -> Letters:
     return tuple(letters)
 
 
-def is_kdyck(path: str, k: int) -> bool:
-    try:
-        kdyck_to_word(path, k)
-    except ValueError:
-        return False
-    return True
-
-
 def word_to_motzkin(letters: Letters) -> str:
     """The Motzkin path whose point ordinates read off the word; the path has
     one step fewer than the word has letters."""
@@ -85,14 +77,6 @@ def motzkin_to_word(path: str) -> Letters:
         letters.append(nxt)
     _require(letters[-1] == 0, "path does not return to zero")
     return tuple(letters)
-
-
-def is_motzkin_path(path: str) -> bool:
-    try:
-        motzkin_to_word(path)
-    except ValueError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +135,3 @@ def motzkin_prefixes(length: int) -> Iterator[Steps]:
 
 def steps_to_string(steps: Sequence[int]) -> str:
     return "".join(_STEP_CHARS[s] for s in steps)
-
-
-def string_to_steps(text: str) -> Steps:
-    return tuple(_CHAR_STEPS[ch] for ch in text)

@@ -42,10 +42,6 @@ def composition_to_word(parts: Composition) -> Letters:
     return tuple(out)
 
 
-def parse_composition(text: str) -> Composition:
-    return tuple(int(part) for part in text.split(","))
-
-
 def format_composition(parts: Composition) -> str:
     return ",".join(str(p) for p in parts)
 

@@ -27,26 +27,6 @@ def tree_to_parens(tree: Tree) -> str:
     return "(" + "".join(tree_to_parens(child) for child in tree) + ")"
 
 
-def parens_to_tree(text: str) -> Tree:
-    tree, rest = _parse_parens(text)
-    if rest:
-        raise ValueError(f"trailing characters {rest!r}")
-    return tree
-
-
-def _parse_parens(text: str) -> tuple[Tree, str]:
-    if not text.startswith("("):
-        raise ValueError(f"expected '(' at {text!r}")
-    rest = text[1:]
-    children = []
-    while rest and rest[0] == "(":
-        child, rest = _parse_parens(rest)
-        children.append(child)
-    if not rest.startswith(")"):
-        raise ValueError("unbalanced parentheses")
-    return tuple(children), rest[1:]
-
-
 # ---------------------------------------------------------------------------
 # planar rooted trees <-> depth words (preorder)
 

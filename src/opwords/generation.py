@@ -30,21 +30,16 @@ from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from .monoids import Monoid, Morphism
-from .words import Letters, Word
+from .words import Letters
 
 __all__ = [
     "GeneratorSet",
     "GradedFamily",
     "ComparisonVerdict",
-    "NonEnumerableError",
     "generate_closure",
     "equals_predicate",
     "quotient_image",
 ]
-
-
-class NonEnumerableError(ValueError):
-    """A predicate admits no finite enumeration at the requested arity."""
 
 
 @dataclass(frozen=True)
@@ -65,13 +60,6 @@ class GeneratorSet:
                 raise ValueError("generators are nonempty words")
             for a in g:
                 self.monoid.check(a)
-
-    @classmethod
-    def from_words(cls, words: list[Word], symmetric: bool = False) -> "GeneratorSet":
-        monoids = {w.monoid for w in words}
-        if len(monoids) != 1:
-            raise ValueError("generators must share one monoid")
-        return cls(monoids.pop(), tuple(w.letters for w in words), symmetric)
 
     def check_bound(self, max_arity: int) -> None:
         """Refuse an arity bound below the largest generator arity."""
@@ -237,10 +225,7 @@ def equals_predicate(
             False, detail=f"monoid mismatch: {family.monoid} vs {predicate.monoid}"
         )
     for n in range(1, family.max_arity + 1):
-        try:
-            expected = frozenset(predicate.enumerate_arity(n))
-        except NonEnumerableError as exc:
-            return ComparisonVerdict(False, arity=n, detail=str(exc))
+        expected = frozenset(predicate.enumerate_arity(n))
         got = family.arity_set(n)
         if got != expected:
             missing = sorted(expected - got)
@@ -255,14 +240,20 @@ def equals_predicate(
 
 
 def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
-    """Letterwise image of every word under a monoid morphism, deduplicated."""
+    """Letterwise image of every word under a monoid morphism, deduplicated.
+
+    Each distinct letter of the family goes through `theta`, and so through
+    its carrier check, once; the words are mapped through that table.
+    """
     if family.monoid != theta.source:
         raise ValueError(
             f"family over {family.monoid.name}, morphism from {theta.source.name}"
         )
+    letters = set()
+    for words in family.by_arity.values():
+        letters.update(itertools.chain.from_iterable(words))
+    image_of = {a: theta(a) for a in letters}.__getitem__
     image: dict[int, frozenset[Letters]] = {}
     for n in range(1, family.max_arity + 1):
-        image[n] = frozenset(
-            tuple(theta(a) for a in w) for w in family.arity_set(n)
-        )
+        image[n] = frozenset(tuple(map(image_of, w)) for w in family.arity_set(n))
     return GradedFamily(theta.target, family.max_arity, image)

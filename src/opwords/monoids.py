@@ -114,36 +114,24 @@ def parse_monoid(name: str) -> Monoid:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A monoid morphism between element monoids.
-
-    kind is "id", "mod" (naturals onto naturals mod l) or "comp"
-    (composition, with parts = (outer, inner)).
-    """
+    """A monoid morphism between element monoids, given by its map on
+    carrier elements."""
 
     source: Monoid
     target: Monoid
-    kind: str
-    parts: tuple["Morphism", ...] = ()
-
-    def _apply(self, a: int) -> int:
-        if self.kind == "id":
-            return a
-        if self.kind == "mod":
-            return a % self.target.modulus
-        outer, inner = self.parts
-        return outer._apply(inner._apply(a))
+    map: Callable[[int], int]
 
     def __call__(self, a: int) -> int:
-        return self._apply(self.source.check(a))
+        return self.map(self.source.check(a))
 
 
 def identity_morphism(m: Monoid) -> Morphism:
-    return Morphism(m, m, "id")
+    return Morphism(m, m, lambda a: a)
 
 
 def reduce_mod(modulus: int) -> Morphism:
     """The surjection from the additive naturals onto the naturals mod `modulus`."""
-    return Morphism(NATURALS, cyclic(modulus), "mod")
+    return Morphism(NATURALS, cyclic(modulus), lambda a: a % modulus)
 
 
 def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
@@ -152,4 +140,4 @@ def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
             f"cannot compose: inner targets {inner.target.name}, "
             f"outer starts from {outer.source.name}"
         )
-    return Morphism(inner.source, outer.target, "comp", (outer, inner))
+    return Morphism(inner.source, outer.target, lambda a: outer.map(inner.map(a)))

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .families import FAMILIES
-from .monoids import Monoid
 from .words import PositionError, Word, substitute
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "parse_relations",
     "eval_term",
     "enumerate_terms",
-    "count_terms",
     "congruence_class_count",
     "congruence_class_counts",
     "PresentationPreset",
@@ -181,17 +179,13 @@ def parse_relations(text: str) -> tuple[Relation, ...]:
 # evaluation and enumeration
 
 
-def eval_term(
-    t: Term, symbols: Mapping[str, GeneratorSymbol], monoid: Monoid | None = None
-) -> Word:
+def eval_term(t: Term, symbols: Mapping[str, GeneratorSymbol]) -> Word:
     """Interpret a term in the operad the symbols realize.
 
     Children are substituted into the symbol's image right to left so that
     earlier positions stay valid.
     """
     monoids = {s.image.monoid for s in symbols.values()}
-    if monoid is not None:
-        monoids.add(monoid)
     if len(monoids) != 1:
         raise ValueError("symbols must realize generators over a single monoid")
     m = monoids.pop()
@@ -218,22 +212,6 @@ def _require_branching(symbols: Mapping[str, GeneratorSymbol]) -> None:
     for name, sym in symbols.items():
         if sym.arity < 2:
             raise ValueError(f"symbol {name} has arity {sym.arity}; terms need arity >= 2")
-
-
-def count_terms(symbols: Mapping[str, GeneratorSymbol], arity: int) -> int:
-    """Number of planar terms of the arity, by dynamic programming; 0 below
-    arity 1."""
-    _require_branching(symbols)
-    if arity < 1:
-        return 0
-    counts = [0] * (arity + 1)
-    counts[1] = 1
-    for n in range(2, arity + 1):
-        total = 0
-        for sym in symbols.values():
-            total += _compositions_product(counts, n, sym.arity)
-        counts[n] = total
-    return counts[arity]
 
 
 def _compositions_product(counts: list[int], n: int, k: int) -> int:

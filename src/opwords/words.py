@@ -48,10 +48,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def arity(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         return format_letters(self.letters)
 
@@ -80,11 +76,6 @@ def word(m: Monoid, source: str | Iterable[int]) -> Word:
     """Build a word from "0112"-style text or any iterable of letters."""
     letters = parse_letters(source) if isinstance(source, str) else tuple(source)
     return Word(m, letters)
-
-
-def unit_word(m: Monoid) -> Word:
-    """The one-letter word holding the monoid unit."""
-    return Word(m, (m.unit,))
 
 
 def splice(x: Letters, i: int, y: Letters, op: Callable[[int, int], int]) -> Letters:

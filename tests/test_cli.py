@@ -57,6 +57,21 @@ def test_gen_requires_a_description(capsys):
     assert code == 2 and "need --operad" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--symmetric",),
+        ("--monoid", "B01"),
+        ("--generators", "11"),
+        ("--symmetric", "--monoid", "B01", "--generators", "11"),
+    ],
+)
+def test_gen_preset_refuses_custom_flags(capsys, extra):
+    code, out, err = run(capsys, "gen", "--operad", "prt", "--max-arity", "4", *extra)
+    assert code == 2 and out == ""
+    assert "--operad" in err
+
+
 def test_dims_with_table_annotation(capsys):
     code, out, _ = run(capsys, "dims", "--operad", "pw", "--max-arity", "5")
     assert code == 0

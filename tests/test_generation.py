@@ -9,7 +9,6 @@ from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
     GradedFamily,
-    NonEnumerableError,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -82,12 +81,6 @@ def test_generator_set_validation():
         GeneratorSet(NATURALS, ((),))
     with pytest.raises(Exception):
         GeneratorSet(cyclic(2), ((0, 2),))
-    gs = GeneratorSet.from_words([Word(NATURALS, (0, 1))])
-    assert gs.generators == ((0, 1),)
-    with pytest.raises(ValueError):
-        GeneratorSet.from_words(
-            [Word(NATURALS, (0, 1)), Word(cyclic(2), (0, 1))]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +243,6 @@ def test_equals_predicate_reports_mismatch():
 def test_equals_predicate_monoid_mismatch():
     verdict = equals_predicate(closure_of("comp", 4), fam.get_family("prt"))
     assert not verdict.ok and "monoid" in verdict.detail
-
-
-class _Unbounded:
-    monoid = NATURALS
-
-    def enumerate_arity(self, n):
-        raise NonEnumerableError("no finite letter range at fixed arity")
-
-
-def test_equals_predicate_non_enumerable():
-    verdict = equals_predicate(closure_of("prt", 3), _Unbounded())
-    assert not verdict.ok
-    assert "letter range" in verdict.detail
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from opwords.presentations import (
     SizeError,
     congruence_class_count,
     congruence_class_counts,
-    count_terms,
     enumerate_terms,
     eval_term,
     graft_term,
@@ -79,19 +78,7 @@ def test_enumerate_terms_counts():
     assert len(enumerate_terms(two, 3)) == 8  # 2 shapes x 4 decorations
     catalan = [1, 1, 2, 5, 14, 42]
     for n, c in enumerate(catalan, start=1):
-        assert count_terms(one, n) == c
         assert len(enumerate_terms(one, n)) == c
-    # mixed arities: one binary and one ternary symbol
-    motz = PRESENTATIONS["motz"].symbols
-    for n in range(1, 7):
-        assert count_terms(motz, n) == len(enumerate_terms(motz, n))
-
-
-def test_count_terms_below_arity_one_is_zero():
-    one = {"a": A}
-    for arity in (0, -1, -5):
-        assert count_terms(one, arity) == 0
-    assert count_terms(PRESENTATIONS["motz"].symbols, 0) == 0
 
 
 def test_enumerate_terms_below_arity_one_is_empty():
@@ -129,7 +116,7 @@ def test_eval_term_guards():
 
 
 def test_eval_leaf_needs_a_monoid():
-    assert eval_term(LEAF, {}, monoid=NATURALS) == word(NATURALS, "0")
+    assert eval_term(LEAF, FCAT1.symbols) == word(NATURALS, "0")
     with pytest.raises(ValueError):
         eval_term(LEAF, {})
 
@@ -292,7 +279,6 @@ def test_motzkin_classes_reach_arity_ten():
 def test_terms_need_symbols_of_arity_two():
     unary = {"a": A, "u": GeneratorSymbol("u", word(NATURALS, "1"))}
     for call in (
-        lambda: count_terms(unary, 3),
         lambda: enumerate_terms(unary, 3),
         lambda: congruence_class_count(unary, (), 2),
         lambda: congruence_class_count(unary, parse_relations("u(u(.)) == ."), 1),

@@ -83,13 +83,8 @@ def test_graft_matches_word_substitution_exhaustively():
 
 
 def test_parens_serialization():
-    text = fam.tree_to_parens(SAMPLE_TREE)
-    assert fam.parens_to_tree(text) == SAMPLE_TREE
+    assert fam.tree_to_parens(SAMPLE_TREE) == "(()((()()())())(()))"
     assert fam.tree_to_parens(()) == "()"
-    with pytest.raises(ValueError):
-        fam.parens_to_tree("(()")
-    with pytest.raises(ValueError):
-        fam.parens_to_tree("()()")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,6 @@ def test_kdyck_degenerate_and_small():
     assert fam.word_to_kdyck((0, 0, 0), 0) == "UUU"
     assert fam.kdyck_to_word("UUU", 0) == (0, 0, 0)
     assert fam.word_to_kdyck((0, 0), 1) == "UDUD"
-    assert fam.is_kdyck("UUDD", 1) and not fam.is_kdyck("UDD", 1)
 
 
 def test_kdyck_rejects_non_members():
@@ -176,7 +170,6 @@ def test_motzkin_small():
     assert fam.word_to_motzkin((0,)) == ""
     assert fam.word_to_motzkin((0, 0)) == "S"
     assert fam.motzkin_to_word("") == (0,)
-    assert fam.is_motzkin_path("USD") and not fam.is_motzkin_path("UU")
 
 
 def test_motzkin_round_trip_exhaustive():
@@ -220,7 +213,6 @@ def test_motzkin_prefix():
 
 def test_step_strings():
     assert fam.steps_to_string((1, 0, -1)) == "USD"
-    assert fam.string_to_steps("USD") == (1, 0, -1)
 
 
 # ---------------------------------------------------------------------------

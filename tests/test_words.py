@@ -18,7 +18,6 @@ from opwords.words import (
     lift_morphism,
     parse_letters,
     substitute,
-    unit_word,
     word,
 )
 
@@ -45,12 +44,10 @@ def test_substitute_permutation_counterexample():
 
 def test_substitute_unit_laws():
     x = w("0112")
-    one = unit_word(N)
+    one = w("0")
     assert substitute(x, 3, one) == x
     assert substitute(one, 1, x) == x
-    assert unit_word(N).letters == (0,)
-    assert unit_word(cyclic(2)).letters == (0,)
-    assert unit_word(BOOLEAN).letters == (1,)
+    assert (N.unit, cyclic(2).unit, BOOLEAN.unit) == (0, 0, 1)
 
 
 def test_substitute_errors():
