@@ -5,8 +5,8 @@ import pytest
 
 from opwords import families as fam
 from opwords.families import membership
-from opwords.monoids import NATURALS
-from opwords.words import Word, act, all_perms, parse_letters, substitute, word
+from opwords.monoids import NATURALS, cyclic
+from opwords.words import MonoidMismatchError, Word, act, all_perms, parse_letters, substitute, word
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,15 @@ def test_membership_examples():
     assert fam.get_family("motz").contains(parse_letters("001123221010"))
     assert fam.get_family("schr").contains(parse_letters("1132002122"))
     assert not fam.get_family("prt").contains(parse_letters("02"))
+
+
+def test_membership_monoid_guard():
+    # a family's words live over its declared monoid; substitution refuses
+    # to mix them with words over another
+    comp = fam.get_family("comp")
+    assert comp.monoid == cyclic(2)
+    with pytest.raises(MonoidMismatchError):
+        substitute(word(comp.monoid, "01"), 1, word(NATURALS, "01"))
     with pytest.raises(KeyError):
         fam.get_family("nope")
 
