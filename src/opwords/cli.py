@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import families as fam
 from .generation import (
@@ -107,7 +107,9 @@ def cmd_dims(args) -> RunReport:
         dims = family.closure(args.max_arity).dimensions()
         source = "closure"
     else:
-        dims = tuple(len(family.enumerate_arity(n)) for n in range(1, args.max_arity + 1))
+        # top arity first, so an over-cap enumeration is refused before any work
+        top_down = [len(family.enumerate_arity(n)) for n in range(args.max_arity, 0, -1)]
+        dims = tuple(reversed(top_down))
         source = "enumeration"
     report.add(f"{family.name} ({source}): {_format_dims(dims)}")
     report.data["dimensions"] = list(dims)
@@ -164,8 +166,13 @@ def cmd_check_characterization(args) -> RunReport:
                 ok=n_described == n_closure,
             )
         return report
+    # enumerate top arity first, so an over-cap enumeration is refused before
+    # the closure is built; each arity is still enumerated once
+    expected = {n: family.enumerate_arity(n) for n in range(args.max_arity, 0, -1)}
     closure = family.closure(args.max_arity)
-    verdict = equals_predicate(closure, family)
+    verdict = equals_predicate(
+        closure, replace(family, enumerate_arity=expected.__getitem__)
+    )
     report.add(f"{family.name}: closure vs membership predicate: {verdict}", ok=verdict.ok)
     report.data["dimensions"] = list(closure.dimensions())
     return report
@@ -258,12 +265,12 @@ def cmd_check_functor(args) -> RunReport:
     for source, target in arrows:
         upstream = fam.get_family(source).closure(args.max_arity)
         target_family = fam.get_family(target)
-        theta = reduce_mod(target_family.monoid.modulus)
+        theta = reduce_mod(target_family.monoid.size)
         image = quotient_image(upstream, theta)
         expected = target_family.closure(args.max_arity)
         ok = image.by_arity == expected.by_arity
         line = (
-            f"image of {source} mod {theta.target.modulus} equals {target} "
+            f"image of {source} mod {theta.target.size} equals {target} "
             f"up to arity {args.max_arity}"
         )
         if not ok:
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     pres.set_defaults(func=cmd_check_presentation)
 
     bij = kinds.add_parser("bijections", parents=[common])
-    bij.add_argument("--operad", required=True)
+    bij.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
     bij.add_argument("--max-arity", type=_arity, default=6)
     bij.set_defaults(func=cmd_check_bijections)
 

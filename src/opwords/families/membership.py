@@ -125,26 +125,18 @@ def is_dias_word(letters: Letters) -> bool:
 
 def _prefix_walk(n: int, start: int, next_range: Callable[[int], Iterable[int]]):
     """All length-n walks from `start` where each step draws from next_range(prev)."""
-    word = [start]
-
-    def extend(depth: int):
-        if depth == n:
-            yield tuple(word)
-            return
-        for b in next_range(word[-1]):
-            word.append(b)
-            yield from extend(depth + 1)
-            word.pop()
-
-    yield from extend(1)
+    walks = [(start,)]
+    for _ in range(n - 1):
+        walks = [w + (b,) for w in walks for b in next_range(w[-1])]
+    return walks
 
 
 def enumerate_prt(n: int) -> list[Letters]:
-    return list(_prefix_walk(n, 0, lambda a: range(1, a + 2)))
+    return _prefix_walk(n, 0, lambda a: range(1, a + 2))
 
 
 def enumerate_fcat(n: int, k: int) -> list[Letters]:
-    return list(_prefix_walk(n, 0, lambda a: range(0, a + k + 1)))
+    return _prefix_walk(n, 0, lambda a: range(0, a + k + 1))
 
 
 def enumerate_motz(n: int) -> list[Letters]:

@@ -8,10 +8,8 @@ elements hash and compare fast.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
-
-_KINDS = ("N", "NL", "B01")
 
 
 class CarrierError(ValueError):
@@ -20,44 +18,26 @@ class CarrierError(ValueError):
 
 @dataclass(frozen=True)
 class Monoid:
-    """A commutative monoid on a set of nonnegative integers.
+    """A commutative monoid on a set of nonnegative integers: the carrier is
+    0..size-1, or all naturals when `size` is None, and `op` is the raw
+    product on canonical ints, without carrier checks.
 
-    kind is "N" (all naturals, +), "NL" (naturals mod `modulus`, +) or
-    "B01" ({0, 1}, *).
+    Two monoids are equal when their name, unit and size are.
     """
 
-    kind: str
-    modulus: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown monoid kind {self.kind!r}")
-        if self.kind == "NL":
-            if self.modulus is None or self.modulus < 1:
-                raise ValueError("cyclic monoid needs a positive modulus")
-        elif self.modulus is not None:
-            raise ValueError(f"monoid kind {self.kind!r} takes no modulus")
-
-    @property
-    def name(self) -> str:
-        return f"N{self.modulus}" if self.kind == "NL" else self.kind
-
-    @property
-    def unit(self) -> int:
-        return 1 if self.kind == "B01" else 0
+    name: str
+    unit: int
+    size: int | None
+    op: Callable[[int, int], int] = field(compare=False, repr=False)
 
     @property
     def is_finite(self) -> bool:
-        return self.kind != "N"
+        return self.size is not None
 
     def contains(self, a: int) -> bool:
         if not isinstance(a, int) or isinstance(a, bool) or a < 0:
             return False
-        if self.kind == "N":
-            return True
-        if self.kind == "NL":
-            return a < self.modulus
-        return a <= 1
+        return self.size is None or a < self.size
 
     def check(self, a: int) -> int:
         if not self.contains(a):
@@ -66,24 +46,9 @@ class Monoid:
 
     def elements(self) -> range:
         """Carrier of a finite monoid, in canonical order."""
-        if self.kind == "NL":
-            return range(self.modulus)
-        if self.kind == "B01":
-            return range(2)
-        raise ValueError("the additive naturals are infinite")
-
-    @property
-    def op(self) -> Callable[[int, int], int]:
-        """The raw product on canonical ints, without carrier checks.
-
-        Hoist this into a local before a hot loop.
-        """
-        if self.kind == "N":
-            return operator.add
-        if self.kind == "B01":
-            return operator.mul
-        l = self.modulus
-        return lambda a, b: (a + b) % l
+        if self.size is None:
+            raise ValueError("the additive naturals are infinite")
+        return range(self.size)
 
     def combine(self, a: int, b: int) -> int:
         """Product of two carrier elements, in canonical form."""
@@ -93,12 +58,15 @@ class Monoid:
         return self.name
 
 
-NATURALS = Monoid("N")
-BOOLEAN = Monoid("B01")
+NATURALS = Monoid("N", 0, None, operator.add)
+BOOLEAN = Monoid("B01", 1, 2, operator.mul)
 
 
-def cyclic(modulus: int) -> Monoid:
-    return Monoid("NL", modulus)
+def cyclic(l: int) -> Monoid:
+    """The naturals mod l under addition."""
+    if l < 1:
+        raise ValueError("cyclic monoid needs a positive modulus")
+    return Monoid(f"N{l}", 0, l, lambda a, b: (a + b) % l)
 
 
 def parse_monoid(name: str) -> Monoid:

@@ -20,6 +20,7 @@ generators realize; it builds at most `MAX_NODES` nodes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -214,16 +215,6 @@ def _require_branching(symbols: Mapping[str, GeneratorSymbol]) -> None:
             raise ValueError(f"symbol {name} has arity {sym.arity}; terms need arity >= 2")
 
 
-def _compositions_product(counts: list[int], n: int, k: int) -> int:
-    # sum over compositions of n into k positive parts of the product of counts
-    if k == 1:
-        return counts[n] if n < len(counts) else 0
-    total = 0
-    for first in range(1, n - k + 2):
-        total += counts[first] * _compositions_product(counts, n - first, k - 1)
-    return total
-
-
 def enumerate_terms(
     symbols: Mapping[str, GeneratorSymbol], arity: int
 ) -> list[Term]:
@@ -412,7 +403,11 @@ def congruence_class_counts(
     built = 0
     for n in range(2, max_arity + 1):
         sizes = [len(ids) for ids in classes]
-        built += sum(_compositions_product(sizes, n, k) for k in arities.values())
+        built += sum(
+            math.prod(sizes[p] for p in parts)
+            for k in arities.values()
+            for parts in _compositions(n, k)
+        )
         if built > MAX_NODES:
             raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
         nodes = [

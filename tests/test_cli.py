@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -111,6 +112,18 @@ def test_unknown_preset_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--operad", "zzz"])
     assert exc.value.code == 2
+
+
+def test_unknown_bijections_operad_is_an_argparse_usage_error(capsys):
+    # the same message as the other --operad commands, not a quoted KeyError
+    errors = []
+    for command in (("dims",), ("check", "bijections")):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--operad", "zzz"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.splitlines()[-1])
+    assert errors[1] == errors[0].replace("opwords dims:", "opwords check bijections:")
+    assert "argument --operad: invalid choice: 'zzz'" in errors[1]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +293,51 @@ def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatc
         assert "over the cap of 100" in err
 
 
+def _record_enumerations(monkeypatch, name):
+    """Swap the family's enumerator for one that records each arity asked."""
+    family = fam.get_family(name)
+    asked = []
+
+    def enumerate_arity(n):
+        asked.append(n)
+        return family.enumerate_arity(n)
+
+    monkeypatch.setitem(
+        fam.FAMILIES, name, dataclasses.replace(family, enumerate_arity=enumerate_arity)
+    )
+    return asked
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "characterization", "--operad", "pw", "--max-arity", "8"),
+        ("dims", "--operad", "pf", "--max-arity", "8"),
+        ("dims", "--operad", "end", "--max-arity", "8"),
+    ],
+)
+def test_over_cap_enumerations_are_refused_before_any_work(capsys, monkeypatch, argv):
+    """The top arity is enumerated first and refused there: no closure is
+    built and no smaller arity is enumerated."""
+    asked = _record_enumerations(monkeypatch, argv[argv.index("--operad") + 1])
+
+    def no_closure(self, max_arity):
+        raise AssertionError("closure built before the cap was checked")
+
+    monkeypatch.setattr(Family, "closure", no_closure)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: arity 8 would build 16777216 candidates, over the cap of 1000000\n"
+    assert asked == [8]
+
+
+def test_characterization_enumerates_each_arity_once(capsys, monkeypatch):
+    asked = _record_enumerations(monkeypatch, "pw")
+    code, out, _ = run(capsys, "check", "characterization", "--operad", "pw", "--max-arity", "4")
+    assert code == 0 and "closure vs membership predicate: equal" in out
+    assert asked == [4, 3, 2, 1]
+
+
 def test_axiom_checks_over_the_cap_are_usage_errors(capsys, monkeypatch):
     monkeypatch.setattr(words, "MAX_CHECKS", 1000)
     code, out, err = run(capsys, "check", "axioms", "--monoid", "N2", "--max-arity", "3")
@@ -366,6 +424,16 @@ def test_check_functor(capsys):
     code, out, _ = run(capsys, "check", "functor", "--max-arity", "5")
     assert code == 0
     assert out.count("equals") == 3
+
+
+def test_check_functor_lines(capsys):
+    code, out, _ = run(capsys, "check", "functor", "--max-arity", "3")
+    assert code == 0
+    assert out.splitlines()[1:4] == [
+        "     image of fcat1 mod 2 equals comp up to arity 3",
+        "     image of fcat2 mod 3 equals scomp up to arity 3",
+        "     image of fcat1 mod 3 equals da up to arity 3",
+    ]
 
 
 def test_json_report(capsys):

@@ -5,7 +5,6 @@ import pytest
 from opwords.monoids import (
     BOOLEAN,
     CarrierError,
-    Monoid,
     NATURALS,
     compose_morphisms,
     cyclic,
@@ -36,13 +35,17 @@ def test_carrier_errors():
         NATURALS.combine(-1, 0)
 
 
-def test_monoid_construction_guards():
-    with pytest.raises(ValueError):
-        Monoid("NL")  # no modulus
-    with pytest.raises(ValueError):
-        Monoid("N", 4)
-    with pytest.raises(ValueError):
-        Monoid("Z")
+def test_cyclic_needs_a_positive_modulus():
+    for build in (lambda: cyclic(0), lambda: cyclic(-1), lambda: parse_monoid("N0")):
+        with pytest.raises(ValueError, match="positive modulus"):
+            build()
+
+
+def test_monoids_are_values():
+    assert cyclic(3) == parse_monoid("N3")
+    assert hash(cyclic(3)) == hash(parse_monoid("N3"))
+    assert cyclic(2) != cyclic(3)
+    assert BOOLEAN != cyclic(2)
 
 
 def test_parse_names_round_trip():
