@@ -246,8 +246,9 @@ def _object_substitution_agrees(
 ) -> tuple[bool, int]:
     op = family.monoid.op
     checked = 0
-    for x in closure.iter_all():
-        for y in closure.iter_all():
+    words = list(closure.iter_all())
+    for x in words:
+        for y in words:
             for i in range(1, len(x) + 1):
                 checked += 1
                 expected = splice(x, i, y, op)

@@ -267,8 +267,8 @@ def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
     rows = []
     closure = da_closure(max_arity)
     for n in range(1, max_arity + 1):
-        generated = closure.arity_set(n)
-        described = frozenset(map(steps_from_phi, motzkin_prefixes(n - 1)))
+        generated = closure.by_arity[n]
+        described = {bytes(steps_from_phi(s)) for s in motzkin_prefixes(n - 1)}
         rows.append((n, generated == described, len(generated), len(described)))
     return rows
 

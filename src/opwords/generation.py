@@ -12,13 +12,16 @@ When the symmetric flag is set, the search runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
 letters of x o_i g, as a multiset, depend only on the multisets of x and g
 and on the letter x_i; splicing at equal letters of a sorted word is done
-once.  Each orbit is expanded into all of its rearrangements at the end.
+once.  Each orbit is expanded at the end into its distinct rearrangements,
+built from the letter counts, so a repeated letter is never permuted with
+itself.
 
-During the search a word is packed as `bytes`, one letter per byte, and
-x o_i g is three C-level slices: x[:i-1], the block of g with every letter
-multiplied by x_i (built once per generator and letter), and x[i:].  The
-words are converted to tuples once, arity by arity, at the end.  A letter
-above 255 cannot be packed and is refused with `ValueError`.
+A word is packed as `bytes`, one letter per byte, from the search to the
+export: x o_i g is three C-level slices, x[:i-1], the block of g with every
+letter multiplied by x_i (built once per generator and letter), and x[i:],
+and `GradedFamily` keeps the packed words.  Tuples are built only where a
+caller asks for words.  Within one arity, `bytes` order is tuple order.  A
+letter above 255 cannot be packed and is refused with `ValueError`.
 """
 from __future__ import annotations
 
@@ -72,27 +75,35 @@ class GeneratorSet:
 
 @dataclass
 class GradedFamily:
-    """Arity-indexed finite sets of canonical words, an arity-truncated closure."""
+    """Arity-indexed finite sets of canonical words, an arity-truncated closure.
+
+    Each word is kept packed as `bytes`, one letter per byte.
+    """
 
     monoid: Monoid
     max_arity: int
-    by_arity: dict[int, frozenset[Letters]]
+    by_arity: dict[int, frozenset[bytes]]
 
     def arity_set(self, n: int) -> frozenset[Letters]:
-        return self.by_arity.get(n, frozenset())
+        return frozenset(map(tuple, self.by_arity.get(n, ())))
 
     def contains(self, letters: Letters) -> bool:
-        return tuple(letters) in self.arity_set(len(letters))
+        try:
+            packed = bytes(letters)
+        except ValueError:  # a letter outside 0..255 is in no closure
+            return False
+        return packed in self.by_arity.get(len(packed), ())
 
     def words(self, n: int) -> list[Letters]:
-        return sorted(self.arity_set(n))
+        return list(map(tuple, sorted(self.by_arity.get(n, ()))))
 
     def iter_all(self) -> Iterator[Letters]:
         for n in range(1, self.max_arity + 1):
             yield from self.words(n)
 
     def dimensions(self) -> tuple[int, ...]:
-        return tuple(len(self.arity_set(n)) for n in range(1, self.max_arity + 1))
+        arities = range(1, self.max_arity + 1)
+        return tuple(len(self.by_arity.get(n, ())) for n in arities)
 
     def truncate(self, max_arity: int) -> "GradedFamily":
         if max_arity > self.max_arity:
@@ -103,15 +114,25 @@ class GradedFamily:
     def to_jsonl(self) -> str:
         """One `Word.to_record` line per word, ordered by arity then word.
 
-        Each distinct letter is checked against the carrier once, and the
-        lines are formatted directly instead of through `json.dumps`.
+        Each distinct letter is checked against the carrier once, and each
+        line is formatted directly, through one table of letter texts,
+        instead of through `json.dumps`.
         """
-        words = list(self.iter_all())
-        for a in set(itertools.chain.from_iterable(words)):
+        words = []
+        for n in range(1, self.max_arity + 1):
+            words += sorted(self.by_arity.get(n, ()))
+        for a in set(b"".join(words)):
             self.monoid.check(a)
+        if not words:
+            return ""
         head = '{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": ['
-        lines = [head + ", ".join(map(str, w)) + "]}" for w in words]
-        return "\n".join(lines) + ("\n" if lines else "")
+        # a word read as latin-1 text has one character per letter, which
+        # translates to "<letter>, "; the last ", " is cut
+        texts = [w.decode("latin-1").translate(_LETTER_TEXT)[:-2] for w in words]
+        return head + ("]}\n" + head).join(texts) + "]}\n"
+
+
+_LETTER_TEXT = tuple(f"{a}, " for a in range(256))
 
 
 def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
@@ -175,15 +196,37 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     for w in found:
         buckets[len(w)].append(w)
     del found
-    by_arity: dict[int, frozenset[Letters]] = {}
+    by_arity: dict[int, frozenset[bytes]] = {}
+    memo: dict[bytes, list[bytes]] = {}
     for n in range(1, max_arity + 1):
-        bucket = buckets.pop(n)
+        words = buckets.pop(n)
         if symmetric:
-            words = itertools.chain.from_iterable(map(itertools.permutations, bucket))
-        else:
-            words = map(tuple, bucket)
+            words = itertools.chain.from_iterable(_arrangements(r, memo) for r in words)
         by_arity[n] = frozenset(words)
     return GradedFamily(m, max_arity, by_arity)
+
+
+def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
+    """The distinct rearrangements of the sorted word `w`.
+
+    Each is a distinct first letter followed by a rearrangement of the rest,
+    which stays sorted and is kept in `memo` (Knuth, TAOCP 4A, 7.2.1.2), so
+    the work is the number of rearrangements, the multinomial, not n!.
+    """
+    found = memo.get(w)
+    if found is None:
+        if len(w) <= 1:
+            found = [w]
+        else:
+            found = []
+            previous = -1
+            for i, a in enumerate(w):
+                if a != previous:
+                    previous = a
+                    rest = _arrangements(w[:i] + w[i + 1 :], memo)
+                    found += map(w[i : i + 1].__add__, rest)
+        memo[w] = found
+    return found
 
 
 class MembershipPredicate(Protocol):
@@ -225,16 +268,16 @@ def equals_predicate(
             False, detail=f"monoid mismatch: {family.monoid} vs {predicate.monoid}"
         )
     for n in range(1, family.max_arity + 1):
-        expected = frozenset(predicate.enumerate_arity(n))
-        got = family.arity_set(n)
+        expected = frozenset(map(bytes, predicate.enumerate_arity(n)))
+        got = family.by_arity.get(n, frozenset())
         if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+            missing = expected - got
+            extra = got - expected
             return ComparisonVerdict(
                 False,
                 arity=n,
-                missing=missing[0] if missing else None,
-                extra=extra[0] if extra else None,
+                missing=tuple(min(missing)) if missing else None,
+                extra=tuple(min(extra)) if extra else None,
             )
     return ComparisonVerdict(True)
 
@@ -243,17 +286,26 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
     """Letterwise image of every word under a monoid morphism, deduplicated.
 
     Each distinct letter of the family goes through `theta`, and so through
-    its carrier check, once; the words are mapped through that table.
+    its carrier check, once; the words are mapped through one
+    `bytes.translate` table.  An image letter above 255 cannot be packed and
+    is refused with `ValueError`.
     """
     if family.monoid != theta.source:
         raise ValueError(
             f"family over {family.monoid.name}, morphism from {theta.source.name}"
         )
-    letters = set()
-    for words in family.by_arity.values():
-        letters.update(itertools.chain.from_iterable(words))
-    image_of = {a: theta(a) for a in letters}.__getitem__
-    image: dict[int, frozenset[Letters]] = {}
-    for n in range(1, family.max_arity + 1):
-        image[n] = frozenset(tuple(map(image_of, w)) for w in family.arity_set(n))
+    packed = [family.by_arity.get(n, ()) for n in range(1, family.max_arity + 1)]
+    table = bytearray(256)
+    for a in set().union(*map(b"".join, packed)):
+        b = theta(a)
+        if b > 255:
+            raise ValueError(
+                f"letter {b} over {theta.target.name} is above 255 and cannot be "
+                "packed into a closure word"
+            )
+        table[a] = b
+    image = {
+        n: frozenset(w.translate(table) for w in words)
+        for n, words in enumerate(packed, 1)
+    }
     return GradedFamily(theta.target, family.max_arity, image)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,35 @@ def test_gen_preset(capsys, tmp_path):
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert len(records) == 65
     assert records[0] == {"monoid": "N", "letters": [0]}
+
+
+# sha256 of each `gen --out` file, as written by the tuple-storing closure
+PINNED_EXPORTS = [
+    (("--operad", "fcat1", "--max-arity", "9"),
+     "4cc697c25bcfee90c14c86a450cc01320178accfde8b49eebfbcba37c214c121"),
+    (("--operad", "schr", "--max-arity", "7"),
+     "74ea6a1f54abe48c6bcc9e8eb0f2dc6cd165f0d401641856b7c6346ed6aec8c8"),
+    (("--operad", "comp", "--max-arity", "10"),
+     "cf5d2e5a39c97d7accb145d5c7ceafd6bc71bebc3e2651540c66f7e8797e6532"),
+    (("--operad", "motz", "--max-arity", "10"),
+     "340185924b36d00182daccece52a5451faa61561fa0b374fae9e04896f5ec369"),
+    (("--operad", "da", "--max-arity", "8"),
+     "08491f272c82f5abe59e4234a12766b07b571ec8c09725c593375017f4a58a3e"),
+    (("--operad", "pw", "--max-arity", "6"),
+     "8e2bc991537da7977c9976d5b81a1dbfc992cf85b124afda20969e2b592f58aa"),
+    (("--monoid", "N256", "--generators", "8,97", "--max-arity", "2"),
+     "d79ff4ca9bf0554fb2b9b47b1601eb0daa348118d036bd5ba7db06f50d31b06f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_EXPORTS, ids=["fcat1", "schr", "comp", "motz", "da", "pw", "N256"]
+)
+def test_gen_exports_are_pinned(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "words.jsonl"
+    code, _, _ = run(capsys, "gen", *argv, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_gen_symmetric_preset(capsys):

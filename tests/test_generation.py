@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
     GradedFamily,
+    _arrangements,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -16,6 +18,7 @@ from opwords.generation import (
 from opwords.monoids import (
     BOOLEAN,
     CarrierError,
+    Morphism,
     NATURALS,
     cyclic,
     identity_morphism,
@@ -174,7 +177,9 @@ def random_generator_set(seed):
 def test_frontier_closure_matches_all_pairs_reference(seed):
     gens = random_generator_set(seed)
     bound = 4 if gens.symmetric else 5
-    assert generate_closure(gens, bound).by_arity == all_pairs_closure(gens, bound)
+    closure = generate_closure(gens, bound)
+    got = {n: closure.arity_set(n) for n in range(1, bound + 1)}
+    assert got == all_pairs_closure(gens, bound)
 
 
 def top_byte_generator_set(seed):
@@ -197,7 +202,9 @@ def top_byte_generator_set(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_frontier_closure_matches_all_pairs_reference_at_the_top_byte(seed):
     gens, bound = top_byte_generator_set(seed)
-    assert generate_closure(gens, bound).by_arity == all_pairs_closure(gens, bound)
+    closure = generate_closure(gens, bound)
+    got = {n: closure.arity_set(n) for n in range(1, bound + 1)}
+    assert got == all_pairs_closure(gens, bound)
 
 
 def test_letters_above_255_are_refused():
@@ -208,6 +215,31 @@ def test_letters_above_255_are_refused():
     assert generate_closure(gens, 2).dimensions() == (1, 1)
     with pytest.raises(ValueError, match="letter 256 over N300 "):
         generate_closure(gens, 3)
+
+
+def test_contains_is_false_for_words_that_cannot_be_packed():
+    closure = closure_of("fcat1", 4)
+    assert closure.contains((0, 1))
+    assert not closure.contains((0, 256))
+    assert not closure.contains((0, -1))
+    assert not closure.contains(())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_arrangements_are_the_distinct_permutations(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    alphabet = rng.sample(range(256), rng.randint(1, 3))
+    sorted_word = bytes(sorted(rng.choice(alphabet) for _ in range(n)))
+    memo = {}
+    got = _arrangements(sorted_word, memo)
+    assert len(got) == len(set(got))
+    assert set(got) == set(map(bytes, itertools.permutations(sorted_word)))
+    multinomial = math.factorial(n)
+    for a in set(sorted_word):
+        multinomial //= math.factorial(sorted_word.count(a))
+    assert len(got) == multinomial
+    assert _arrangements(sorted_word, memo) is got
 
 
 def test_truncate_upward_rejected():
@@ -262,6 +294,13 @@ def test_quotient_images():
     assert quotient_image(comp, identity_morphism(cyclic(2))).by_arity == comp.by_arity
 
 
+def test_quotient_image_above_255_is_refused():
+    times_200 = Morphism(NATURALS, NATURALS, lambda a: 200 * a)
+    assert quotient_image(closure_of("fcat1", 2), times_200).dimensions() == (1, 2)
+    with pytest.raises(ValueError, match="letter 400 over N "):
+        quotient_image(closure_of("fcat1", 3), times_200)
+
+
 def test_quotient_image_source_mismatch():
     with pytest.raises(ValueError):
         quotient_image(closure_of("comp", 4), reduce_mod(2))
@@ -312,8 +351,11 @@ def test_end_pf_pw_are_stable_under_substitution_and_action():
         lambda: closure_of("fcat1", 5),
         lambda: closure_of("da", 5),
         lambda: generate_closure(GeneratorSet(BOOLEAN, ((0, 1), (1, 1, 0))), 5),
+        lambda: generate_closure(
+            GeneratorSet(cyclic(256), ((200, 255), (255, 231, 224))), 4
+        ),
     ],
-    ids=["fcat1-N", "da-N3", "custom-B01"],
+    ids=["fcat1-N", "da-N3", "custom-B01", "top-byte-N256"],
 )
 def test_jsonl_lines_are_word_records(family):
     closure = family()
@@ -322,7 +364,7 @@ def test_jsonl_lines_are_word_records(family):
 
 
 def test_jsonl_export_checks_the_carrier():
-    family = GradedFamily(cyclic(2), 2, {1: frozenset({(0,)}), 2: frozenset({(0, 2)})})
+    family = GradedFamily(cyclic(2), 2, {1: frozenset({b"\0"}), 2: frozenset({b"\0\2"})})
     with pytest.raises(CarrierError):
         family.to_jsonl()
 
