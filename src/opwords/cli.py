@@ -107,9 +107,7 @@ def cmd_dims(args) -> RunReport:
         dims = family.closure(args.max_arity).dimensions()
         source = "closure"
     else:
-        # top arity first, so an over-cap enumeration is refused before any work
-        top_down = [len(family.enumerate_arity(n)) for n in range(args.max_arity, 0, -1)]
-        dims = tuple(reversed(top_down))
+        dims = family.enumerated(args.max_arity).dimensions()
         source = "enumeration"
     report.add(f"{family.name} ({source}): {_format_dims(dims)}")
     report.data["dimensions"] = list(dims)
@@ -166,12 +164,12 @@ def cmd_check_characterization(args) -> RunReport:
                 ok=n_described == n_closure,
             )
         return report
-    # enumerate top arity first, so an over-cap enumeration is refused before
-    # the closure is built; each arity is still enumerated once
-    expected = {n: family.enumerate_arity(n) for n in range(args.max_arity, 0, -1)}
+    # enumerated before the closure is built, so an over-cap enumeration is
+    # refused first; each arity is enumerated once
+    expected = family.enumerated(args.max_arity)
     closure = family.closure(args.max_arity)
     verdict = equals_predicate(
-        closure, replace(family, enumerate_arity=expected.__getitem__)
+        closure, replace(family, enumerate_arity=expected.by_arity.__getitem__)
     )
     report.add(f"{family.name}: closure vs membership predicate: {verdict}", ok=verdict.ok)
     report.data["dimensions"] = list(closure.dimensions())

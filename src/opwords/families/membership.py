@@ -183,8 +183,9 @@ def enumerate_dias(n: int) -> list[Letters]:
     return out
 
 
-# the most candidates an n^n or n! enumeration may build: n^n up to n = 7,
-# n! up to n = 9
+# the most candidates a full n^n (end, pf, pw) or n! (per) enumeration may
+# stand for, checked before any sorted member is built: n^n up to n = 7, n!
+# up to n = 9
 MAX_CANDIDATES = 10**6
 
 
@@ -195,30 +196,57 @@ def _check_candidates(n: int, count: int) -> None:
         )
 
 
-def _all_words(n: int) -> Iterable[Letters]:
+# the symmetric families' sorted members, one per orbit, in lexicographic
+# order; the full enumerators expand those orbits
+
+
+def sorted_end(n: int) -> list[Letters]:
+    """Nondecreasing words over 0..n-1: the C(2n-1, n) multisets."""
     _check_candidates(n, n**n)
-    return itertools.product(range(n), repeat=n)
+    return list(itertools.combinations_with_replacement(range(n), n))
 
 
-def _filtered_words(n: int, predicate: Callable[[Letters], bool]) -> list[Letters]:
-    return [w for w in _all_words(n) if predicate(w)]
+def sorted_pf(n: int) -> list[Letters]:
+    """Nondecreasing words with a_i <= i, a Catalan number of them."""
+    _check_candidates(n, n**n)
+    words = [(0,)]
+    for i in range(1, n):
+        words = [w + (b,) for w in words for b in range(w[-1], i + 1)]
+    return words
+
+
+def sorted_pw(n: int) -> list[Letters]:
+    """Nondecreasing words from 0 in steps of 0 or 1, one per composition of n."""
+    _check_candidates(n, n**n)
+    return _prefix_walk(n, 0, lambda a: (a, a + 1))
+
+
+def sorted_per(n: int) -> list[Letters]:
+    """The one sorted permutation, 0..n-1."""
+    _check_candidates(n, math.factorial(n))
+    return [tuple(range(n))]
+
+
+def _expanded(n: int, sorted_members: list[Letters]) -> list[Letters]:
+    """Every rearrangement of the sorted members of arity n, in order."""
+    orbits = frozenset(map(bytes, sorted_members))
+    return GradedFamily(NATURALS, n, {n: orbits}, symmetric=True).words(n)
 
 
 def enumerate_end(n: int) -> list[Letters]:
-    return list(_all_words(n))
+    return _expanded(n, sorted_end(n))
 
 
 def enumerate_pf(n: int) -> list[Letters]:
-    return _filtered_words(n, is_twisted_parking_function)
+    return _expanded(n, sorted_pf(n))
 
 
 def enumerate_pw(n: int) -> list[Letters]:
-    return _filtered_words(n, is_twisted_packed_word)
+    return _expanded(n, sorted_pw(n))
 
 
 def enumerate_per(n: int) -> list[Letters]:
-    _check_candidates(n, math.factorial(n))
-    return [tuple(p) for p in itertools.permutations(range(n))]
+    return _expanded(n, sorted_per(n))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +315,9 @@ class Family:
     """A named family: monoid, generators when finitely generated, predicate,
     and a per-arity enumerator.
 
-    `count` is the closed-form dimension at each arity, where one is known.
+    A symmetric family also enumerates its sorted members, one per orbit,
+    with `representatives`.  `count` is the closed-form dimension at each
+    arity, where one is known.
     A family with an object view maps a word to its object with `to_object`
     and back with `from_object`, and prints the object with `show`; `graft`
     is substitution on the objects, where it is implemented.
@@ -306,6 +336,7 @@ class Family:
     from_object: Callable[[object], Letters] | None = None
     show: Callable[[object], str] = str
     graft: Callable[[object, int, object], object] | None = None
+    representatives: Callable[[int], list[Letters]] | None = None
 
     @property
     def finitely_generated(self) -> bool:
@@ -320,6 +351,14 @@ class Family:
         if self.name == "da":
             return da_closure(max_arity).truncate(max_arity)
         return generate_closure(self.generator_set(), max_arity)
+
+    def enumerated(self, max_arity: int) -> GradedFamily:
+        """The enumerator's words to the arity bound, one sorted word per
+        orbit when symmetric; the top arity is enumerated first, so an
+        over-cap enumeration is refused before any other work."""
+        enumerate_arity = self.representatives if self.symmetric else self.enumerate_arity
+        words = {n: frozenset(map(bytes, enumerate_arity(n))) for n in range(max_arity, 0, -1)}
+        return GradedFamily(self.monoid, max_arity, words, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
         """Reference dimensions from a closed-form count, where one is known."""
@@ -359,21 +398,25 @@ FAMILIES: dict[str, Family] = {
         "end", NATURALS, None, True, is_twisted_endofunction, enumerate_end,
         table_dims=(1, 4, 27, 256, 3125),
         count=lambda n: n**n,
+        representatives=sorted_end,
     ),
     "pf": Family(
         "pf", NATURALS, None, True, is_twisted_parking_function, enumerate_pf,
         table_dims=(1, 3, 16, 125, 1296),
         count=lambda n: (n + 1) ** (n - 1),
+        representatives=sorted_pf,
     ),
     "pw": Family(
         "pw", NATURALS, _gens("00", "01"), True, is_twisted_packed_word,
         enumerate_pw,
         table_dims=(1, 3, 13, 75, 541),
+        representatives=sorted_pw,
     ),
     "per": Family(
         "per", NATURALS, None, True, is_twisted_permutation, enumerate_per,
         table_dims=(1, 2, 6, 24, 120),
         count=math.factorial,
+        representatives=sorted_per,
     ),
     "prt": Family(
         "prt", NATURALS, _gens("01"), False, is_prt_word, enumerate_prt,

@@ -12,9 +12,10 @@ When the symmetric flag is set, the search runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
 letters of x o_i g, as a multiset, depend only on the multisets of x and g
 and on the letter x_i; splicing at equal letters of a sorted word is done
-once.  Each orbit is expanded at the end into its distinct rearrangements,
-built from the letter counts, so a repeated letter is never permuted with
-itself.
+once.  The family keeps those sorted words, one per orbit: its dimensions
+are sums of multinomials, and an orbit is expanded into its distinct
+rearrangements, built from the letter counts, only where a caller asks for
+words.
 
 A word is packed as `bytes`, one letter per byte, from the search to the
 export: x o_i g is three C-level slices, x[:i-1], the block of g with every
@@ -28,9 +29,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from .monoids import Monoid, Morphism
 from .words import Letters
@@ -77,39 +79,52 @@ class GeneratorSet:
 class GradedFamily:
     """Arity-indexed finite sets of canonical words, an arity-truncated closure.
 
-    Each word is kept packed as `bytes`, one letter per byte.
+    Each word is kept packed as `bytes`, one letter per byte.  A symmetric
+    family keeps one sorted word per orbit of the letter-permuting action,
+    and its orbits are expanded only where words are asked for.
     """
 
     monoid: Monoid
     max_arity: int
     by_arity: dict[int, frozenset[bytes]]
+    symmetric: bool = False
+
+    def _packed(self, n: int) -> Iterable[bytes]:
+        """Every packed word of arity n, each orbit expanded when symmetric."""
+        words = self.by_arity.get(n, ())
+        if self.symmetric:
+            memo: dict[bytes, list[bytes]] = {}
+            words = itertools.chain.from_iterable(_arrangements(w, memo) for w in words)
+        return words
 
     def arity_set(self, n: int) -> frozenset[Letters]:
-        return frozenset(map(tuple, self.by_arity.get(n, ())))
+        return frozenset(map(tuple, self._packed(n)))
 
     def contains(self, letters: Letters) -> bool:
         try:
-            packed = bytes(letters)
+            packed = bytes(sorted(letters) if self.symmetric else letters)
         except ValueError:  # a letter outside 0..255 is in no closure
             return False
         return packed in self.by_arity.get(len(packed), ())
 
     def words(self, n: int) -> list[Letters]:
-        return list(map(tuple, sorted(self.by_arity.get(n, ()))))
+        return list(map(tuple, sorted(self._packed(n))))
 
     def iter_all(self) -> Iterator[Letters]:
         for n in range(1, self.max_arity + 1):
             yield from self.words(n)
 
     def dimensions(self) -> tuple[int, ...]:
-        arities = range(1, self.max_arity + 1)
-        return tuple(len(self.by_arity.get(n, ())) for n in arities)
+        sets = [self.by_arity.get(n, ()) for n in range(1, self.max_arity + 1)]
+        if self.symmetric:
+            return tuple(sum(map(_orbit_size, s)) for s in sets)
+        return tuple(map(len, sets))
 
     def truncate(self, max_arity: int) -> "GradedFamily":
         if max_arity > self.max_arity:
             raise ValueError("cannot truncate upward")
         kept = {n: s for n, s in self.by_arity.items() if n <= max_arity}
-        return GradedFamily(self.monoid, max_arity, kept)
+        return GradedFamily(self.monoid, max_arity, kept, self.symmetric)
 
     def to_jsonl(self) -> str:
         """One `Word.to_record` line per word, ordered by arity then word.
@@ -120,7 +135,7 @@ class GradedFamily:
         """
         words = []
         for n in range(1, self.max_arity + 1):
-            words += sorted(self.by_arity.get(n, ()))
+            words += sorted(self._packed(n))
         for a in set(b"".join(words)):
             self.monoid.check(a)
         if not words:
@@ -138,7 +153,7 @@ _LETTER_TEXT = tuple(f"{a}, " for a in range(256))
 def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     """Smallest family containing the unit and the generators, closed under
     substitution (and under letter permutation when symmetric), truncated to
-    the arity bound.
+    the arity bound.  A symmetric closure keeps one sorted word per orbit.
 
     Raises `ValueError` when a word of the closure would hold a letter above
     255, which cannot be packed into `bytes`.
@@ -196,14 +211,8 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     for w in found:
         buckets[len(w)].append(w)
     del found
-    by_arity: dict[int, frozenset[bytes]] = {}
-    memo: dict[bytes, list[bytes]] = {}
-    for n in range(1, max_arity + 1):
-        words = buckets.pop(n)
-        if symmetric:
-            words = itertools.chain.from_iterable(_arrangements(r, memo) for r in words)
-        by_arity[n] = frozenset(words)
-    return GradedFamily(m, max_arity, by_arity)
+    by_arity = {n: frozenset(buckets.pop(n)) for n in range(1, max_arity + 1)}
+    return GradedFamily(m, max_arity, by_arity, symmetric)
 
 
 def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
@@ -227,6 +236,11 @@ def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
                     found += map(w[i : i + 1].__add__, rest)
         memo[w] = found
     return found
+
+
+def _orbit_size(w: bytes) -> int:
+    """The number of distinct rearrangements of `w`, a multinomial."""
+    return math.factorial(len(w)) // math.prod(math.factorial(w.count(a)) for a in set(w))
 
 
 class MembershipPredicate(Protocol):
@@ -261,14 +275,17 @@ class ComparisonVerdict:
 def equals_predicate(
     family: GradedFamily, predicate: MembershipPredicate
 ) -> ComparisonVerdict:
-    """Compare the family, arity by arity, with the brute-force enumeration of
-    all words satisfying the predicate."""
+    """Compare the family, arity by arity, with the enumeration of all words
+    satisfying the predicate; a symmetric family is compared by sorted words,
+    one per orbit, so the predicate may enumerate either form.  The least
+    word of a union of orbits is sorted, so the witnesses are unchanged."""
     if family.monoid != predicate.monoid:
         return ComparisonVerdict(
             False, detail=f"monoid mismatch: {family.monoid} vs {predicate.monoid}"
         )
+    pack = (lambda w: bytes(sorted(w))) if family.symmetric else bytes
     for n in range(1, family.max_arity + 1):
-        expected = frozenset(map(bytes, predicate.enumerate_arity(n)))
+        expected = frozenset(map(pack, predicate.enumerate_arity(n)))
         got = family.by_arity.get(n, frozenset())
         if got != expected:
             missing = expected - got
@@ -288,7 +305,9 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
     Each distinct letter of the family goes through `theta`, and so through
     its carrier check, once; the words are mapped through one
     `bytes.translate` table.  An image letter above 255 cannot be packed and
-    is refused with `ValueError`.
+    is refused with `ValueError`.  The image of an orbit is an orbit, but a
+    morphism such as mod 2 need not keep a word sorted, so a symmetric
+    family's image words are sorted again.
     """
     if family.monoid != theta.source:
         raise ValueError(
@@ -304,8 +323,10 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
                 "packed into a closure word"
             )
         table[a] = b
-    image = {
-        n: frozenset(w.translate(table) for w in words)
-        for n, words in enumerate(packed, 1)
-    }
-    return GradedFamily(theta.target, family.max_arity, image)
+    image = {}
+    for n, words in enumerate(packed, 1):
+        mapped = (w.translate(table) for w in words)
+        if family.symmetric:
+            mapped = (bytes(sorted(w)) for w in mapped)
+        image[n] = frozenset(mapped)
+    return GradedFamily(theta.target, family.max_arity, image, family.symmetric)

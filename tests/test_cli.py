@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -324,16 +325,17 @@ def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatc
 
 
 def _record_enumerations(monkeypatch, name):
-    """Swap the family's enumerator for one that records each arity asked."""
+    """Swap the symmetric family's enumerator of sorted members for one that
+    records each arity asked."""
     family = fam.get_family(name)
     asked = []
 
-    def enumerate_arity(n):
+    def representatives(n):
         asked.append(n)
-        return family.enumerate_arity(n)
+        return family.representatives(n)
 
     monkeypatch.setitem(
-        fam.FAMILIES, name, dataclasses.replace(family, enumerate_arity=enumerate_arity)
+        fam.FAMILIES, name, dataclasses.replace(family, representatives=representatives)
     )
     return asked
 
@@ -366,6 +368,35 @@ def test_characterization_enumerates_each_arity_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "characterization", "--operad", "pw", "--max-arity", "4")
     assert code == 0 and "closure vs membership predicate: equal" in out
     assert asked == [4, 3, 2, 1]
+
+
+def test_characterization_witnesses_are_the_least_words_of_the_difference(
+    capsys, monkeypatch
+):
+    """An enumerator that drops the orbit of 0112 and adds the non-member
+    orbit of 0022 is reported by the least words of the full difference."""
+    family = fam.get_family("pw")
+    dropped, added = (0, 1, 1, 2), (0, 0, 2, 2)
+
+    def corrupted(n):
+        words = family.representatives(n)
+        return [w for w in words if w != dropped] + [added] if n == 4 else words
+
+    monkeypatch.setitem(
+        fam.FAMILIES, "pw", dataclasses.replace(family, representatives=corrupted)
+    )
+    members = {w for w in itertools.product(range(4), repeat=4) if fam.is_twisted_packed_word(w)}
+    enumerated = {v for w in corrupted(4) for v in itertools.permutations(w)}
+    missing, extra = min(enumerated - members), min(members - enumerated)
+    code, out, _ = run(capsys, "check", "characterization", "--operad", "pw", "--max-arity", "4")
+    assert code == 1
+    assert f"mismatch at arity 4; missing {missing}; extra {extra}" in out
+
+
+def test_dims_of_pw_reach_arity_12(capsys):
+    code, out, _ = run(capsys, "dims", "--operad", "pw", "--max-arity", "12", "--json")
+    assert code == 0
+    assert json.loads(out)["dimensions"][11] == 28091567595
 
 
 def test_axiom_checks_over_the_cap_are_usage_errors(capsys, monkeypatch):

@@ -85,6 +85,70 @@ def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the symmetric families' sorted members, one per orbit
+
+SYMMETRIC = {
+    "end": (membership.sorted_end, fam.enumerate_end, fam.is_twisted_endofunction),
+    "pf": (membership.sorted_pf, fam.enumerate_pf, fam.is_twisted_parking_function),
+    "pw": (membership.sorted_pw, fam.enumerate_pw, fam.is_twisted_packed_word),
+    "per": (membership.sorted_per, fam.enumerate_per, fam.is_twisted_permutation),
+}
+
+
+def _filtered_product(n, member):
+    return [w for w in itertools.product(range(n), repeat=n) if member(w)]
+
+
+def _orbit_size(letters):
+    size = math.factorial(len(letters))
+    for a in set(letters):
+        size //= math.factorial(letters.count(a))
+    return size
+
+
+def _fubini(n):
+    """Ordered set partitions: a(m) = sum over k of C(m, k) a(m - k)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_sorted_members_are_one_word_per_orbit(name):
+    sorted_members, _, member = SYMMETRIC[name]
+    for n in range(1, 7):
+        got = sorted_members(n)
+        assert len(got) == len(set(got)), (name, n)
+        orbits = {tuple(sorted(w)) for w in _filtered_product(n, member)}
+        assert got == sorted(orbits), (name, n)
+
+
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("end", lambda n: n**n),
+        ("pf", lambda n: (n + 1) ** (n - 1)),
+        ("pw", _fubini),
+        ("per", math.factorial),
+    ],
+    ids=["end", "pf", "pw", "per"],
+)
+def test_sorted_members_count_every_member(monkeypatch, name, count):
+    monkeypatch.setattr(membership, "MAX_CANDIDATES", 10**10)
+    sorted_members = SYMMETRIC[name][0]
+    for n in range(1, 11):
+        assert sum(map(_orbit_size, sorted_members(n))) == count(n), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_full_enumerators_are_the_filtered_products(name):
+    _, enumerate_arity, member = SYMMETRIC[name]
+    for n in range(1, 6):
+        assert enumerate_arity(n) == _filtered_product(n, member), (name, n)
+
+
+# ---------------------------------------------------------------------------
 # per-family knowledge held on the Family records
 
 VIEW_FAMILIES = {"prt", "fcat0", "fcat1", "fcat2", "fcat3", "motz", "comp", "schr", "da"}

@@ -242,6 +242,61 @@ def test_arrangements_are_the_distinct_permutations(seed):
     assert _arrangements(sorted_word, memo) is got
 
 
+def symmetric_generator_set(seed):
+    """Seeded symmetric sets over N2, N3, B01 and N, two each, and a set over
+    N256 whose letters wrap around the top of the byte range; with a bound."""
+    if seed == 8:
+        return GeneratorSet(cyclic(256), ((200, 255), (231, 224, 255)), True), 4
+    rng = random.Random(500 + seed)
+    name = ("N2", "N3", "B01", "N")[seed % 4]
+    m = parse_monoid(name)
+    letters = range(3) if name == "N" else m.elements()
+    gens = [
+        tuple(rng.choice(letters) for _ in range(rng.randint(2, 3)))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return GeneratorSet(m, tuple(gens), symmetric=True), 5
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_symmetric_family_edges_expand_every_orbit(seed):
+    gens, bound = symmetric_generator_set(seed)
+    closure = generate_closure(gens, bound)
+    arities = range(1, bound + 1)
+    full = {
+        n: {v for w in closure.by_arity[n] for v in set(itertools.permutations(w))}
+        for n in arities
+    }
+    assert closure.symmetric
+    assert all(list(w) == sorted(w) for n in arities for w in closure.by_arity[n])
+    for n in arities:
+        assert closure.words(n) == sorted(full[n])
+        assert closure.arity_set(n) == full[n]
+    ordered = [w for n in arities for w in sorted(full[n])]
+    assert list(closure.iter_all()) == ordered
+    assert closure.dimensions() == tuple(len(full[n]) for n in arities)
+    m = closure.monoid
+    assert closure.to_jsonl() == "\n".join(Word(m, w).to_record() for w in ordered) + "\n"
+    letters = sorted(set(itertools.chain.from_iterable(ordered)) | {m.unit})
+    for n in range(1, 4):
+        for w in itertools.product(letters, repeat=n):
+            assert closure.contains(w) == (w in full[n]), w
+    assert all(closure.contains(w) for w in ordered)
+    small = closure.truncate(3)
+    assert small.symmetric and small.dimensions() == closure.dimensions()[:3]
+    assert all(small.arity_set(n) == full[n] for n in range(1, 4))
+
+
+def test_pw_closure_keeps_one_sorted_word_per_composition():
+    closure = generate_closure(fam.get_family("pw").generator_set(), 9)
+    assert [len(closure.by_arity[n]) for n in range(1, 10)] == [
+        2 ** (n - 1) for n in range(1, 10)
+    ]
+    for n in range(1, 10):
+        for w in closure.by_arity[n]:
+            assert list(w) == sorted(w) and fam.is_twisted_packed_word(tuple(w))
+
+
 def test_truncate_upward_rejected():
     with pytest.raises(ValueError):
         closure_of("comp", 4).truncate(5)
@@ -251,7 +306,7 @@ def test_truncate_upward_rejected():
 # predicate comparison
 
 
-@pytest.mark.parametrize("name,bound", [("prt", 7), ("comp", 8), ("fcat0", 8)])
+@pytest.mark.parametrize("name,bound", [("prt", 7), ("comp", 8), ("fcat0", 8), ("pw", 5)])
 def test_equals_predicate(name, bound):
     family = fam.get_family(name)
     verdict = equals_predicate(family.closure(bound), family)
@@ -292,6 +347,18 @@ def test_quotient_images():
     )
     comp = closure_of("comp", 5)
     assert quotient_image(comp, identity_morphism(cyclic(2))).by_arity == comp.by_arity
+
+
+def test_quotient_image_of_a_symmetric_family_maps_every_word():
+    # mod 2 sends the sorted word 012 to 010, which must be sorted again
+    pw = closure_of("pw", 5)
+    image = quotient_image(pw, reduce_mod(2))
+    assert image.symmetric
+    for n in range(1, 6):
+        mapped = {tuple(a % 2 for a in w) for w in pw.arity_set(n)}
+        assert image.arity_set(n) == mapped
+        assert image.words(n) == sorted(mapped)
+    assert image.dimensions() == tuple(len(image.arity_set(n)) for n in range(1, 6))
 
 
 def test_quotient_image_above_255_is_refused():
