@@ -1,10 +1,11 @@
 """Membership predicates and enumerators for the word families.
 
 Each family ships two independent routes to the same set: a letterwise
-predicate and a direct enumerator per arity.  The generated closures are
-compared against these in the test suite.  Twisted variants of the classical
-families (endofunctions, parking functions, packed words, permutations)
-shift every letter down by one so that substitution stays inside the set.
+predicate and a direct enumerator per arity.  `check characterization`
+compares a generated closure with the enumeration, and the tests compare
+both with the predicate.  Twisted variants of the classical families
+(endofunctions, parking functions, packed words, permutations) shift every
+letter down by one so that substitution stays inside the set.
 """
 from __future__ import annotations
 
@@ -15,12 +16,8 @@ from typing import Callable, Iterable
 
 from ..generation import GeneratorSet, GradedFamily, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
-from ..words import Letters, Word, parse_letters, substitute
+from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
 from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
-
-
-class NotAMemberError(ValueError):
-    """A word does not belong to the family required by a converter."""
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +193,18 @@ def _check_candidates(n: int, count: int) -> None:
         )
 
 
-# the symmetric families' sorted members, one per orbit, in lexicographic
-# order; the full enumerators expand those orbits
+# the symmetric families enumerate their sorted members, one per orbit of the
+# letter-permuting action, in lexicographic order: the form a symmetric
+# `GradedFamily` keeps
 
 
-def sorted_end(n: int) -> list[Letters]:
+def enumerate_end(n: int) -> list[Letters]:
     """Nondecreasing words over 0..n-1: the C(2n-1, n) multisets."""
     _check_candidates(n, n**n)
     return list(itertools.combinations_with_replacement(range(n), n))
 
 
-def sorted_pf(n: int) -> list[Letters]:
+def enumerate_pf(n: int) -> list[Letters]:
     """Nondecreasing words with a_i <= i, a Catalan number of them."""
     _check_candidates(n, n**n)
     words = [(0,)]
@@ -215,38 +213,16 @@ def sorted_pf(n: int) -> list[Letters]:
     return words
 
 
-def sorted_pw(n: int) -> list[Letters]:
+def enumerate_pw(n: int) -> list[Letters]:
     """Nondecreasing words from 0 in steps of 0 or 1, one per composition of n."""
     _check_candidates(n, n**n)
     return _prefix_walk(n, 0, lambda a: (a, a + 1))
 
 
-def sorted_per(n: int) -> list[Letters]:
+def enumerate_per(n: int) -> list[Letters]:
     """The one sorted permutation, 0..n-1."""
     _check_candidates(n, math.factorial(n))
     return [tuple(range(n))]
-
-
-def _expanded(n: int, sorted_members: list[Letters]) -> list[Letters]:
-    """Every rearrangement of the sorted members of arity n, in order."""
-    orbits = frozenset(map(bytes, sorted_members))
-    return GradedFamily(NATURALS, n, {n: orbits}, symmetric=True).words(n)
-
-
-def enumerate_end(n: int) -> list[Letters]:
-    return _expanded(n, sorted_end(n))
-
-
-def enumerate_pf(n: int) -> list[Letters]:
-    return _expanded(n, sorted_pf(n))
-
-
-def enumerate_pw(n: int) -> list[Letters]:
-    return _expanded(n, sorted_pw(n))
-
-
-def enumerate_per(n: int) -> list[Letters]:
-    return _expanded(n, sorted_per(n))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +291,9 @@ class Family:
     """A named family: monoid, generators when finitely generated, predicate,
     and a per-arity enumerator.
 
-    A symmetric family also enumerates its sorted members, one per orbit,
-    with `representatives`.  `count` is the closed-form dimension at each
+    The enumerator of a symmetric family returns its sorted members, one per
+    orbit of the letter-permuting action; `enumerated(n).words(n)` expands
+    them into every member.  `count` is the closed-form dimension at each
     arity, where one is known.
     A family with an object view maps a word to its object with `to_object`
     and back with `from_object`, and prints the object with `show`; `graft`
@@ -336,7 +313,6 @@ class Family:
     from_object: Callable[[object], Letters] | None = None
     show: Callable[[object], str] = str
     graft: Callable[[object, int, object], object] | None = None
-    representatives: Callable[[int], list[Letters]] | None = None
 
     @property
     def finitely_generated(self) -> bool:
@@ -356,8 +332,9 @@ class Family:
         """The enumerator's words to the arity bound, one sorted word per
         orbit when symmetric; the top arity is enumerated first, so an
         over-cap enumeration is refused before any other work."""
-        enumerate_arity = self.representatives if self.symmetric else self.enumerate_arity
-        words = {n: frozenset(map(bytes, enumerate_arity(n))) for n in range(max_arity, 0, -1)}
+        words = {
+            n: frozenset(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, 0, -1)
+        }
         return GradedFamily(self.monoid, max_arity, words, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
@@ -398,25 +375,21 @@ FAMILIES: dict[str, Family] = {
         "end", NATURALS, None, True, is_twisted_endofunction, enumerate_end,
         table_dims=(1, 4, 27, 256, 3125),
         count=lambda n: n**n,
-        representatives=sorted_end,
     ),
     "pf": Family(
         "pf", NATURALS, None, True, is_twisted_parking_function, enumerate_pf,
         table_dims=(1, 3, 16, 125, 1296),
         count=lambda n: (n + 1) ** (n - 1),
-        representatives=sorted_pf,
     ),
     "pw": Family(
         "pw", NATURALS, _gens("00", "01"), True, is_twisted_packed_word,
         enumerate_pw,
         table_dims=(1, 3, 13, 75, 541),
-        representatives=sorted_pw,
     ),
     "per": Family(
         "per", NATURALS, None, True, is_twisted_permutation, enumerate_per,
         table_dims=(1, 2, 6, 24, 120),
         count=math.factorial,
-        representatives=sorted_per,
     ),
     "prt": Family(
         "prt", NATURALS, _gens("01"), False, is_prt_word, enumerate_prt,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..words import Letters
+from ..words import Letters, NotAMemberError
 
 Steps = tuple[int, ...]  # entries in {-1, 0, 1}
 
@@ -19,8 +19,6 @@ _CHAR_STEPS = {"U": 1, "S": 0, "D": -1}
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        from .membership import NotAMemberError
-
         raise NotAMemberError(message)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..words import Letters, PositionError
-from .membership import NotAMemberError, is_comp_word
+from ..words import Letters, NotAMemberError, PositionError
+from .membership import is_comp_word
 
 Composition = tuple[int, ...]
 Box = tuple[int, int]  # (column, row); rows grow downward

@@ -7,8 +7,8 @@ root written as one enclosing pair.
 """
 from __future__ import annotations
 
-from ..words import Letters, PositionError
-from .membership import NotAMemberError, is_prt_word
+from ..words import Letters, NotAMemberError, PositionError
+from .membership import is_prt_word
 
 Tree = tuple  # children are themselves trees
 

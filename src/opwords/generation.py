@@ -32,7 +32,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator
 
 from .monoids import Monoid, Morphism
 from .words import Letters
@@ -243,20 +243,14 @@ def _orbit_size(w: bytes) -> int:
     return math.factorial(len(w)) // math.prod(math.factorial(w.count(a)) for a in set(w))
 
 
-class MembershipPredicate(Protocol):
-    monoid: Monoid
-
-    def enumerate_arity(self, n: int) -> list[Letters]: ...
-
-
 @dataclass(frozen=True)
 class ComparisonVerdict:
-    """Result of comparing a generated family with a predicate enumeration."""
+    """Result of comparing a generated family with an expected one."""
 
     ok: bool
     arity: int | None = None
-    missing: Letters | None = None  # satisfies the predicate, absent from the family
-    extra: Letters | None = None  # in the family, rejected by the predicate
+    missing: Letters | None = None  # expected, absent from the family
+    extra: Letters | None = None  # in the family, not expected
     detail: str = ""
 
     def __str__(self) -> str:
@@ -272,24 +266,27 @@ class ComparisonVerdict:
         return "; ".join(parts)
 
 
-def equals_predicate(
-    family: GradedFamily, predicate: MembershipPredicate
-) -> ComparisonVerdict:
-    """Compare the family, arity by arity, with the enumeration of all words
-    satisfying the predicate; a symmetric family is compared by sorted words,
-    one per orbit, so the predicate may enumerate either form.  The least
-    word of a union of orbits is sorted, so the witnesses are unchanged."""
-    if family.monoid != predicate.monoid:
+def equals_predicate(family: GradedFamily, expected: GradedFamily) -> ComparisonVerdict:
+    """Compare the family, arity by arity, with the expected family, such as
+    a predicate's enumeration (`Family.enumerated`).  Symmetric families are
+    compared by sorted words, one per orbit; the least word of a union of
+    orbits is sorted, so the witnesses are the least words of the difference.
+    Families over different monoids, or of which one only is symmetric,
+    are not compared."""
+    if family.monoid != expected.monoid:
         return ComparisonVerdict(
-            False, detail=f"monoid mismatch: {family.monoid} vs {predicate.monoid}"
+            False, detail=f"monoid mismatch: {family.monoid} vs {expected.monoid}"
         )
-    pack = (lambda w: bytes(sorted(w))) if family.symmetric else bytes
-    for n in range(1, family.max_arity + 1):
-        expected = frozenset(map(pack, predicate.enumerate_arity(n)))
+    if family.symmetric != expected.symmetric:
+        return ComparisonVerdict(
+            False, detail=f"symmetry mismatch: {family.symmetric} vs {expected.symmetric}"
+        )
+    for n in range(1, max(family.max_arity, expected.max_arity) + 1):
+        want = expected.by_arity.get(n, frozenset())
         got = family.by_arity.get(n, frozenset())
-        if got != expected:
-            missing = expected - got
-            extra = got - expected
+        if got != want:
+            missing = want - got
+            extra = got - want
             return ComparisonVerdict(
                 False,
                 arity=n,

@@ -27,6 +27,10 @@ class PositionError(IndexError):
     """A substitution or lookup position is outside 1..arity."""
 
 
+class NotAMemberError(ValueError):
+    """A word does not belong to the family required by a converter."""
+
+
 class MonoidMismatchError(ValueError):
     """Two operands live over different monoids."""
 

@@ -52,8 +52,8 @@ def test_criterion_01_dimension_reproduction():
             "per": (1, 2, 6, 24, 120),
         }
         for name, dims in predicate_rows.items():
-            family = fam.get_family(name)
-            got = tuple(len(family.enumerate_arity(n)) for n in range(1, 6))
+            members = fam.get_family(name).enumerated(5)
+            got = tuple(len(members.words(n)) for n in range(1, 6))
             assert got == dims, (name, got)
 
 
@@ -93,7 +93,7 @@ def test_criterion_04_characterization_equivalence():
             ("comp", 7), ("dias", 7), ("schr", 6), ("scomp", 6),
         ]:
             family = fam.get_family(name)
-            verdict = equals_predicate(family.closure(bound), family)
+            verdict = equals_predicate(family.closure(bound), family.enumerated(bound))
             assert verdict.ok, f"{name}: {verdict}"
 
 
@@ -189,7 +189,9 @@ def test_criterion_08_quotient_arrows():
 
 def test_criterion_09_per_partial_operad():
     with criterion(9, "absorbing-zero substitution matches the ideal quotient"):
-        perms = {n: [Word(NATURALS, p) for p in fam.enumerate_per(n)] for n in range(1, 5)}
+        per = fam.get_family("per").enumerated(4)
+        perms = {n: [Word(NATURALS, p) for p in per.words(n)] for n in range(1, 5)}
+        assert [len(perms[n]) for n in range(1, 5)] == [1, 2, 6, 24]
         for a in range(1, 5):
             for b in range(1, 5):
                 for x, y in itertools.product(perms[a], perms[b]):
@@ -199,7 +201,9 @@ def test_criterion_09_per_partial_operad():
                         zero = out is fam.PER_ZERO
                         assert zero == fam.has_repeated_letter(plain.letters)
 
-        packed = {n: fam.enumerate_pw(n) for n in range(1, 6)}
+        pw = fam.get_family("pw").enumerated(5)
+        packed = {n: pw.words(n) for n in range(1, 6)}
+        assert [len(packed[n]) for n in range(1, 6)] == [1, 3, 13, 75, 541]
         dup = {n: [p for p in packed[n] if fam.has_repeated_letter(p)] for n in packed}
         add = NATURALS.op
         for a in range(1, 6):

@@ -325,17 +325,16 @@ def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatc
 
 
 def _record_enumerations(monkeypatch, name):
-    """Swap the symmetric family's enumerator of sorted members for one that
-    records each arity asked."""
+    """Swap the family's enumerator for one that records each arity asked."""
     family = fam.get_family(name)
     asked = []
 
-    def representatives(n):
+    def enumerate_arity(n):
         asked.append(n)
-        return family.representatives(n)
+        return family.enumerate_arity(n)
 
     monkeypatch.setitem(
-        fam.FAMILIES, name, dataclasses.replace(family, representatives=representatives)
+        fam.FAMILIES, name, dataclasses.replace(family, enumerate_arity=enumerate_arity)
     )
     return asked
 
@@ -379,14 +378,16 @@ def test_characterization_witnesses_are_the_least_words_of_the_difference(
     dropped, added = (0, 1, 1, 2), (0, 0, 2, 2)
 
     def corrupted(n):
-        words = family.representatives(n)
+        words = family.enumerate_arity(n)
         return [w for w in words if w != dropped] + [added] if n == 4 else words
 
     monkeypatch.setitem(
-        fam.FAMILIES, "pw", dataclasses.replace(family, representatives=corrupted)
+        fam.FAMILIES, "pw", dataclasses.replace(family, enumerate_arity=corrupted)
     )
     members = {w for w in itertools.product(range(4), repeat=4) if fam.is_twisted_packed_word(w)}
-    enumerated = {v for w in corrupted(4) for v in itertools.permutations(w)}
+    enumerated = set(fam.get_family("pw").enumerated(4).words(4))
+    # 75 members, less the 12 rearrangements of 0112, plus the 6 of 0022
+    assert (len(members), len(enumerated)) == (75, 75 - 12 + 6)
     missing, extra = min(enumerated - members), min(members - enumerated)
     code, out, _ = run(capsys, "check", "characterization", "--operad", "pw", "--max-arity", "4")
     assert code == 1
@@ -479,6 +480,32 @@ def test_traced_commands_still_run():
     assert done.returncode == 0, done.stderr
     # two view calls per round trip (15) and sample (4), four per graft (735)
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] 2978 1"
+
+
+def test_tracer_sees_the_orbit_enumerators():
+    """`dims` and `check characterization` enumerate through the family
+    records' enumerators, which the tracer wraps by name."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "import tracing\n"
+        "tracer = tracing.install()\n"
+        "import opwords.cli\n"
+        "codes = [opwords.cli.main(['dims', '--operad', 'end', '--max-arity', '5']),\n"
+        "         opwords.cli.main(['check', 'characterization', '--operad', 'pw',"
+        " '--max-arity', '5'])]\n"
+        "trace = tracer.dump()\n"
+        "spans = sum(span[0] == 'families.enumerate' for span in trace['spans'])\n"
+        "print(codes, spans, trace['counts']['families.enumerated'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    # one span per arity of each command; 126 + 35 + 10 + 3 + 1 end multisets
+    # and 16 + 8 + 4 + 2 + 1 pw compositions
+    assert done.stdout.splitlines()[-1] == "[0, 0] 10 206"
 
 
 def test_check_functor(capsys):

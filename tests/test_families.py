@@ -53,11 +53,16 @@ def test_twisted_example():
     assert fam.is_twisted_endofunction((2, 3, 0, 0))
 
 
+def _members(name, n):
+    """Every member of arity n, each orbit expanded when symmetric."""
+    return fam.get_family(name).enumerated(n).words(n)
+
+
 def test_family_counts():
-    assert [len(fam.enumerate_end(n)) for n in range(1, 6)] == [1, 4, 27, 256, 3125]
-    assert [len(fam.enumerate_pf(n)) for n in range(1, 6)] == [1, 3, 16, 125, 1296]
-    assert [len(fam.enumerate_pw(n)) for n in range(1, 6)] == [1, 3, 13, 75, 541]
-    assert [len(fam.enumerate_per(n)) for n in range(1, 6)] == [1, 2, 6, 24, 120]
+    assert [len(_members("end", n)) for n in range(1, 6)] == [1, 4, 27, 256, 3125]
+    assert [len(_members("pf", n)) for n in range(1, 6)] == [1, 3, 16, 125, 1296]
+    assert [len(_members("pw", n)) for n in range(1, 6)] == [1, 3, 13, 75, 541]
+    assert [len(_members("per", n)) for n in range(1, 6)] == [1, 2, 6, 24, 120]
     assert [len(fam.enumerate_prt(n)) for n in range(1, 7)] == [1, 1, 2, 5, 14, 42]
     assert [len(fam.enumerate_motz(n)) for n in range(1, 8)] == [1, 1, 2, 4, 9, 21, 51]
     assert [len(fam.enumerate_comp(n)) for n in range(1, 7)] == [
@@ -76,8 +81,8 @@ def test_candidate_cap_keeps_the_arities_in_use():
 
 def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
     monkeypatch.setattr(membership, "MAX_CANDIDATES", 100)
-    assert len(fam.enumerate_end(3)) == 27
-    assert len(fam.enumerate_per(4)) == 24
+    assert len(_members("end", 3)) == 27
+    assert len(_members("per", 4)) == 24
     for enumerate_arity, n in ((fam.enumerate_end, 4), (fam.enumerate_pf, 4),
                                (fam.enumerate_pw, 4), (fam.enumerate_per, 5)):
         with pytest.raises(ValueError, match="over the cap of 100"):
@@ -87,11 +92,20 @@ def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
 # ---------------------------------------------------------------------------
 # the symmetric families' sorted members, one per orbit
 
+def _fubini(n):
+    """Ordered set partitions: a(m) = sum over k of C(m, k) a(m - k)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+# enumerator of sorted members, predicate, and count of every member
 SYMMETRIC = {
-    "end": (membership.sorted_end, fam.enumerate_end, fam.is_twisted_endofunction),
-    "pf": (membership.sorted_pf, fam.enumerate_pf, fam.is_twisted_parking_function),
-    "pw": (membership.sorted_pw, fam.enumerate_pw, fam.is_twisted_packed_word),
-    "per": (membership.sorted_per, fam.enumerate_per, fam.is_twisted_permutation),
+    "end": (fam.enumerate_end, fam.is_twisted_endofunction, lambda n: n**n),
+    "pf": (fam.enumerate_pf, fam.is_twisted_parking_function, lambda n: (n + 1) ** (n - 1)),
+    "pw": (fam.enumerate_pw, fam.is_twisted_packed_word, _fubini),
+    "per": (fam.enumerate_per, fam.is_twisted_permutation, math.factorial),
 }
 
 
@@ -106,17 +120,9 @@ def _orbit_size(letters):
     return size
 
 
-def _fubini(n):
-    """Ordered set partitions: a(m) = sum over k of C(m, k) a(m - k)."""
-    a = [1]
-    for m in range(1, n + 1):
-        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
-
-
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
 def test_sorted_members_are_one_word_per_orbit(name):
-    sorted_members, _, member = SYMMETRIC[name]
+    sorted_members, member, _ = SYMMETRIC[name]
     for n in range(1, 7):
         got = sorted_members(n)
         assert len(got) == len(set(got)), (name, n)
@@ -124,28 +130,21 @@ def test_sorted_members_are_one_word_per_orbit(name):
         assert got == sorted(orbits), (name, n)
 
 
-@pytest.mark.parametrize(
-    "name,count",
-    [
-        ("end", lambda n: n**n),
-        ("pf", lambda n: (n + 1) ** (n - 1)),
-        ("pw", _fubini),
-        ("per", math.factorial),
-    ],
-    ids=["end", "pf", "pw", "per"],
-)
-def test_sorted_members_count_every_member(monkeypatch, name, count):
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_sorted_members_count_every_member(monkeypatch, name):
     monkeypatch.setattr(membership, "MAX_CANDIDATES", 10**10)
-    sorted_members = SYMMETRIC[name][0]
+    sorted_members, _, count = SYMMETRIC[name]
     for n in range(1, 11):
         assert sum(map(_orbit_size, sorted_members(n))) == count(n), (name, n)
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
 def test_full_enumerators_are_the_filtered_products(name):
-    _, enumerate_arity, member = SYMMETRIC[name]
+    _, member, count = SYMMETRIC[name]
     for n in range(1, 6):
-        assert enumerate_arity(n) == _filtered_product(n, member), (name, n)
+        members = _members(name, n)
+        assert len(members) == count(n), (name, n)
+        assert members == _filtered_product(n, member), (name, n)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,9 @@ def test_per_substitute_guards():
 
 def test_per_zero_agrees_with_duplicate_test():
     # zero exactly when the plain substitution repeats a letter
-    pools = {n: [Word(NATURALS, p) for p in fam.enumerate_per(n)] for n in range(1, 5)}
+    per = fam.get_family("per").enumerated(4)
+    pools = {n: [Word(NATURALS, p) for p in per.words(n)] for n in range(1, 5)}
+    assert [len(pools[n]) for n in range(1, 5)] == [1, 2, 6, 24]
     for a in range(1, 5):
         for b in range(1, 5):
             for x in pools[a]:
@@ -342,7 +343,9 @@ def test_per_zero_agrees_with_duplicate_test():
 
 
 def test_repeated_letter_words_form_an_ideal_small():
-    packed = {n: fam.enumerate_pw(n) for n in range(1, 5)}
+    pw = fam.get_family("pw").enumerated(4)
+    packed = {n: pw.words(n) for n in range(1, 5)}
+    assert [len(packed[n]) for n in range(1, 5)] == [1, 3, 13, 75]
     dup = {
         n: [p for p in packed[n] if fam.has_repeated_letter(p)] for n in packed
     }
@@ -362,9 +365,11 @@ def test_repeated_letter_words_form_an_ideal_small():
 
 
 def test_per_associativity_with_zero():
+    per = fam.get_family("per").enumerated(4)
     elements = [fam.PER_ZERO] + [
-        Word(NATURALS, p) for n in range(1, 5) for p in fam.enumerate_per(n)
+        Word(NATURALS, p) for n in range(1, 5) for p in per.words(n)
     ]
+    assert len(elements) == 1 + 1 + 2 + 6 + 24
 
     def arity(e):
         return 1 if e is fam.PER_ZERO else len(e)

@@ -309,7 +309,7 @@ def test_truncate_upward_rejected():
 @pytest.mark.parametrize("name,bound", [("prt", 7), ("comp", 8), ("fcat0", 8), ("pw", 5)])
 def test_equals_predicate(name, bound):
     family = fam.get_family(name)
-    verdict = equals_predicate(family.closure(bound), family)
+    verdict = equals_predicate(family.closure(bound), family.enumerated(bound))
     assert verdict.ok, str(verdict)
 
 
@@ -320,7 +320,7 @@ def test_fcat0_is_the_all_zero_family():
 
 
 def test_equals_predicate_reports_mismatch():
-    verdict = equals_predicate(closure_of("fcat1", 5), fam.get_family("prt"))
+    verdict = equals_predicate(closure_of("fcat1", 5), fam.get_family("prt").enumerated(5))
     assert not verdict.ok
     assert verdict.arity == 2
     assert verdict.extra == (0, 0)  # generated by fcat1, rejected for trees
@@ -328,8 +328,19 @@ def test_equals_predicate_reports_mismatch():
 
 
 def test_equals_predicate_monoid_mismatch():
-    verdict = equals_predicate(closure_of("comp", 4), fam.get_family("prt"))
+    verdict = equals_predicate(closure_of("comp", 4), fam.get_family("prt").enumerated(4))
     assert not verdict.ok and "monoid" in verdict.detail
+
+
+def test_equals_predicate_symmetry_mismatch():
+    """The same words, marked symmetric on one side only, are not compared:
+    the verdict names the symmetry, not a missing or extra word."""
+    closure = closure_of("pw", 5)
+    plain = GradedFamily(closure.monoid, 5, closure.by_arity)
+    for family, expected in ((closure, plain), (plain, closure)):
+        verdict = equals_predicate(family, expected)
+        assert not verdict.ok and "symmetry" in verdict.detail
+        assert (verdict.arity, verdict.missing, verdict.extra) == (None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +387,8 @@ def test_quotient_image_source_mismatch():
 def test_constant_word_is_not_generated_from_lower_arities():
     # the all-(n-1) word of arity n is out of reach of smaller endofunctions
     n = 4
-    gens = []
-    for a in range(1, n):
-        gens.extend(fam.enumerate_end(a))
+    gens = list(fam.get_family("end").enumerated(n - 1).iter_all())
+    assert len(gens) == 1 + 4 + 27
     closure = generate_closure(GeneratorSet(NATURALS, tuple(gens), symmetric=True), n)
     assert not closure.contains((n - 1,) * n)
     # sanity: plenty of other arity-4 words are generated
@@ -391,9 +401,15 @@ def test_end_pf_pw_are_stable_under_substitution_and_action():
         "pf": fam.is_twisted_parking_function,
         "pw": fam.is_twisted_packed_word,
     }
+    sizes = {
+        "end": [1, 4, 27, 256, 3125],
+        "pf": [1, 3, 16, 125, 1296],
+        "pw": [1, 3, 13, 75, 541],
+    }
     for name, member in members.items():
-        family = fam.get_family(name)
-        pools = {n: family.enumerate_arity(n) for n in range(1, 6)}
+        enumerated = fam.get_family(name).enumerated(5)
+        pools = {n: enumerated.words(n) for n in range(1, 6)}
+        assert [len(pools[n]) for n in range(1, 6)] == sizes[name], name
         for a in range(1, 6):
             for xl in pools[a]:
                 for sigma in all_perms(a):
