@@ -203,12 +203,13 @@ def cmd_check_presentation(args) -> RunReport:
     report.data["dimensions"] = list(dims)
     sound = all(c >= d for c, d in zip(counts, dims))
     report.add(f"classes    {_format_dims(counts)}", ok=sound)
+    gap = None if counts == dims else tuple(c - d for c, d in zip(counts, dims))
+    line = f"dimensions {_format_dims(dims)}"
     if preset.asserted_complete:
-        report.add(f"dimensions {_format_dims(dims)}", ok=counts == dims)
+        report.add(line if gap is None else f"{line} (gap: {gap})", ok=gap is None)
     else:
         # relations are only stated in degree 2; the gap is reported
-        gap = "none" if counts == dims else str(tuple(c - d for c, d in zip(counts, dims)))
-        report.add(f"dimensions {_format_dims(dims)} (gap: {gap}, reported only)")
+        report.add(f"{line} (gap: {'none' if gap is None else gap}, reported only)")
     return report
 
 
@@ -259,12 +260,11 @@ def _object_substitution_agrees(
 def cmd_check_functor(args) -> RunReport:
     report = RunReport(f"check functor --max-arity {args.max_arity}")
     arrows = [("fcat1", "comp"), ("fcat2", "scomp"), ("fcat1", "da")]
+    closure = functools.cache(lambda name: fam.get_family(name).closure(args.max_arity))
     for source, target in arrows:
-        upstream = fam.get_family(source).closure(args.max_arity)
-        target_family = fam.get_family(target)
-        theta = reduce_mod(target_family.monoid.size)
-        image = quotient_image(upstream, theta)
-        expected = target_family.closure(args.max_arity)
+        theta = reduce_mod(fam.get_family(target).monoid.size)
+        image = quotient_image(closure(source), theta)
+        expected = closure(target)
         ok = image.by_arity == expected.by_arity
         line = (
             f"image of {source} mod {theta.target.size} equals {target} "

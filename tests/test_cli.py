@@ -277,6 +277,21 @@ def test_check_presentation_builds_each_arity_once(capsys, monkeypatch):
     assert len(built) == 5
 
 
+def test_failing_asserted_presentation_shows_its_gap(capsys, monkeypatch):
+    # comp without its fourth relation a(b(.,.),.) == b(.,b(.,.))
+    comp = presentations.PRESENTATIONS["comp"]
+    first_three = "\n".join(comp.relations_text.strip().splitlines()[:3])
+    monkeypatch.setitem(
+        presentations.PRESENTATIONS, "comp", dataclasses.replace(comp, relations_text=first_three)
+    )
+    code, out, _ = run(
+        capsys, "check", "presentation", "--operad", "comp", "--max-arity", "5"
+    )
+    assert code == 1
+    line = next(line for line in out.splitlines() if "dimensions" in line)
+    assert line.startswith("FAIL") and line.endswith("(gap: (0, 0, 1, 6, 26))")
+
+
 def test_check_presentation_schr_at_arity_eight(capsys):
     code, out, _ = run(
         capsys, "check", "presentation", "--operad", "schr", "--max-arity", "8", "--json"
@@ -522,6 +537,22 @@ def test_check_functor_lines(capsys):
         "     image of fcat2 mod 3 equals scomp up to arity 3",
         "     image of fcat1 mod 3 equals da up to arity 3",
     ]
+
+
+def test_check_functor_builds_each_closure_once(capsys, monkeypatch):
+    calls = []
+    generate = membership.generate_closure
+
+    def counting(gens, max_arity):
+        calls.append(max_arity)
+        return generate(gens, max_arity)
+
+    monkeypatch.setattr(membership, "generate_closure", counting)
+    monkeypatch.setattr(membership, "_da_cache", None)
+    code, _, _ = run(capsys, "check", "functor", "--max-arity", "7")
+    assert code == 0
+    # fcat1, comp, fcat2, scomp and da; fcat1 feeds two arrows
+    assert calls == [7] * 5
 
 
 def test_json_report(capsys):

@@ -255,6 +255,19 @@ def test_class_counts_match_term_rewriting_on_presets(name):
     assert congruence_class_counts(preset.symbols, preset.relations, 6) == tuple(counts)
 
 
+def test_class_counts_match_term_rewriting_on_a_deep_left_side():
+    # da's cubic relation: an inner node sits under an inner node's second child
+    da = fam.get_family("da")
+    symbols = {
+        name: GeneratorSymbol(name, word(da.monoid, g)) for name, g in zip("ab", da.generators)
+    }
+    relations = parse_relations("a(b(.,b(.,.)),.) == b(.,b(.,b(.,.)))")
+    assert all(check.ok for check in verify_relations(relations, symbols))
+    expected = tuple(reference_class_count(symbols, relations, n) for n in range(1, 7))
+    assert expected == (1, 2, 8, 39, 212, 1232)
+    assert congruence_class_counts(symbols, relations, 6) == expected
+
+
 @pytest.mark.parametrize("names", [("a", "b", "c"), ("a",)])
 def test_preset_names_must_match_the_generator_count(names):
     # fcat1 has the two generators 00 and 01
