@@ -86,6 +86,11 @@ def _resolve_generated(args) -> tuple[str, GeneratorSet]:
 # commands
 
 
+# the most words `gen --out` writes, checked before the file is opened:
+# pw@9, 7,685,705 words, still exports
+MAX_EXPORT_WORDS = 10**7
+
+
 def cmd_gen(args) -> RunReport:
     report = RunReport(f"gen --operad {args.operad or 'custom'} --max-arity {args.max_arity}")
     name, gens = _resolve_generated(args)
@@ -94,9 +99,12 @@ def cmd_gen(args) -> RunReport:
     report.add(f"{name}: dimensions {_format_dims(dims)}")
     report.data["dimensions"] = list(dims)
     if args.out:
+        total = sum(dims)
+        if total > MAX_EXPORT_WORDS:
+            raise UsageError(f"export of {total} words is over the cap of {MAX_EXPORT_WORDS}")
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(closure.to_jsonl())
-        report.add(f"wrote {sum(dims)} words to {args.out}")
+            closure.write_jsonl(handle)
+        report.add(f"wrote {total} words to {args.out}")
     return report
 
 
@@ -244,14 +252,14 @@ def _object_substitution_agrees(
     op = family.monoid.op
     checked = 0
     words = list(closure.iter_all())
-    for x in words:
-        for y in words:
+    # the views are pure and their objects immutable, so each is built once
+    objects = list(map(family.to_object, words))
+    for x, x_object in zip(words, objects):
+        for y, y_object in zip(words, objects):
             for i in range(1, len(x) + 1):
                 checked += 1
                 expected = splice(x, i, y, op)
-                got = family.from_object(
-                    family.graft(family.to_object(x), i, family.to_object(y))
-                )
+                got = family.from_object(family.graft(x_object, i, y_object))
                 if got != expected:
                     return False, checked
     return True, checked

@@ -180,16 +180,24 @@ def enumerate_dias(n: int) -> list[Letters]:
     return out
 
 
-# the most candidates a full n^n (end, pf, pw) or n! (per) enumeration may
-# stand for, checked before any sorted member is built: n^n up to n = 7, n!
-# up to n = 9
+# the most sorted members a symmetric enumerator may build at one arity,
+# counted in closed form before any is built: end to arity 11, pf to 13, pw
+# to 20
 MAX_CANDIDATES = 10**6
 
 
-def _check_candidates(n: int, count: int) -> None:
-    if count > MAX_CANDIDATES:
+def _check_members(n: int, count: Callable[[int], int]) -> None:
+    """Refuse an arity at which more than `MAX_CANDIDATES` sorted members
+    would be built.  The letters of a symmetric family reach n - 1, so an
+    arity above 256 cannot be packed; it is refused before its count is
+    evaluated."""
+    if n > 256:
+        raise ValueError(f"arity {n} has letters above 255, which cannot be packed")
+    members = count(n)
+    if members > MAX_CANDIDATES:
         raise ValueError(
-            f"arity {n} would build {count} candidates, over the cap of {MAX_CANDIDATES}"
+            f"arity {n} would build {members} sorted members, "
+            f"over the cap of {MAX_CANDIDATES}"
         )
 
 
@@ -200,13 +208,13 @@ def _check_candidates(n: int, count: int) -> None:
 
 def enumerate_end(n: int) -> list[Letters]:
     """Nondecreasing words over 0..n-1: the C(2n-1, n) multisets."""
-    _check_candidates(n, n**n)
+    _check_members(n, lambda n: math.comb(2 * n - 1, n))
     return list(itertools.combinations_with_replacement(range(n), n))
 
 
 def enumerate_pf(n: int) -> list[Letters]:
     """Nondecreasing words with a_i <= i, a Catalan number of them."""
-    _check_candidates(n, n**n)
+    _check_members(n, lambda n: math.comb(2 * n, n) // (n + 1))
     words = [(0,)]
     for i in range(1, n):
         words = [w + (b,) for w in words for b in range(w[-1], i + 1)]
@@ -215,13 +223,13 @@ def enumerate_pf(n: int) -> list[Letters]:
 
 def enumerate_pw(n: int) -> list[Letters]:
     """Nondecreasing words from 0 in steps of 0 or 1, one per composition of n."""
-    _check_candidates(n, n**n)
+    _check_members(n, lambda n: 2 ** (n - 1))
     return _prefix_walk(n, 0, lambda a: (a, a + 1))
 
 
 def enumerate_per(n: int) -> list[Letters]:
     """The one sorted permutation, 0..n-1."""
-    _check_candidates(n, math.factorial(n))
+    _check_members(n, lambda n: 1)
     return [tuple(range(n))]
 
 

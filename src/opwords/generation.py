@@ -15,7 +15,14 @@ and on the letter x_i; splicing at equal letters of a sorted word is done
 once.  The family keeps those sorted words, one per orbit: its dimensions
 are sums of multinomials, and an orbit is expanded into its distinct
 rearrangements, built from the letter counts, only where a caller asks for
-words.
+words.  Its words are listed one first letter at a time: the words that
+start with a are a followed by the rearrangements of each orbit word that
+holds a, less one a, and distinct orbit words leave distinct rests, so no
+word repeats.
+
+An export is written as it is formatted, arity by arity and a few thousand
+words at a time, so it costs one such chunk and one first-letter group of
+an arity over the family itself.
 
 A word is packed as `bytes`, one letter per byte, from the search to the
 export: x o_i g is three C-level slices, x[:i-1], the block of g with every
@@ -27,12 +34,13 @@ letter above 255 cannot be packed and is refused with `ValueError`.
 from __future__ import annotations
 
 import bisect
+import io
 import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, TextIO
 
 from .monoids import Monoid, Morphism
 from .words import Letters
@@ -89,16 +97,28 @@ class GradedFamily:
     by_arity: dict[int, frozenset[bytes]]
     symmetric: bool = False
 
-    def _packed(self, n: int) -> Iterable[bytes]:
-        """Every packed word of arity n, each orbit expanded when symmetric."""
+    def _sorted_runs(self, n: int) -> Iterator[list[bytes]]:
+        """The packed words of arity n in increasing order, in consecutive
+        runs: the whole arity, or one run per first letter when symmetric."""
         words = self.by_arity.get(n, ())
-        if self.symmetric:
+        if not self.symmetric:
+            yield sorted(words)
+            return
+        for a in sorted(set(b"".join(words))):
+            first = bytes([a])
             memo: dict[bytes, list[bytes]] = {}
-            words = itertools.chain.from_iterable(_arrangements(w, memo) for w in words)
-        return words
+            run = []
+            for w in words:
+                i = w.find(first)
+                if i >= 0:
+                    rest = w[:i] + w[i + 1 :]
+                    run += map(first.__add__, _arrangements(rest, memo))
+                    del memo[rest]  # no other orbit word leaves this rest
+            run.sort()
+            yield run
 
     def arity_set(self, n: int) -> frozenset[Letters]:
-        return frozenset(map(tuple, self._packed(n)))
+        return frozenset(self.words(n))
 
     def contains(self, letters: Letters) -> bool:
         try:
@@ -108,7 +128,7 @@ class GradedFamily:
         return packed in self.by_arity.get(len(packed), ())
 
     def words(self, n: int) -> list[Letters]:
-        return list(map(tuple, sorted(self._packed(n))))
+        return list(map(tuple, itertools.chain.from_iterable(self._sorted_runs(n))))
 
     def iter_all(self) -> Iterator[Letters]:
         for n in range(1, self.max_arity + 1):
@@ -126,27 +146,49 @@ class GradedFamily:
         kept = {n: s for n, s in self.by_arity.items() if n <= max_arity}
         return GradedFamily(self.monoid, max_arity, kept, self.symmetric)
 
-    def to_jsonl(self) -> str:
-        """One `Word.to_record` line per word, ordered by arity then word.
+    def write_jsonl(self, handle: TextIO) -> None:
+        """Write one `Word.to_record` line per word, ordered by arity then
+        word, to the open text handle, `_CHUNK` words at a time.
 
-        Each distinct letter is checked against the carrier once, and each
-        line is formatted directly, through one table of letter texts,
+        Each distinct letter is checked against the carrier once, before
+        anything is written; an orbit holds the letters of its sorted word.
+        Each line is formatted directly, through one table of letter texts,
         instead of through `json.dumps`.
         """
-        words = []
-        for n in range(1, self.max_arity + 1):
-            words += sorted(self._packed(n))
-        for a in set(b"".join(words)):
+        arities = range(1, self.max_arity + 1)
+        # each chunk of words adds the letters it holds that are not yet
+        # seen: deleting the seen ones is one C-level pass over its bytes
+        seen = b""
+        for n in arities:
+            words = list(self.by_arity.get(n, ()))
+            for start in range(0, len(words), _CHUNK):
+                joined = b"".join(words[start : start + _CHUNK])
+                seen += bytes(set(joined.translate(None, seen)))
+        for a in seen:
             self.monoid.check(a)
-        if not words:
-            return ""
         head = '{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": ['
-        # a word read as latin-1 text has one character per letter, which
-        # translates to "<letter>, "; the last ", " is cut
-        texts = [w.decode("latin-1").translate(_LETTER_TEXT)[:-2] for w in words]
-        return head + ("]}\n" + head).join(texts) + "]}\n"
+        between = "]}\n" + head
+        for n in arities:
+            for run in self._sorted_runs(n):
+                for start in range(0, len(run), _CHUNK):
+                    # a word read as latin-1 text has one character per
+                    # letter, which translates to "<letter>, "; the last ", "
+                    # is cut
+                    texts = [
+                        w.decode("latin-1").translate(_LETTER_TEXT)[:-2]
+                        for w in run[start : start + _CHUNK]
+                    ]
+                    handle.write(head + between.join(texts) + "]}\n")
+
+    def to_jsonl(self) -> str:
+        """The text that `write_jsonl` writes."""
+        text = io.StringIO()
+        self.write_jsonl(text)
+        return text.getvalue()
 
 
+# words formatted and written at a time by `write_jsonl`
+_CHUNK = 4096
 _LETTER_TEXT = tuple(f"{a}, " for a in range(256))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from opwords import families as fam
-from opwords import presentations, words
+from opwords import cli, presentations, words
 from opwords.cli import build_parser, main
 from opwords.families import membership
 from opwords.families.membership import Family
@@ -203,6 +203,28 @@ def test_gen_unwritable_out_is_an_error_not_a_mismatch(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_gen_export_over_the_word_cap_is_refused_before_the_file(capsys, monkeypatch, tmp_path):
+    """prt has 1, 1, 2, 5 and 14 words at arities 1-5: 9 words export under
+    a cap of 10, and 23 are refused, with no file made."""
+    monkeypatch.setattr(cli, "MAX_EXPORT_WORDS", 10)
+    kept, refused = tmp_path / "kept.jsonl", tmp_path / "refused.jsonl"
+    code, out, _ = run(capsys, "gen", "--operad", "prt", "--max-arity", "4", "--out", str(kept))
+    assert code == 0 and f"wrote 9 words to {kept}" in out
+    assert len(kept.read_text().splitlines()) == 9
+    code, out, err = run(
+        capsys, "gen", "--operad", "prt", "--max-arity", "5", "--out", str(refused)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: export of 23 words is over the cap of 10\n"
+    assert not refused.exists()
+    code, out, _ = run(capsys, "gen", "--operad", "prt", "--max-arity", "5")
+    assert code == 0 and "1, 1, 2, 5, 14" in out
+
+
+def test_gen_export_cap_admits_pw_at_arity_9():
+    assert 7685705 <= cli.MAX_EXPORT_WORDS < 10 * 7685705
+
+
 def test_gen_non_unit_arity_one_generator_over_naturals(capsys):
     code, _, err = run(
         capsys, "gen", "--monoid", "N", "--generators", "1,01", "--max-arity", "3"
@@ -325,18 +347,48 @@ def test_check_bijections(capsys):
 
 
 def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatch):
+    """Under a cap of 100 sorted members, end passes arity 4 (35 members) and
+    stops at 5 (126), pf at 6 (132) and pw at 8 (128); per builds one."""
     monkeypatch.setattr(membership, "MAX_CANDIDATES", 100)
-    code, out, _ = run(capsys, "dims", "--operad", "end", "--max-arity", "3")
-    assert code == 0 and "1, 4, 27" in out
+    code, out, _ = run(capsys, "dims", "--operad", "end", "--max-arity", "4")
+    assert code == 0 and "1, 4, 27, 256" in out
+    code, out, _ = run(capsys, "dims", "--operad", "per", "--max-arity", "6")
+    assert code == 0 and "1, 2, 6, 24, 120, 720" in out
     for argv in (
-        ("dims", "--operad", "end", "--max-arity", "4"),
-        ("dims", "--operad", "pf", "--max-arity", "4"),
-        ("dims", "--operad", "per", "--max-arity", "5"),
-        ("check", "characterization", "--operad", "pw", "--max-arity", "4"),
+        ("dims", "--operad", "end", "--max-arity", "5"),
+        ("dims", "--operad", "pf", "--max-arity", "6"),
+        ("check", "characterization", "--operad", "pw", "--max-arity", "8"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "over the cap of 100" in err
+
+
+def test_object_substitution_converts_each_word_once():
+    """Each word of the closure goes through `to_object` once, and a wrong
+    graft is reported at the same (x, y, i) case as before."""
+    family = fam.get_family("comp")
+    closure = family.closure(3)
+    words_in = list(closure.iter_all())
+    converted = []
+
+    def to_object(w):
+        converted.append(w)
+        return family.to_object(w)
+
+    bad_host = family.to_object((0, 1))
+
+    def graft(c, i, d):
+        wrong = c == bad_host and i == 2 and len(d) == 2
+        return family.graft(c, i, d) + ((1,) if wrong else ())
+
+    cases = [(x, y, i) for x in words_in for y in words_in for i in range(1, len(x) + 1)]
+    counting = dataclasses.replace(family, to_object=to_object)
+    assert cli._object_substitution_agrees(counting, closure) == (True, len(cases))
+    assert sorted(converted) == sorted(words_in)
+    first_bad = cases.index(((0, 1), words_in[1], 2)) + 1
+    wrong = dataclasses.replace(family, graft=graft)
+    assert cli._object_substitution_agrees(wrong, closure) == (False, first_bad)
 
 
 def _record_enumerations(monkeypatch, name):
@@ -357,24 +409,37 @@ def _record_enumerations(monkeypatch, name):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("check", "characterization", "--operad", "pw", "--max-arity", "8"),
-        ("dims", "--operad", "pf", "--max-arity", "8"),
-        ("dims", "--operad", "end", "--max-arity", "8"),
+        ("check", "characterization", "--operad", "pw", "--max-arity", "21"),
+        ("dims", "--operad", "pf", "--max-arity", "14"),
+        ("dims", "--operad", "end", "--max-arity", "12"),
     ],
 )
 def test_over_cap_enumerations_are_refused_before_any_work(capsys, monkeypatch, argv):
-    """The top arity is enumerated first and refused there: no closure is
-    built and no smaller arity is enumerated."""
-    asked = _record_enumerations(monkeypatch, argv[argv.index("--operad") + 1])
+    """The top arity is enumerated first and refused there, naming the
+    sorted members it would build (2^20, Catalan(14) and C(23, 12)): no
+    closure is built and no smaller arity is enumerated."""
+    name = argv[argv.index("--operad") + 1]
+    members = {"pw": 2**20, "pf": 2674440, "end": 1352078}[name]
+    asked = _record_enumerations(monkeypatch, name)
 
     def no_closure(self, max_arity):
         raise AssertionError("closure built before the cap was checked")
 
     monkeypatch.setattr(Family, "closure", no_closure)
     code, out, err = run(capsys, *argv)
+    n = int(argv[-1])
     assert (code, out) == (2, "")
-    assert err == "error: arity 8 would build 16777216 candidates, over the cap of 1000000\n"
-    assert asked == [8]
+    assert err == (
+        f"error: arity {n} would build {members} sorted members, over the cap of 1000000\n"
+    )
+    assert asked == [n]
+
+
+def test_characterization_of_pw_reaches_arity_10(capsys):
+    code, out, _ = run(
+        capsys, "check", "characterization", "--operad", "pw", "--max-arity", "10"
+    )
+    assert code == 0 and "closure vs membership predicate: equal" in out
 
 
 def test_characterization_enumerates_each_arity_once(capsys, monkeypatch):
@@ -493,8 +558,9 @@ def test_traced_commands_still_run():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    # two view calls per round trip (15) and sample (4), four per graft (735)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] 2978 1"
+    # two view calls per round trip (15) and sample (4), one per word the
+    # grafts convert (15) and two per graft (735)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] 1523 1"
 
 
 def test_tracer_sees_the_orbit_enumerators():

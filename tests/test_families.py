@@ -75,18 +75,42 @@ def test_family_counts():
 
 
 def test_candidate_cap_keeps_the_arities_in_use():
-    assert 7**7 <= membership.MAX_CANDIDATES < 8**8
-    assert math.factorial(9) <= membership.MAX_CANDIDATES < math.factorial(10)
+    """The cap counts sorted members: C(2n-1, n) for end, Catalan for pf and
+    2^(n-1) for pw admit end@11, pf@13 and pw@20, one arity short of each
+    refusal."""
+    cap = membership.MAX_CANDIDATES
+    assert math.comb(21, 11) <= cap < math.comb(23, 12)
+    assert math.comb(26, 13) // 14 <= cap < math.comb(28, 14) // 15
+    assert 2**19 <= cap < 2**20
 
 
 def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
+    """Under a cap of 100, end builds 35 sorted members at arity 4 and 126
+    at 5, pf 42 at 5 and 132 at 6, and pw 64 at 7 and 128 at 8; per builds
+    one at every arity."""
     monkeypatch.setattr(membership, "MAX_CANDIDATES", 100)
-    assert len(_members("end", 3)) == 27
-    assert len(_members("per", 4)) == 24
-    for enumerate_arity, n in ((fam.enumerate_end, 4), (fam.enumerate_pf, 4),
-                               (fam.enumerate_pw, 4), (fam.enumerate_per, 5)):
-        with pytest.raises(ValueError, match="over the cap of 100"):
+    assert len(_members("end", 4)) == 256
+    assert len(_members("pf", 5)) == 1296
+    assert len(fam.enumerate_pw(7)) == 64
+    assert len(_members("per", 6)) == 720
+    for enumerate_arity, n, members in ((fam.enumerate_end, 5, 126),
+                                        (fam.enumerate_pf, 6, 132),
+                                        (fam.enumerate_pw, 8, 128)):
+        with pytest.raises(ValueError, match=f"would build {members} sorted members, "
+                                             "over the cap of 100"):
             enumerate_arity(n)
+
+
+def test_symmetric_enumerators_refuse_letters_past_a_byte():
+    """A symmetric member of arity n holds the letter n - 1, which packs only
+    up to arity 256; a larger arity is refused before its count is taken."""
+    assert fam.enumerate_per(256) == [tuple(range(256))]
+    for enumerate_arity in (fam.enumerate_end, fam.enumerate_pf,
+                            fam.enumerate_pw, fam.enumerate_per):
+        with pytest.raises(ValueError, match="arity 257 has letters above 255"):
+            enumerate_arity(257)
+        with pytest.raises(ValueError, match="cannot be packed"):
+            enumerate_arity(10**9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
+import io
 import itertools
 import json
 import math
+import os
 import random
+import tracemalloc
 
 import pytest
 
 from opwords import families as fam
+from opwords import generation
 from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
@@ -462,3 +466,111 @@ def test_jsonl_export_sorted_and_deterministic():
     keys = [(len(r["letters"]), r["letters"]) for r in records]
     assert keys == sorted(keys)
     assert all(r["monoid"] == "N2" for r in records)
+
+
+# ---------------------------------------------------------------------------
+# streamed export
+
+
+def _reference_jsonl(family):
+    """Every word of each arity, orbits expanded through all permutations,
+    sorted and written as `Word.to_record` lines."""
+    lines = []
+    for n in range(1, family.max_arity + 1):
+        words = family.by_arity.get(n, ())
+        if family.symmetric:
+            words = {p for w in words for p in itertools.permutations(w)}
+        lines += (Word(family.monoid, tuple(w)).to_record() for w in sorted(words))
+    return "".join(line + "\n" for line in lines)
+
+
+class _Writes:
+    """A text handle that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+STREAMED = {
+    # 4,862 words at arity 9, past one chunk
+    "fcat1@9": lambda: closure_of("fcat1", 9),
+    # seven first-letter groups at arity 7
+    "pw@7": lambda: closure_of("pw", 7),
+    "symmetric-N3": lambda: generate_closure(
+        GeneratorSet(parse_monoid("N3"), ((0, 1), (1, 2, 2), (2, 0)), symmetric=True), 6
+    ),
+    "N256": lambda: generate_closure(
+        GeneratorSet(cyclic(256), ((8, 97), (200, 255, 231))), 4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_export_is_the_whole_text(name, tmp_path):
+    family = STREAMED[name]()
+    path = tmp_path / "words.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        family.write_jsonl(handle)
+    expected = _reference_jsonl(family)
+    assert path.read_bytes() == expected.encode()
+    assert family.to_jsonl() == expected
+
+
+def test_streamed_export_crosses_a_chunk_boundary():
+    family = STREAMED["fcat1@9"]()
+    assert len(family.by_arity[9]) > generation._CHUNK
+    handle = _Writes()
+    family.write_jsonl(handle)
+    sizes = [text.count("\n") for text in handle.writes]
+    assert max(sizes) == generation._CHUNK
+    assert sum(sizes) == sum(family.dimensions())
+    assert "".join(handle.writes) == family.to_jsonl()
+
+
+@pytest.mark.parametrize("name", ["pw@7", "symmetric-N3"])
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_small_chunks_split_first_letter_groups_alike(monkeypatch, name, chunk):
+    family = STREAMED[name]()
+    expected = _reference_jsonl(family)
+    monkeypatch.setattr(generation, "_CHUNK", chunk)
+    handle = _Writes()
+    family.write_jsonl(handle)
+    assert max(text.count("\n") for text in handle.writes) == chunk
+    assert "".join(handle.writes) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_streamed_export_checks_the_carrier_before_writing(monkeypatch, chunk):
+    """A letter outside the carrier in the last word of the last arity, or
+    in an orbit word, is refused before the first line is written."""
+    monkeypatch.setattr(generation, "_CHUNK", chunk)
+    plain = GradedFamily(
+        cyclic(2), 2, {1: frozenset({b"\0"}), 2: frozenset({b"\0\0", b"\0\1", b"\1\2"})}
+    )
+    orbits = GradedFamily(
+        cyclic(3), 2, {1: frozenset({b"\0"}), 2: frozenset({b"\1\3"})}, symmetric=True
+    )
+    for family in (plain, orbits):
+        handle = io.StringIO()
+        with pytest.raises(CarrierError):
+            family.write_jsonl(handle)
+        assert handle.getvalue() == ""
+
+
+@pytest.mark.parametrize("name,bound_mb", [("pw", 4), ("fcat1", 2)])
+def test_streamed_export_holds_one_chunk_not_the_text(name, bound_mb):
+    """Streaming pw@7 or fcat1@10 allocates at its peak about 1.5 MB and
+    1.0 MB over the family; building the whole text first, as `to_jsonl`
+    did before exports were streamed, peaked at 11.8 MB and 4.9 MB."""
+    family = closure_of(name, 7 if name == "pw" else 10)
+    with open(os.devnull, "w", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            family.write_jsonl(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < bound_mb * 10**6
