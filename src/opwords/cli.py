@@ -231,9 +231,12 @@ def cmd_check_bijections(args) -> RunReport:
     closure = family.closure(args.max_arity)
     for n in range(1, args.max_arity + 1):
         words_n = closure.words(n)
-        bad = [w for w in words_n if family.from_object(family.to_object(w)) != w]
-        shown = family.show(family.to_object(words_n[-1]))
-        sample = f"  e.g. {format_letters(words_n[-1])} ~ {shown}"
+        bad = []
+        for w in words_n:
+            view = family.to_object(w)
+            if family.from_object(view) != w:
+                bad.append(w)
+        sample = f"  e.g. {format_letters(words_n[-1])} ~ {family.show(view)}"
         report.add(
             f"arity {n}: {len(words_n)} words round-trip"
             + (sample if not bad else f"; first failure {format_letters(bad[0])}"),

@@ -27,7 +27,8 @@ def word_to_kdyck(letters: Letters, k: int) -> str:
     out: list[str] = []
     height = 0
     for pos, a in enumerate(letters):
-        _require(0 <= a <= height, f"letter {a} at position {pos + 1} breaks the path")
+        if not 0 <= a <= height:
+            raise NotAMemberError(f"letter {a} at position {pos + 1} breaks the path")
         out.append("D" * (height - a))
         out.append("U")
         height = a + k
@@ -59,7 +60,8 @@ def word_to_motzkin(letters: Letters) -> str:
     _require(letters[0] == 0 and letters[-1] == 0, "ordinates must start and end at 0")
     steps = []
     for pos, (a, b) in enumerate(zip(letters, letters[1:])):
-        _require(abs(b - a) <= 1, f"jump of {b - a} after position {pos + 1}")
+        if abs(b - a) > 1:
+            raise NotAMemberError(f"jump of {b - a} after position {pos + 1}")
         steps.append(_STEP_CHARS[b - a])
     return "".join(steps)
 

@@ -1,46 +1,50 @@
 """Suboperad generation by closure under substitution.
 
 Every word but the unit of the suboperad generated by a set G is x o_i g
-for an earlier member x and some g in G, so the closure is a frontier
-search: start from the unit word and splice each generator into each
-position of each word found, as long as the result fits the arity bound.
-It is complete because x o_i (y o_j g) = (x o_i y) o_{i+j-1} g and arities
-never shrink, so induction on y shows the result closed under every
+for a member x and some g in G, where x has smaller arity than the word, or
+the same arity when |g| = 1.  So the closure is built a level at a time: the
+words of arity n are spliced from the finished levels n - |g| + 1 with every
+generator longer than 1, at every slot, and then the arity-1 generators
+(allowed only over finite monoids) close the level in itself by a frontier
+loop.  It is complete because x o_i (y o_j g) = (x o_i y) o_{i+j-1} g and
+arities never shrink, so induction on y shows the result closed under every
 substitution, truncation included.
 
-When the symmetric flag is set, the search runs over sorted words, one per
+A word is packed as `bytes`, one letter per byte, from the closure to the
+export, and `GradedFamily` keeps the packed words; tuples are built only
+where a caller asks for words.  Within one arity, `bytes` order is tuple
+order.  A level is spliced with the generators of one length by columns, at
+C level (`_lay`), in slices of its words that each lay at most
+`_SPLICE_BYTES`; a level of at most `_SMALL_LEVEL` words is spliced word by
+word.  A letter above 255 cannot be packed, and is refused with `ValueError`
+exactly when a word of the closure would hold it.
+
+When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
 letters of x o_i g, as a multiset, depend only on the multisets of x and g
-and on the letter x_i; splicing at equal letters of a sorted word is done
-once.  The family keeps those sorted words, one per orbit: its dimensions
+and on the letter x_i, and a sorted word is spliced once per distinct
+letter.  The family keeps those sorted words, one per orbit: its dimensions
 are sums of multinomials, and an orbit is expanded into its distinct
 rearrangements, built from the letter counts, only where a caller asks for
-words.  Its words are listed one first letter at a time: the words that
-start with a are a followed by the rearrangements of each orbit word that
-holds a, less one a, and distinct orbit words leave distinct rests, so no
-word repeats.
+words.  Its words are listed one pair of first two letters at a time: the
+words that start with ab are ab followed by the rearrangements of each orbit
+word that holds a and b, less one of each, and distinct orbit words leave
+distinct rests, so no word repeats.
 
 An export is written as it is formatted, arity by arity and a few thousand
-words at a time, so it costs one such chunk and one first-letter group of
-an arity over the family itself.
-
-A word is packed as `bytes`, one letter per byte, from the search to the
-export: x o_i g is three C-level slices, x[:i-1], the block of g with every
-letter multiplied by x_i (built once per generator and letter), and x[i:],
-and `GradedFamily` keeps the packed words.  Tuples are built only where a
-caller asks for words.  Within one arity, `bytes` order is tuple order.  A
-letter above 255 cannot be packed and is refused with `ValueError`.
+words at a time, so it costs one such chunk and one group of an arity with
+the same first two letters over the family itself.
 """
 from __future__ import annotations
 
-import bisect
 import io
 import itertools
 import json
 import math
-from collections import deque
+import operator
+import struct
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Collection, Iterable, Iterator, TextIO
 
 from .monoids import Monoid, Morphism
 from .words import Letters
@@ -99,23 +103,25 @@ class GradedFamily:
 
     def _sorted_runs(self, n: int) -> Iterator[list[bytes]]:
         """The packed words of arity n in increasing order, in consecutive
-        runs: the whole arity, or one run per first letter when symmetric."""
+        runs: the whole arity, or one run per first two letters when
+        symmetric above arity 1."""
         words = self.by_arity.get(n, ())
-        if not self.symmetric:
+        if not self.symmetric or n == 1:
             yield sorted(words)
             return
         for a in sorted(set(b"".join(words))):
-            first = bytes([a])
-            memo: dict[bytes, list[bytes]] = {}
-            run = []
-            for w in words:
-                i = w.find(first)
-                if i >= 0:
-                    rest = w[:i] + w[i + 1 :]
-                    run += map(first.__add__, _arrangements(rest, memo))
-                    del memo[rest]  # no other orbit word leaves this rest
-            run.sort()
-            yield run
+            rests = [w.replace(_BYTE[a], b"", 1) for w in words if a in w]
+            for b in sorted(set(b"".join(rests))):
+                prefix = bytes((a, b))
+                memo: dict[bytes, list[bytes]] = {}
+                run = []
+                for rest in rests:
+                    if b in rest:
+                        rest = rest.replace(_BYTE[b], b"", 1)
+                        run += map(prefix.__add__, _arrangements(rest, memo))
+                        del memo[rest]  # no other orbit word leaves this rest
+                run.sort()
+                yield run
 
     def arity_set(self, n: int) -> frozenset[Letters]:
         return frozenset(self.words(n))
@@ -208,53 +214,137 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 f"arity-1 generator {g[0]} over {m.name} is not the unit, so "
                 "the closure has infinitely many words of arity 1"
             )
-    op = m.op
+    by_length: dict[int, list[Letters]] = {}
+    for g in set(gens.generators):
+        if g != (m.unit,):  # splicing the unit changes no word
+            by_length.setdefault(len(g), []).append(g)
+    unary = _Scaled(m, by_length.pop(1)) if 1 in by_length else None
+    longer = [(r, _Scaled(m, same)) for r, same in by_length.items()]
     symmetric = gens.symmetric
-    # sorted by length, so the generators that fit a word are a prefix;
-    # blocks[a][k] is generator k with every letter multiplied by a, packed
-    generators = sorted(gens.generators, key=len)
-    lengths = [len(g) for g in generators]
-    blocks: dict[int, list[bytes]] = {}
-
-    def blocks_for(a: int) -> list[bytes]:
-        scaled = [[op(a, c) for c in g] for g in generators]
-        big = max(map(max, scaled))
-        if big > 255:
-            raise ValueError(
-                f"letter {big} over {m.name} is above 255 and cannot be "
-                "packed into a closure word"
+    levels: dict[int, frozenset[bytes]] = {}
+    for n in range(1, max_arity + 1):
+        if n == 1:
+            level = frozenset([bytes([m.unit])])
+        else:
+            level = frozenset(
+                itertools.chain.from_iterable(
+                    [_spliced(levels[n - r + 1], row, symmetric) for r, row in longer if r <= n]
+                )
             )
-        blocks[a] = row = list(map(bytes, scaled))
+        if unary is not None:  # arity-1 generators close each level in itself
+            grown, frontier = set(level), level
+            while frontier:
+                frontier = set(_spliced(frontier, unary, symmetric))
+                frontier -= grown
+                grown |= frontier
+            level = frozenset(grown)
+        levels[n] = level
+    return GradedFamily(m, max_arity, levels, symmetric)
+
+
+class _Scaled(dict):
+    """The generators of one length scaled by each letter: `self[a]` is each
+    generator with every letter multiplied by a, packed, built when a level
+    holding a is first spliced with them.  So a letter above 255 is refused
+    exactly when a word of the closure would hold it."""
+
+    def __init__(self, monoid: Monoid, generators: list[Letters]) -> None:
+        super().__init__()
+        self.monoid = monoid
+        self.generators = generators
+
+    def __missing__(self, a: int) -> list[bytes]:
+        op = self.monoid.op
+        try:
+            row = [bytes(map(op, itertools.repeat(a), g)) for g in self.generators]
+        except ValueError:  # a product above 255
+            big = max(op(a, c) for g in self.generators for c in g)
+            raise ValueError(
+                f"letter {big} over {self.monoid.name} is above 255 and cannot "
+                "be packed into a closure word"
+            ) from None
+        self[a] = row
         return row
 
-    found = {bytes([m.unit])}
-    queue = deque(found)
-    while queue:
-        x = queue.popleft()
-        fitting = bisect.bisect_right(lengths, max_arity - len(x) + 1)
-        if not fitting:
-            continue
-        previous = -1
-        for i, a in enumerate(x):
-            if symmetric and a == previous:
-                continue  # same multiset as splicing at the previous slot
-            previous = a
-            row = blocks.get(a) or blocks_for(a)
-            head, tail = x[:i], x[i + 1 :]
-            for block in row[:fitting]:
-                w = head + block + tail
-                if symmetric:
-                    w = bytes(sorted(w))
-                if w not in found:
-                    found.add(w)
-                    queue.append(w)
 
-    buckets: dict[int, list[bytes]] = {n: [] for n in range(1, max_arity + 1)}
-    for w in found:
-        buckets[len(w)].append(w)
-    del found
-    by_arity = {n: frozenset(buckets.pop(n)) for n in range(1, max_arity + 1)}
-    return GradedFamily(m, max_arity, by_arity, symmetric)
+# a source level of at most this many words is spliced word by word: below
+# it, laying columns costs more in set-up than it saves (the two tie at 16 to
+# 24 words on the 2-vCPU x86-64 VM, CPython 3.11)
+_SMALL_LEVEL = 20
+# the most bytes of candidate words one column splice lays at once; a larger
+# level is spliced in slices of its words
+_SPLICE_BYTES = 1 << 18
+_BYTE = [bytes((a,)) for a in range(256)]
+_FIRST = operator.itemgetter(0)
+
+
+def _spliced(words: Collection[bytes], scaled: _Scaled, symmetric: bool) -> Iterable[bytes]:
+    """x o_i g for every word x of `words`, all of one arity m, every slot i
+    and every generator g of `scaled`, all of one length r; sorted when
+    symmetric.
+
+    Sorting costs more than columns save, so a symmetric word is spliced by
+    itself, once per distinct letter: where the block goes does not change
+    the sorted result.  So is each word of a small level.
+    """
+    if symmetric:
+        return [
+            bytes(sorted(x.replace(_BYTE[a], b, 1)))
+            for x in words
+            for a in set(x)
+            for b in scaled[a]
+        ]
+    if len(words) <= _SMALL_LEVEL:
+        return [x[:i] + b + x[i + 1 :] for x in words for i, a in enumerate(x) for b in scaled[a]]
+    words = list(words)
+    m = len(words[0])
+    row = scaled[words[0][0]]
+    n = m + len(row[0]) - 1
+    step = max(1, _SPLICE_BYTES // (m * len(row) * n))
+    unpack = struct.Struct(f"{n}s").iter_unpack
+    return itertools.chain.from_iterable(
+        map(_FIRST, unpack(_lay(b"".join(words[start : start + step]), m, n, scaled)))
+        for start in range(0, len(words), step)
+    )
+
+
+def _lay(joined: bytes, m: int, n: int, scaled: _Scaled) -> bytearray:
+    """The candidates of `_spliced` from the joined words of arity m, as rows
+    of arity n in one buffer: a block of rows per slot and generator, laid
+    by one strided assignment per column.  A column is a strided slice of
+    the join, and the block of a generator letter is the column at the slot
+    through one 256-byte product table."""
+    # tables[g][t] sends a letter a to letter t of generator g scaled by a
+    tables = [[bytearray(256) for _ in block] for block in scaled[joined[0]]]
+    for a in _letters(joined):
+        for row, block in zip(tables, scaled[a]):
+            for table, b in zip(row, block):
+                table[a] = b
+    columns = [joined[j::m] for j in range(m)]
+    size = len(joined) // m * n
+    buf = bytearray(size * m * len(tables))
+    start = 0
+    for i, column in enumerate(columns):
+        for row in tables:
+            stop = start + size
+            for j in range(i):
+                buf[start + j : stop : n] = columns[j]
+            for t, table in enumerate(row, i):
+                buf[start + t : stop : n] = column.translate(table)
+            for j in range(i + 1, m):
+                buf[start + j + n - m : stop : n] = columns[j]
+            start = stop
+    return buf
+
+
+def _letters(joined: bytes) -> bytes:
+    """The distinct letters of `joined`: each pass deletes, at C level, the
+    letters found so far, and takes the set of a short prefix of the rest."""
+    found = b""
+    while joined:
+        found += bytes(set(joined[:256]))
+        joined = joined.translate(None, found)
+    return found
 
 
 def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:

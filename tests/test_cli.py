@@ -558,9 +558,10 @@ def test_traced_commands_still_run():
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    # two view calls per round trip (15) and sample (4), one per word the
-    # grafts convert (15) and two per graft (735)
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] 1523 1"
+    # two view calls per round trip (15), one per sample (4), since a sample
+    # reuses its round trip's object, one per word the grafts convert (15)
+    # and two per graft (735)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] 1519 1"
 
 
 def test_tracer_sees_the_orbit_enumerators():

@@ -177,13 +177,32 @@ def random_generator_set(seed):
     return GeneratorSet(m, tuple(gens), symmetric=(seed // 5) % 2 == 1)
 
 
-@pytest.mark.parametrize("seed", range(60))
-def test_frontier_closure_matches_all_pairs_reference(seed):
-    gens = random_generator_set(seed)
-    bound = 4 if gens.symmetric else 5
+def assert_matches_all_pairs(gens, bound):
     closure = generate_closure(gens, bound)
     got = {n: closure.arity_set(n) for n in range(1, bound + 1)}
     assert got == all_pairs_closure(gens, bound)
+
+
+@pytest.fixture
+def one_word_splices(monkeypatch):
+    """Every non-symmetric level of more than one word is spliced by columns,
+    one word per buffer, so every slice boundary is crossed; the unit's
+    level, each one-word frontier and every symmetric level are spliced word
+    by word."""
+    monkeypatch.setattr(generation, "_SPLICE_BYTES", 1)
+    monkeypatch.setattr(generation, "_SMALL_LEVEL", 1)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_frontier_closure_matches_all_pairs_reference(seed):
+    gens = random_generator_set(seed)
+    assert_matches_all_pairs(gens, 4 if gens.symmetric else 5)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_one_word_column_splices_match_all_pairs_reference(seed, one_word_splices):
+    gens = random_generator_set(seed)
+    assert_matches_all_pairs(gens, 4 if gens.symmetric else 5)
 
 
 def top_byte_generator_set(seed):
@@ -205,10 +224,29 @@ def top_byte_generator_set(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_frontier_closure_matches_all_pairs_reference_at_the_top_byte(seed):
-    gens, bound = top_byte_generator_set(seed)
-    closure = generate_closure(gens, bound)
-    got = {n: closure.arity_set(n) for n in range(1, bound + 1)}
-    assert got == all_pairs_closure(gens, bound)
+    assert_matches_all_pairs(*top_byte_generator_set(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_word_column_splices_match_all_pairs_reference_at_the_top_byte(
+    seed, one_word_splices
+):
+    assert_matches_all_pairs(*top_byte_generator_set(seed))
+
+
+def test_column_splices_hold_one_slice_not_the_level():
+    """fcat1@11 splices its 16,796 arity-10 words into 58,786 words of arity
+    11.  In slices of `_SPLICE_BYTES`, the closure allocates at its peak about
+    0.4 MB over the finished family; laying the whole level at once, 3.8 MB."""
+    gens = fam.get_family("fcat1").generator_set()
+    tracemalloc.start()
+    try:
+        closure = generate_closure(gens, 11)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(closure.by_arity[11]) == 58_786
+    assert peak - kept < 2 * 10**6
 
 
 def test_letters_above_255_are_refused():
@@ -219,6 +257,19 @@ def test_letters_above_255_are_refused():
     assert generate_closure(gens, 2).dimensions() == (1, 1)
     with pytest.raises(ValueError, match="letter 256 over N300 "):
         generate_closure(gens, 3)
+
+
+def test_letters_above_255_are_refused_only_where_a_word_holds_them():
+    # 01 o_2 (0, 0, 255) would hold 256, but it is above the arity bound
+    gens = GeneratorSet(NATURALS, ((0, 1), (0, 0, 255)))
+    closure = generate_closure(gens, 3)
+    assert [closure.words(n) for n in (1, 2, 3)] == [
+        [(0,)],
+        [(0, 1)],
+        [(0, 0, 255), (0, 1, 1), (0, 1, 2)],
+    ]
+    with pytest.raises(ValueError, match="letter 256 over N "):
+        generate_closure(gens, 4)
 
 
 def test_contains_is_false_for_words_that_cannot_be_packed():
@@ -540,6 +591,18 @@ def test_small_chunks_split_first_letter_groups_alike(monkeypatch, name, chunk):
     family.write_jsonl(handle)
     assert max(text.count("\n") for text in handle.writes) == chunk
     assert "".join(handle.writes) == expected
+
+
+def test_symmetric_runs_share_their_first_two_letters():
+    """pw@7 is listed one run per first two letters, in increasing order."""
+    family = STREAMED["pw@7"]()
+    runs = list(family._sorted_runs(7))
+    prefixes = [{w[:2] for w in run} for run in runs]
+    assert all(len(p) == 1 for p in prefixes)
+    assert len(set().union(*prefixes)) == len(runs)
+    assert [w for run in runs for w in run] == sorted(
+        {bytes(p) for w in family.by_arity[7] for p in itertools.permutations(w)}
+    )
 
 
 @pytest.mark.parametrize("chunk", [1, 4096])
