@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ..generation import GeneratorSet, GradedFamily, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
@@ -129,16 +129,34 @@ def _prefix_walk(n: int, start: int, next_range: Callable[[int], Iterable[int]])
 
 
 def enumerate_prt(n: int) -> list[Letters]:
+    _check_counts(n, map(_fuss_catalan(1), itertools.count(0)))
     return _prefix_walk(n, 0, lambda a: range(1, a + 2))
 
 
 def enumerate_fcat(n: int, k: int) -> list[Letters]:
+    _check_counts(n, map(_fuss_catalan(k), itertools.count(1)))
     return _prefix_walk(n, 0, lambda a: range(0, a + k + 1))
 
 
 def enumerate_motz(n: int) -> list[Letters]:
-    walks = _prefix_walk(n, 0, lambda a: range(max(0, a - 1), a + 2))
-    return [w for w in walks if w[-1] == 0]
+    """Walks from 0 in steps of -1, 0 or 1 that never go below 0 and end at
+    0: each step goes only to a height the letters left can come down from."""
+    _check_counts(n, _motz_counts())
+    walks = [(0,)]
+    for left in range(n - 2, -1, -1):  # letters left after the next one
+        walks = [
+            w + (b,) for w in walks for b in range(max(0, w[-1] - 1), min(w[-1] + 1, left) + 1)
+        ]
+    return walks
+
+
+def _motz_counts() -> Iterator[int]:
+    """The number of members of `enumerate_motz` at arity 1, 2, ...: the
+    walks are counted by height, one letter at a time."""
+    by_height = [1]
+    while True:
+        yield by_height[0]
+        by_height = [sum(by_height[max(0, h - 1) : h + 2]) for h in range(len(by_height) + 1)]
 
 
 def enumerate_schr(n: int) -> list[Letters]:
@@ -149,6 +167,7 @@ def enumerate_schr(n: int) -> list[Letters]:
     letters, lowered by one, is a shorter member: a 1 reaches the 0 that
     bounds its run, and the chain below a letter b >= 2 stays inside the run.
     """
+    _check_counts(n, _schr_counts())
     # raised[k]: members of arity k with every letter raised by one;
     # spans[k]: words of length k whose maximal nonzero runs are raised members
     raised: list[list[Letters]] = [[]]
@@ -163,15 +182,31 @@ def enumerate_schr(n: int) -> list[Letters]:
     return sorted(found)
 
 
+def _schr_counts() -> Iterator[int]:
+    """The number of members of `enumerate_schr` at arity 1, 2, ..., by its
+    run structure: F(k) = S(k - 1) + sum of F(r) S(k - r - 1) over 0 < r < k,
+    where S(0) = 1 and S(j) = 2 F(j) counts the spans."""
+    found, spans = [0], [1]
+    while True:
+        k = len(found)
+        members = spans[k - 1] + sum(found[r] * spans[k - r - 1] for r in range(1, k))
+        found.append(members)
+        spans.append(2 * members)
+        yield members
+
+
 def enumerate_comp(n: int) -> list[Letters]:
+    _check_counts(n, (2**m for m in itertools.count()))
     return [(0,) + tail for tail in itertools.product((0, 1), repeat=n - 1)]
 
 
 def enumerate_scomp(n: int) -> list[Letters]:
+    _check_counts(n, (3**m for m in itertools.count()))
     return [(0,) + tail for tail in itertools.product((0, 1, 2), repeat=n - 1)]
 
 
 def enumerate_dias(n: int) -> list[Letters]:
+    _check_counts(n, itertools.count(1))
     out = []
     for pos in range(n):
         w = [0] * n
@@ -180,17 +215,31 @@ def enumerate_dias(n: int) -> list[Letters]:
     return out
 
 
-# the most sorted members a symmetric enumerator may build at one arity,
-# counted in closed form before any is built: end to arity 11, pf to 13, pw
-# to 20
+# the most members an enumerator may build at one arity, counted before any
+# is built: end stops at arity 11, pf at 13 and pw at 20, counting sorted
+# members, and comp at 20, scomp at 13, fcat1 at 13, prt at 14, motz at 17
+# and schr at 10
 MAX_CANDIDATES = 10**6
 
 
+def _check_counts(n: int, counts: Iterator[int]) -> None:
+    """Refuse an arity at which a non-symmetric enumerator would build more
+    than `MAX_CANDIDATES` members, given its counts at arity 1, 2, ....  No
+    count falls as the arity grows, so the first count over the cap, at
+    arity n or below, refuses n, and no count far above the cap is taken."""
+    for m, members in zip(range(1, n + 1), counts):
+        if members > MAX_CANDIDATES:
+            built = f"{members} members"
+            if m < n:
+                built = f"at least the {built} of arity {m}"
+            raise ValueError(f"arity {n} would build {built}, over the cap of {MAX_CANDIDATES}")
+
+
 def _check_members(n: int, count: Callable[[int], int]) -> None:
-    """Refuse an arity at which more than `MAX_CANDIDATES` sorted members
-    would be built.  The letters of a symmetric family reach n - 1, so an
-    arity above 256 cannot be packed; it is refused before its count is
-    evaluated."""
+    """Refuse an arity at which a symmetric enumerator would build more than
+    `MAX_CANDIDATES` sorted members.  The letters of a symmetric family
+    reach n - 1, so an arity above 256 cannot be packed; it is refused
+    before its count is evaluated."""
     if n > 256:
         raise ValueError(f"arity {n} has letters above 255, which cannot be packed")
     members = count(n)

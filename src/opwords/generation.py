@@ -31,9 +31,13 @@ words that start with ab are ab followed by the rearrangements of each orbit
 word that holds a and b, less one of each, and distinct orbit words leave
 distinct rests, so no word repeats.
 
-An export is written as it is formatted, arity by arity and a few thousand
-words at a time, so it costs one such chunk and one group of an arity with
-the same first two letters over the family itself.
+An export is written as it is laid, arity by arity and a few thousand words
+at a time, so it costs one such chunk and one group of an arity with the
+same first two letters over the family itself.  A chunk is laid by columns
+too: its lines are copies of one byte template with a fixed-width digit
+cell per letter, each letter column writes its hundreds, tens and ones
+digits into the cells through three 256-byte tables that give NUL for a
+leading zero, and one `translate` deletes the NULs.
 """
 from __future__ import annotations
 
@@ -158,8 +162,14 @@ class GradedFamily:
 
         Each distinct letter is checked against the carrier once, before
         anything is written; an orbit holds the letters of its sorted word.
-        Each line is formatted directly, through one table of letter texts,
-        instead of through `json.dumps`.
+        The lines are laid by columns instead of formatted one by one: every
+        line of arity n fits one byte template, the head and n cells as wide
+        as the largest letter's digits.  A chunk of words is joined, and each
+        letter column, a strided slice of the join, writes its hundreds, tens
+        and ones digits into the chunk's templates by strided assignment,
+        through three 256-byte tables (`_DIGITS`) that give NUL for a leading
+        zero.  One `translate` then deletes the NULs; `json.dumps` escapes
+        control characters, so the head holds none.
         """
         arities = range(1, self.max_arity + 1)
         # each chunk of words adds the letters it holds that are not yet
@@ -172,19 +182,20 @@ class GradedFamily:
                 seen += bytes(set(joined.translate(None, seen)))
         for a in seen:
             self.monoid.check(a)
-        head = '{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": ['
-        between = "]}\n" + head
+        digits = _DIGITS[-len(str(max(seen, default=0))) :]
+        head = ('{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": [').encode()
+        cell = len(digits) + len(", ")
         for n in arities:
+            template = bytearray(head + b", ".join([bytes(len(digits))] * n) + b"]}\n")
             for run in self._sorted_runs(n):
                 for start in range(0, len(run), _CHUNK):
-                    # a word read as latin-1 text has one character per
-                    # letter, which translates to "<letter>, "; the last ", "
-                    # is cut
-                    texts = [
-                        w.decode("latin-1").translate(_LETTER_TEXT)[:-2]
-                        for w in run[start : start + _CHUNK]
-                    ]
-                    handle.write(head + between.join(texts) + "]}\n")
+                    joined = b"".join(run[start : start + _CHUNK])
+                    lines = template * (len(joined) // n)
+                    for j in range(n):
+                        column = joined[j::n]
+                        for at, table in enumerate(digits, len(head) + j * cell):
+                            lines[at :: len(template)] = column.translate(table)
+                    handle.write(lines.translate(None, b"\0").decode("ascii"))
 
     def to_jsonl(self) -> str:
         """The text that `write_jsonl` writes."""
@@ -193,9 +204,10 @@ class GradedFamily:
         return text.getvalue()
 
 
-# words formatted and written at a time by `write_jsonl`
+# words laid and written at a time by `write_jsonl`
 _CHUNK = 4096
-_LETTER_TEXT = tuple(f"{a}, " for a in range(256))
+# the hundreds, tens and ones digit of each letter, NUL for a leading zero
+_DIGITS = tuple(bytes(ord(str(a).rjust(3, "\0")[d]) for a in range(256)) for d in range(3))
 
 
 def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,33 @@ def test_over_cap_enumerations_are_refused_before_any_work(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     assert err == (
         f"error: arity {n} would build {members} sorted members, over the cap of 1000000\n"
+    )
+    assert asked == [n]
+
+
+@pytest.mark.parametrize(
+    "name,n,members,first",
+    [("comp", 40, 2**20, 21), ("scomp", 30, 3**13, 14), ("fcat1", 20, 2674440, 14)],
+)
+def test_non_symmetric_characterizations_over_the_cap_are_refused_at_once(
+    capsys, monkeypatch, name, n, members, first
+):
+    """2^39, 3^29 and Catalan(20) members are refused in under a second by
+    the first arity whose count passes the cap, before any closure."""
+    asked = _record_enumerations(monkeypatch, name)
+
+    def no_closure(self, max_arity):
+        raise AssertionError("closure built before the cap was checked")
+
+    monkeypatch.setattr(Family, "closure", no_closure)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "characterization", "--operad", name,
+                         "--max-arity", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: arity {n} would build at least the {members} members of arity {first}, "
+        "over the cap of 1000000\n"
     )
     assert asked == [n]
 

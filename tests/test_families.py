@@ -101,6 +101,75 @@ def test_candidate_cap_refuses_larger_enumerations(monkeypatch):
             enumerate_arity(n)
 
 
+NON_SYMMETRIC = sorted(
+    name for name, f in fam.FAMILIES.items() if not f.symmetric and name != "da"
+)
+
+
+@pytest.mark.parametrize("name", NON_SYMMETRIC)
+def test_non_symmetric_enumerators_refuse_what_they_would_build_over_the_cap(
+    monkeypatch, name
+):
+    """Under a cap of 30, each enumerator builds every arity of at most 30
+    members, and refuses the first larger one naming its count; a higher
+    arity names the count of that first one."""
+    enumerate_arity = fam.get_family(name).enumerate_arity
+    built = [len(enumerate_arity(n)) for n in range(1, 8)]
+    monkeypatch.setattr(membership, "MAX_CANDIDATES", 30)
+    first = next((n for n, members in enumerate(built, 1) if members > 30), None)
+    for n, members in enumerate(built, 1):
+        if first is None or n < first:
+            assert len(enumerate_arity(n)) == members
+            continue
+        text = f"{members} members"
+        if n > first:
+            text = f"at least the {built[first - 1]} members of arity {first}"
+        with pytest.raises(ValueError) as refused:
+            enumerate_arity(n)
+        assert str(refused.value) == f"arity {n} would build {text}, over the cap of 30"
+    assert (first is None) == (name in ("dias", "fcat0"))
+
+
+def test_non_symmetric_caps_keep_the_arities_in_use():
+    """comp@20, scomp@13, fcat1@13, fcat2@9, fcat3@8, prt@14, motz@17 and
+    schr@10 are built; one arity more is refused.  The motz and schr counts
+    taken by height and by runs are the Motzkin and little Schroeder
+    numbers."""
+    last = {"comp": 20, "scomp": 13, "fcat1": 13, "fcat2": 9, "fcat3": 8, "prt": 14,
+            "motz": 17, "schr": 10}
+    sizes = {
+        "comp": lambda n: 2 ** (n - 1),
+        "scomp": lambda n: 3 ** (n - 1),
+        "fcat1": lambda n: math.comb(2 * n, n) // (n + 1),
+        "fcat2": lambda n: math.comb(3 * n, n) // (2 * n + 1),
+        "fcat3": lambda n: math.comb(4 * n, n) // (3 * n + 1),
+        "prt": lambda n: math.comb(2 * n - 2, n - 1) // n,
+        # sums over Catalan and Narayana numbers
+        "motz": lambda n: sum(
+            math.comb(n - 1, 2 * k) * math.comb(2 * k, k) // (k + 1) for k in range(n)
+        ),
+        "schr": lambda n: sum(
+            math.comb(n, k) * math.comb(n, k - 1) // n * 2 ** (k - 1) for k in range(1, n + 1)
+        ),
+    }
+    cap = membership.MAX_CANDIDATES
+    for name, n in last.items():
+        assert sizes[name](n) <= cap < sizes[name](n + 1), name
+    for name, counts in (("motz", membership._motz_counts()),
+                         ("schr", membership._schr_counts())):
+        assert list(itertools.islice(counts, 20)) == [sizes[name](n) for n in range(1, 21)]
+
+
+def test_motz_enumeration_is_the_filtered_prefix_walks():
+    """Pruning the walks that cannot return to 0 keeps the members and their
+    order: every Motzkin prefix from 0, filtered to those that end at 0."""
+    for n in range(1, 13):
+        walks = [(0,)]
+        for _ in range(n - 1):
+            walks = [w + (b,) for w in walks for b in range(max(0, w[-1] - 1), w[-1] + 2)]
+        assert fam.enumerate_motz(n) == [w for w in walks if w[-1] == 0], n
+
+
 def test_symmetric_enumerators_refuse_letters_past_a_byte():
     """A symmetric member of arity n holds the letter n - 1, which packs only
     up to arity 256; a larger arity is refused before its count is taken."""

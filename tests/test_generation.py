@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from opwords import families as fam
 from opwords import generation
+from opwords.cli import main
 from opwords.generation import (
     ComparisonVerdict,
     GeneratorSet,
@@ -559,6 +561,48 @@ STREAMED = {
 }
 
 
+# sha256 of each `gen --out` file: every finitely generated preset at arity
+# 7, fcat1@9 (past one chunk) and the custom sets of STREAMED, as written
+# while each word's line was still formatted by itself
+EXPORT_DIGESTS = {
+    "N256": "17597976990a010cefaab04af3010d623a58cdb759505b14a75a01706a06c87e",
+    "comp@7": "04ce105d26da3a305d7f614459dc754dac1d54cd1053b8f79e0e28ecf95cc5aa",
+    "da@7": "69be7994f3355c6267a29ce3459af90d99222c697696baf70b7274a34f670b7f",
+    "dias@7": "233f9fd462456c1312b945b0191da3c527e32d217d7f3de59794fc2a2a1d512b",
+    "fcat0@7": "e2546c10492498977f14c09be5ba0cb7dda5575fd490ccdce88c05272e00b0a6",
+    "fcat1@7": "a82d599dd2f85891d636ec4d85cca0ee2febd61ebdb09137fd3c3782bbe3dffa",
+    "fcat1@9": "4cc697c25bcfee90c14c86a450cc01320178accfde8b49eebfbcba37c214c121",
+    "fcat2@7": "debf68bc253c845a9649361f22f07d99c32c6abb4ad42fdd724f4f72913cdaa4",
+    "fcat3@7": "9ae0cea973fb9caec3c5a99c58e44ec425280f3477d55f08faeb3864fd10a519",
+    "motz@7": "b2fc98ee2bf43eb4d90a771170efc382af450ff92a8e7021d4a30449df47165c",
+    "prt@7": "928ad0dc0bfcfc44da0ba6c71e13538a9eb1bd318859748c70b635de926f689c",
+    "pw@7": "adcabd2ff050a6afc6c6195668606ee08406f9588095606e2adf7ddc08091f87",
+    "schr@7": "74ea6a1f54abe48c6bcc9e8eb0f2dc6cd165f0d401641856b7c6346ed6aec8c8",
+    "scomp@7": "ffd1f7de80fe39a99bee552718eb3490864d19df984149aebe1c6316777519aa",
+    "symmetric-N3": "5a09156cf5bf9f1ccb63467c7de569b31f1f1d10e945a009ee9b2cefb1a677c8",
+}
+
+
+def test_every_finitely_generated_preset_export_is_pinned():
+    presets = {name for name, f in fam.FAMILIES.items() if f.finitely_generated}
+    assert {name.split("@")[0] for name in EXPORT_DIGESTS if "@" in name} == presets
+    assert set(STREAMED) <= set(EXPORT_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_are_pinned(name, tmp_path, capsys):
+    """A preset goes through `gen --out`; a custom set, whose letters the
+    command line cannot spell, is written to a file opened as `gen` opens it."""
+    path = tmp_path / "words.jsonl"
+    if "@" in name:
+        operad, bound = name.split("@")
+        assert main(["gen", "--operad", operad, "--max-arity", bound, "--out", str(path)]) == 0
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            STREAMED[name]().write_jsonl(handle)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_DIGESTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(STREAMED))
 def test_streamed_export_is_the_whole_text(name, tmp_path):
     family = STREAMED[name]()
@@ -581,9 +625,10 @@ def test_streamed_export_crosses_a_chunk_boundary():
     assert "".join(handle.writes) == family.to_jsonl()
 
 
-@pytest.mark.parametrize("name", ["pw@7", "symmetric-N3"])
+@pytest.mark.parametrize("name", ["pw@7", "symmetric-N3", "N256"])
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_small_chunks_split_first_letter_groups_alike(monkeypatch, name, chunk):
+    """N256's words mix letters of one, two and three digits."""
     family = STREAMED[name]()
     expected = _reference_jsonl(family)
     monkeypatch.setattr(generation, "_CHUNK", chunk)
@@ -591,6 +636,28 @@ def test_small_chunks_split_first_letter_groups_alike(monkeypatch, name, chunk):
     family.write_jsonl(handle)
     assert max(text.count("\n") for text in handle.writes) == chunk
     assert "".join(handle.writes) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_export_of_mixed_digit_widths_is_the_literal_text(monkeypatch, chunk):
+    """Letters of one, two and three digits side by side, the widest first
+    or last in a word, and a three-digit letter alone in its arity."""
+    family = GradedFamily(
+        cyclic(256),
+        3,
+        {
+            1: frozenset({b"\0", b"\xff"}),
+            3: frozenset({bytes((0, 9, 10)), bytes((99, 100, 255)), bytes((255, 0, 99))}),
+        },
+    )
+    monkeypatch.setattr(generation, "_CHUNK", chunk)
+    assert family.to_jsonl() == (
+        '{"monoid": "N256", "letters": [0]}\n'
+        '{"monoid": "N256", "letters": [255]}\n'
+        '{"monoid": "N256", "letters": [0, 9, 10]}\n'
+        '{"monoid": "N256", "letters": [99, 100, 255]}\n'
+        '{"monoid": "N256", "letters": [255, 0, 99]}\n'
+    )
 
 
 def test_symmetric_runs_share_their_first_two_letters():
