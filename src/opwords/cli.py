@@ -143,8 +143,11 @@ def cmd_dims(args) -> RunReport:
 def cmd_check_axioms(args) -> RunReport:
     report = RunReport(f"check axioms --monoid {args.monoid} --max-arity {args.max_arity}")
     m = parse_monoid(args.monoid)
+    if m.is_finite and args.letter_cap is not None:
+        raise UsageError(f"--letter-cap caps the letters of N; {m.name} is finite")
     bound = (args.max_arity,) * 3
-    for ax in check_axioms(m, bound, letter_cap=args.letter_cap):
+    cap = 3 if args.letter_cap is None else args.letter_cap
+    for ax in check_axioms(m, bound, letter_cap=cap):
         report.add(str(ax), ok=ax.ok)
     return report
 
@@ -330,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     axioms = kinds.add_parser("axioms", parents=[common])
     axioms.add_argument("--monoid", required=True)
     axioms.add_argument("--max-arity", type=_arity, default=3)
-    axioms.add_argument("--letter-cap", type=int, default=3)
+    axioms.add_argument(
+        "--letter-cap", type=int, help="largest letter checked over N (default 3)"
+    )
     axioms.set_defaults(func=cmd_check_axioms)
 
     charac = kinds.add_parser("characterization", parents=[common])

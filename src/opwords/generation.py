@@ -15,9 +15,10 @@ export, and `GradedFamily` keeps the packed words; tuples are built only
 where a caller asks for words.  Within one arity, `bytes` order is tuple
 order.  A level is spliced with the generators of one length by columns, at
 C level (`_lay`), in slices of its words that each lay at most
-`_SPLICE_BYTES`; a level of at most `_SMALL_LEVEL` words is spliced word by
-word.  A letter above 255 cannot be packed, and is refused with `ValueError`
-exactly when a word of the closure would hold it.
+`_SPLICE_BYTES`; a level of at most `_SMALL_LEVEL` words, or whose slices
+would hold at most that many, is spliced word by word.  A letter above 255
+cannot be packed, and is refused with `ValueError` exactly when a word of
+the closure would hold it.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
@@ -279,9 +280,10 @@ class _Scaled(dict):
         return row
 
 
-# a source level of at most this many words is spliced word by word: below
-# it, laying columns costs more in set-up than it saves (the two tie at 16 to
-# 24 words on the 2-vCPU x86-64 VM, CPython 3.11)
+# a source level of at most this many words, or whose slices would hold at
+# most this many, is spliced word by word: below it, laying columns costs
+# more in set-up than it saves (the two tie at 16 to 24 words on the 2-vCPU
+# x86-64 VM, CPython 3.11)
 _SMALL_LEVEL = 20
 # the most bytes of candidate words one column splice lays at once; a larger
 # level is spliced in slices of its words
@@ -297,7 +299,8 @@ def _spliced(words: Collection[bytes], scaled: _Scaled, symmetric: bool) -> Iter
 
     Sorting costs more than columns save, so a symmetric word is spliced by
     itself, once per distinct letter: where the block goes does not change
-    the sorted result.  So is each word of a small level.
+    the sorted result.  So is each word of a small level, and of a level of
+    long words whose slices would be small.
     """
     if symmetric:
         return [
@@ -306,18 +309,19 @@ def _spliced(words: Collection[bytes], scaled: _Scaled, symmetric: bool) -> Iter
             for a in set(x)
             for b in scaled[a]
         ]
-    if len(words) <= _SMALL_LEVEL:
-        return [x[:i] + b + x[i + 1 :] for x in words for i, a in enumerate(x) for b in scaled[a]]
-    words = list(words)
-    m = len(words[0])
-    row = scaled[words[0][0]]
-    n = m + len(row[0]) - 1
-    step = max(1, _SPLICE_BYTES // (m * len(row) * n))
-    unpack = struct.Struct(f"{n}s").iter_unpack
-    return itertools.chain.from_iterable(
-        map(_FIRST, unpack(_lay(b"".join(words[start : start + step]), m, n, scaled)))
-        for start in range(0, len(words), step)
-    )
+    if len(words) > _SMALL_LEVEL:
+        words = list(words)
+        m = len(words[0])
+        row = scaled[words[0][0]]
+        n = m + len(row[0]) - 1
+        step = max(1, _SPLICE_BYTES // (m * len(row) * n))  # the words of one slice
+        if step > _SMALL_LEVEL:
+            unpack = struct.Struct(f"{n}s").iter_unpack
+            return itertools.chain.from_iterable(
+                map(_FIRST, unpack(_lay(b"".join(words[start : start + step]), m, n, scaled)))
+                for start in range(0, len(words), step)
+            )
+    return (x[:i] + b + x[i + 1 :] for x in words for i, a in enumerate(x) for b in scaled[a])
 
 
 def _lay(joined: bytes, m: int, n: int, scaled: _Scaled) -> bytearray:

@@ -4,9 +4,11 @@ A word of arity n is a nonempty tuple of n monoid elements.  Substituting y
 at position i of x splices y into x, multiplying every letter of y by the
 letter it replaces.  Permutations act by rearranging letters, and a monoid
 morphism lifts to words letterwise.  `check_axioms` verifies the operad laws
-exhaustively on small domains.  It packs each word as `bytes`, one letter
-per byte, and substitutes by slices and `bytes.translate`, so a compared
-word holding a letter above 255 is refused.
+exhaustively on small domains, a block of words at a time.  It packs the
+words of one arity into one `bytes`, one letter per byte, and substitutes
+every word of one block into every word of another by strided column copies
+and `bytes.translate`, so a compared word holding a letter above 255 is
+refused.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -193,14 +196,6 @@ def letter_range(m: Monoid, letter_cap: int) -> range:
     return range(letter_cap + 1) if not m.is_finite else m.elements()
 
 
-def words_up_to(m: Monoid, max_arity: int, letter_cap: int = 3) -> list[Letters]:
-    alphabet = letter_range(m, letter_cap)
-    out: list[Letters] = []
-    for n in range(1, max_arity + 1):
-        out.extend(itertools.product(alphabet, repeat=n))
-    return out
-
-
 # the most checks `check_axioms` may make; N at arity 3 makes 6.3 * 10^6
 MAX_CHECKS = 10**7
 
@@ -237,218 +232,343 @@ def check_axioms(
     max_arities bounds the arities of the three operands (two for the laws
     that take two).  `subst` replaces the substitution under test, which lets
     a corrupted version be fed in to prove the checker catches it; it must be
-    a pure function of its arguments, taking and returning letter tuples.
+    a pure function of its arguments, taking and returning letter tuples,
+    and a result whose arity is not |x| + |y| - 1 raises `ValueError`.  It is
+    called once per distinct argument triple.
     More than `MAX_CHECKS` checks, or a compared word that may hold a letter
     above 255, are refused with `ValueError` before any substitution.
 
-    The words are packed as `bytes`, one letter per byte, and every
-    substitution goes through one row kernel (`_splice_rows`): w o_i v for
-    each v of a row is w[:i-1] + v.translate(T[w_i]) + w[i:], where T[a] is
-    a 256-byte table multiplying by a.  A `subst` is called on tuples and
-    its result packed.  Each law runs over every operand tuple in a fixed
-    loop order.  Its innermost loop is compared as one row of left sides
-    against one row of right sides, memoised by `_rows`.  Only a failing row
-    is scanned for its first failing index, so `checked` and the
-    counterexample, unpacked to tuples, are those of checking one tuple at a
-    time.
+    The words of each arity are packed into one block, one letter per byte
+    and one row per word, and every substitution goes through one all-pairs
+    kernel (`_kernel`): K(W, i, V) is the block of w o_i v over every row w
+    of W and v of V.  A law is checked a block of operand arities and slots
+    at a time, its two sides built through K and compared as two `bytes`.
+    Only a failing block is scanned row by row.  The laws run over the
+    operand tuples in a fixed loop order, outermost operand first, and
+    `checked` and the counterexample, unpacked to tuples, are those of
+    checking one tuple at a time in that order: the blocks of one arity of
+    the outermost operand are all checked before a failure is reported, and
+    the failure reported is the first of them in loop order.
     """
     count = axiom_check_count(m, max_arities, letter_cap)
     if count > MAX_CHECKS:
         raise ValueError(f"{count} axiom checks, over the cap of {MAX_CHECKS}")
     # a compared word holds products of up to three letters; over N, sums
-    top = letter_range(m, letter_cap)[-1] * (1 if m.is_finite else 3)
+    alphabet = letter_range(m, letter_cap)
+    top = alphabet[-1] * (1 if m.is_finite else 3)
     if top > 255:
         raise ValueError(
             f"letter {top} over {m.name} is above 255 and cannot be packed "
             "into an axiom-check word"
         )
-    xs, ys, zs = (tuple(map(bytes, words_up_to(m, a, letter_cap))) for a in max_arities)
-    splice_row = _splice_rows(m, top, subst)
-    row = _rows(splice_row)
+    blocks = _Blocks(alphabet, max(max_arities))
+    compose = _kernel(m, top, subst)
+    ax, ay, az = max_arities
     return [
-        _check_series(row, splice_row, xs, ys, zs),
-        _check_parallel(row, xs, ys, zs),
-        _check_unit(splice_row, bytes([m.unit]), xs),
-        _check_equivariance(row, xs, ys),
+        _check_series(compose, blocks, ax, ay, az),
+        _check_parallel(compose, blocks, ax, ay, az),
+        _check_unit(compose, blocks, bytes([m.unit]), ax),
+        _check_equivariance(compose, blocks, ax, ay),
     ]
 
 
-def _splice_rows(
-    m: Monoid, top: int, subst: Callable[[Letters, int, Letters], Letters] | None
-) -> Callable[[bytes, int, Sequence[bytes]], list[bytes]]:
-    """The row kernel (w, i, vs) -> [w o_i v for v in vs] on packed words
-    whose letters are at most `top`.
+Block = tuple[bytes, int]  # words of one arity, packed and joined; that arity
 
-    By default w o_i v is w[:i-1] + v.translate(T[w_i]) + w[i:], where T[a]
-    is a 256-byte table multiplying by a; each vs is translated once per
-    letter a.  A `subst` is called on tuples instead and its results packed.
+
+class _Blocks(dict):
+    """`self[n]` is the block of every word of arity n over the alphabet, in
+    lexicographic order; `self.size` is the number of letters."""
+
+    def __init__(self, alphabet: Sequence[int], max_arity: int) -> None:
+        super().__init__(
+            (n, (b"".join(map(bytes, itertools.product(alphabet, repeat=n))), n))
+            for n in range(1, max_arity + 1)
+        )
+        self.size = len(alphabet)
+
+    def before(self, n: int, weight: Callable[[int], int] = lambda n: 1) -> int:
+        """weight(|w|) summed over the words w of arity 1..n - 1."""
+        return sum(weight(k) * self.size**k for k in range(1, n))
+
+    def head(self, n: int, rows: int) -> Block:
+        """The first `rows` words of arity n."""
+        return self[n][0][: rows * n], n
+
+    def word(self, n: int, row: int) -> Letters:
+        return tuple(self[n][0][row * n : (row + 1) * n])
+
+
+def _kernel(
+    m: Monoid, top: int, subst: Callable[[Letters, int, Letters], Letters] | None
+) -> Callable[..., Block]:
+    """The all-pairs kernel K(W, i, V, by_v=False): the block of w o_i v
+    over every row w of W and v of V, whose letters are at most `top`, with
+    rows ordered by w and then v, or by v and then w when `by_v`.
+
+    It loops over the smaller of W and V.  For each w, V scaled by w_i is
+    V.translate(T[w_i]), where T[a] is a 256-byte table multiplying on the
+    left by a.  For each v, each letter b of v scales W's column i through a
+    table multiplying on the right by b.  Each column of the rows of one w,
+    or of one v, is laid by one strided assignment.  A `subst` is called on
+    tuples instead, and its results packed and memoised.
     """
     if subst is not None:
-        def splice_row(w: bytes, i: int, vs: Sequence[bytes]) -> list[bytes]:
-            x = tuple(w)
-            return [bytes(subst(x, i, tuple(v))) for v in vs]
+        @functools.cache
+        def packed(w: Letters, i: int, v: Letters) -> bytes:
+            got = subst(w, i, v)
+            if len(got) != len(w) + len(v) - 1:
+                raise ValueError(
+                    f"subst gave a word of arity {len(got)} for {w} o_{i} {v}, "
+                    f"not {len(w) + len(v) - 1}"
+                )
+            return bytes(got)
 
-        return splice_row
+        def compose(W: Block, i: int, V: Block, by_v: bool = False) -> Block:
+            (ws, n), (vs, r) = W, V
+            lefts = [tuple(ws[s : s + n]) for s in range(0, len(ws), n)]
+            rights = [tuple(vs[s : s + r]) for s in range(0, len(vs), r)]
+            if by_v:
+                out = [packed(w, i, v) for v in rights for w in lefts]
+            else:
+                out = [packed(w, i, v) for w in lefts for v in rights]
+            return b"".join(out), n + r - 1
+
+        return compose
 
     op = m.op
-    # T[a][b] is the product of a and b; entries past `top` are never read
-    tables = [bytes([op(a, b) & 255 for b in range(256)]) for a in range(top + 1)]
-    # scaled[(id(vs), a)] holds vs and each v of it multiplied by a
-    scaled: dict[tuple[int, int], tuple[Sequence[bytes], list[bytes]]] = {}
+    # left[a][b] and right[b][a] are the product of a and b; entries past
+    # `top` are never read
+    left = [bytes([op(a, b) & 255 for b in range(256)]) for a in range(top + 1)]
+    right = [bytes([op(a, b) & 255 for a in range(256)]) for b in range(top + 1)]
 
-    def splice_row(w: bytes, i: int, vs: Sequence[bytes]) -> list[bytes]:
-        a = w[i - 1]
-        entry = scaled.get((id(vs), a))
-        if entry is None:
-            t = tables[a]
-            entry = scaled[id(vs), a] = (vs, [v.translate(t) for v in vs])
-        head, tail = w[: i - 1], w[i:]
-        return [head + v + tail for v in entry[1]]
+    def compose(W: Block, i: int, V: Block, by_v: bool = False) -> Block:
+        (ws, n), (vs, r) = W, V
+        cw, cv = len(ws) // n, len(vs) // r
+        width = n + r - 1
+        out = bytearray(cw * cv * width)
+        # bytes from the row of (w, v) to those of the next w, and the next v
+        w_step, v_step = (width, cw * width) if by_v else (cv * width, width)
+        # the column of the result each letter of w but w_i lands in
+        kept = [(c, c if c < i - 1 else c + r - 1) for c in range(n) if c != i - 1]
+        if cw <= cv:
+            for s in range(cw):
+                w = ws[s * n : (s + 1) * n]
+                start = s * w_step
+                stop = start + cv * v_step
+                for c, at in kept:
+                    out[start + at : stop : v_step] = w[c : c + 1] * cv
+                scaled = vs.translate(left[w[i - 1]])
+                for q in range(r):
+                    out[start + i - 1 + q : stop : v_step] = scaled[q::r]
+        else:
+            columns = [ws[c::n] for c in range(n)]
+            slot = columns[i - 1]
+            for s in range(cv):
+                start = s * v_step
+                stop = start + cw * w_step
+                for c, at in kept:
+                    out[start + at : stop : w_step] = columns[c]
+                for q, b in enumerate(vs[s * r : (s + 1) * r]):
+                    out[start + i - 1 + q : stop : w_step] = slot.translate(right[b])
+        return out, width
 
-    return splice_row
-
-
-# Substitution results held in memoised rows before the memo is cleared;
-# N3 and N reach it at arity 3, and it bounds their memory.
-_MEMO_CAP = 1 << 15
-
-
-def _rows(splice_row: Callable[[bytes, int, Sequence[bytes]], list[bytes]]) -> Callable:
-    """The row kernel memoised: (w, i, vs) -> (w o_i v for v in vs) as a
-    tuple.  Rows are keyed by id(vs), and each entry holds its vs so that
-    the id cannot be reused while the entry lives."""
-    rows: dict[tuple[bytes, int, int], tuple[Sequence[bytes], tuple[bytes, ...]]] = {}
-    held = 0
-
-    def row(w: bytes, i: int, vs: Sequence[bytes]) -> tuple[bytes, ...]:
-        nonlocal held
-        key = (w, i, id(vs))
-        entry = rows.get(key)
-        if entry is None:
-            if held >= _MEMO_CAP:
-                rows.clear()
-                held = 0
-            held += len(vs)
-            entry = rows[key] = (vs, tuple(splice_row(w, i, vs)))
-        return entry[1]
-
-    return row
+    return compose
 
 
-def _failed(axiom: str, checked: int, *operands) -> AxiomReport:
-    """A failing report, with packed words given back as letter tuples."""
-    unpacked = tuple(tuple(v) if isinstance(v, bytes) else v for v in operands)
-    return AxiomReport(axiom, checked, unpacked)
+def _acted(block: Block, sigma: Perm) -> bytearray:
+    """Every row of the block acted on by sigma: a strided copy per column."""
+    joined, n = block
+    out = bytearray(len(joined))
+    for c, s in enumerate(sigma):
+        out[c::n] = joined[s - 1 :: n]
+    return out
 
 
-def _first_difference(lhs: tuple, rhs: tuple) -> int:
-    return next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+def _earliest(lhs: Block, rhs: bytes, inner: tuple[int, ...], weights: tuple[int, ...]):
+    """Of the rows where a block and the rows of `rhs` differ, the one first
+    in loop order.
+
+    A row's coordinates are the rows of its operands, outermost first, the
+    operands after the first having `inner` rows each.  Its offset in loop
+    order is the sum of each coordinate times its weight.  Gives (offset,
+    coordinates)."""
+    a, n = lhs
+    best = None
+    for t in range(len(a) // n):
+        if a[t * n : (t + 1) * n] != rhs[t * n : (t + 1) * n]:
+            coordinates = []
+            for count in reversed(inner):
+                t, c = divmod(t, count)
+                coordinates.append(c)
+            coordinates.append(t)
+            coordinates.reverse()
+            offset = sum(map(operator.mul, coordinates, weights))
+            if best is None or offset < best[0]:
+                best = offset, coordinates
+    return best
 
 
-def _check_series(row, splice_row, xs, ys, zs) -> AxiomReport:
-    # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a row over z
-    # the right side takes x o_i v once for each distinct v = y o_j z, and
-    # picks[(y, j)] holds the index into vs of each y o_j z in its row
-    index: dict[bytes, int] = {}
-    picks = {
-        (y, j): tuple([index.setdefault(v, len(index)) for v in row(y, j, zs)])
-        for y in ys for j in range(1, len(y) + 1)
+# Each law is checked one arity of its outermost operand at a time.  Once a
+# block fails at the p-th word of that operand, no failure past that word
+# comes first in loop order, so the later blocks of the arity are built
+# from its first p + 1 words alone.
+
+
+def _check_series(compose, blocks: _Blocks, ax: int, ay: int, az: int) -> AxiomReport:
+    # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a block per (|x|, i, |y|, j, |z|)
+    # with rows in (x, y, z) order; loop order x, i, y, j, z
+    size = blocks.size
+    per_j = blocks.before(az + 1)  # checks per (x, i, y, j)
+    per_i = blocks.before(ay + 1, lambda n: n) * per_j  # checks per (x, i)
+    yzs = {
+        (ny, j, nz): compose(blocks[ny], j, blocks[nz])
+        for ny in range(1, ay + 1) for j in range(1, ny + 1) for nz in range(1, az + 1)
     }
-    vs = tuple(index)
     checked = 0
-    for x in xs:
-        for i in range(1, len(x) + 1):
-            outer = splice_row(x, i, vs)
-            for y, xy in zip(ys, row(x, i, ys)):
-                for j in range(1, len(y) + 1):
-                    lhs = row(xy, i + j - 1, zs)
-                    rhs = tuple(map(outer.__getitem__, picks[(y, j)]))
-                    if lhs != rhs:
-                        k = _first_difference(lhs, rhs)
-                        return _failed(
-                            "series-associativity", checked + k + 1, x, i, y, j, zs[k]
+    for nx in range(1, ax + 1):
+        found, limit = [], size**nx
+        for i in range(1, nx + 1):
+            for ny in range(1, ay + 1):
+                xs = blocks.head(nx, limit)
+                xy = compose(xs, i, blocks[ny])
+                for j in range(1, ny + 1):
+                    for nz in range(1, az + 1):
+                        lhs = compose(xy, i + j - 1, blocks[nz])
+                        rhs = compose(xs, i, yzs[ny, j, nz])
+                        if lhs[0] == rhs[0]:
+                            continue
+                        offset, (p, q, u) = _earliest(
+                            lhs, rhs[0], (size**ny, size**nz), (nx * per_i, ny * per_j, 1)
                         )
-                    checked += len(zs)
+                        index = offset + blocks.before(nz) + (
+                            (blocks.before(nx, lambda n: n) + i - 1) * per_i
+                            + (blocks.before(ny, lambda n: n) + j - 1) * per_j
+                        )
+                        operands = (blocks.word(nx, p), i, blocks.word(ny, q), j, blocks.word(nz, u))
+                        found.append((index, operands))
+                        limit = p + 1
+        if found:
+            return _failed("series-associativity", found)
+        checked += nx * size**nx * per_i
     return AxiomReport("series-associativity", checked)
 
 
-def _check_parallel(row, xs, ys, zs) -> AxiomReport:
-    # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y  for i < j, a row over y
+def _check_parallel(compose, blocks: _Blocks, ax: int, ay: int, az: int) -> AxiomReport:
+    # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y for i < j, a block per
+    # (|x|, i, j, |y|, |z|) with rows in (y, x, z) order; loop order x, i, j, z, y
+    size = blocks.size
+    per_z = blocks.before(ay + 1)  # checks per (x, i, j, z)
+    per_ij = blocks.before(az + 1) * per_z  # checks per (x, i, j)
     checked = 0
-    for x in xs:
-        n = len(x)
-        for i in range(1, n):
-            xys = row(x, i, ys)
-            for j in range(i + 1, n + 1):
-                # column k holds (x o_i y_k) o_{j+|y_k|-1} z over every z
-                columns = [row(xy, j + len(y) - 1, zs) for xy, y in zip(xys, ys)]
-                for z, xz, lhs in zip(zs, row(x, j, zs), zip(*columns)):
-                    rhs = row(xz, i, ys)
-                    if lhs != rhs:
-                        k = _first_difference(lhs, rhs)
-                        return _failed(
-                            "parallel-associativity", checked + k + 1, x, i, ys[k], j, z
+    for nx in range(1, ax + 1):
+        found, limit = [], size**nx
+        for i in range(1, nx):
+            xs = blocks.head(nx, limit)
+            xzs = {
+                (j, nz): compose(xs, j, blocks[nz])
+                for j in range(i + 1, nx + 1) for nz in range(1, az + 1)
+            }
+            for ny in range(1, ay + 1):
+                ys = blocks[ny]
+                yx = compose(xs, i, ys, by_v=True)
+                for j in range(i + 1, nx + 1):
+                    for nz in range(1, az + 1):
+                        lhs = compose(yx, j + ny - 1, blocks[nz])
+                        rhs = compose(xzs[j, nz], i, ys, by_v=True)
+                        if lhs[0] == rhs[0]:
+                            continue
+                        offset, (q, p, u) = _earliest(
+                            lhs, rhs[0], (len(xs[0]) // nx, size**nz),
+                            (1, math.comb(nx, 2) * per_ij, per_z),
                         )
-                    checked += len(ys)
+                        # the pairs before (i, j) for one x
+                        pair = (i - 1) * nx - i * (i - 1) // 2 + j - i - 1
+                        index = offset + blocks.before(ny) + (
+                            (blocks.before(nx, lambda n: math.comb(n, 2)) + pair) * per_ij
+                            + blocks.before(nz) * per_z
+                        )
+                        operands = (blocks.word(nx, p), i, blocks.word(ny, q), j, blocks.word(nz, u))
+                        found.append((index, operands))
+                        limit = p + 1
+        if found:
+            return _failed("parallel-associativity", found)
+        checked += math.comb(nx, 2) * size**nx * per_ij
     return AxiomReport("parallel-associativity", checked)
 
 
-def _check_unit(splice_row, one: bytes, xs) -> AxiomReport:
-    ones = (one,)
+def _check_unit(compose, blocks: _Blocks, one: bytes, ax: int) -> AxiomReport:
+    # 1 o_1 x == x, then x o_i 1 == x for each i, a block per (|x|, side);
+    # loop order x, side
+    size = blocks.size
+    unit = (one, 1)
     checked = 0
-    for x, left in zip(xs, splice_row(one, 1, xs)):
-        checked += 1
-        if left != x:
-            return _failed("unit", checked, "left", x)
-        for i in range(1, len(x) + 1):
-            checked += 1
-            if splice_row(x, i, ones)[0] != x:
-                return _failed("unit", checked, "right", x, i)
+    for nx in range(1, ax + 1):
+        xs, found = blocks[nx], []
+        sides = [compose(unit, 1, xs)] + [compose(xs, i, unit) for i in range(1, nx + 1)]
+        for i, side in enumerate(sides):
+            if side[0] == xs[0]:
+                continue
+            offset, (p,) = _earliest(side, xs[0], (), (nx + 1,))
+            x = blocks.word(nx, p)
+            found.append((
+                blocks.before(nx, lambda n: n + 1) + offset + i,
+                ("right", x, i) if i else ("left", x),
+            ))
+        if found:
+            return _failed("unit", found)
+        checked += (nx + 1) * size**nx
     return AxiomReport("unit", checked)
 
 
-def _check_equivariance(row, xs, ys) -> AxiomReport:
-    # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a row over nu
-    # B_i(sigma, nu) keeps the letters outside the block of y in an order set
-    # by (sigma, i) alone and permutes the block by nu, so the right side is
-    # head + q + tail over the rearrangements q of the block
-
-    @functools.cache
-    def rearranged(w: bytes) -> tuple[bytes, ...]:
-        # w acted on by each permutation, in `all_perms` order
-        return tuple(bytes(permute(w, nu)) for nu in all_perms(len(w)))
-
-    @functools.cache
-    def layout(n: int, m: int) -> tuple[tuple[Perm, tuple], ...]:
-        # for each sigma of degree n and each slot i: the 0-based places in
-        # x o_{sigma_i} y of the letters outside the block, and its start
-        spots = []
-        for sigma in all_perms(n):
-            slots = []
-            for i, si in enumerate(sigma, start=1):
-                outside = [s - 1 if s < si else s + m - 2 for s in sigma]
-                del outside[i - 1]
-                slots.append((outside, si - 1))
-            spots.append((sigma, tuple(slots)))
-        return tuple(spots)
-
+def _check_equivariance(compose, blocks: _Blocks, ax: int, ay: int) -> AxiomReport:
+    # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a block per
+    # (|y|, |x|, sigma, i) with rows in (nu, y, x) order; loop order y, x,
+    # sigma, i, nu.  The right side is x o_{sigma_i} y, one block per slot,
+    # acted on by B_i(sigma, nu) for each nu.
+    size = blocks.size
+    per_y = blocks.before(ax + 1, _sigma_slots)  # checks per (y, nu)
     checked = 0
-    for k_y, y in enumerate(ys):
-        m = len(y)
-        nus = tuple(all_perms(m))
-        acted = rearranged(y)
-        for x in xs:
-            n = len(x)
-            plains = [row(x, p, ys)[k_y] for p in range(1, n + 1)]
-            blocks = [rearranged(plain[s : s + m]) for s, plain in enumerate(plains)]
-            for (sigma, slots), x_acted in zip(layout(n, m), rearranged(x)):
-                for i, (outside_at, s) in enumerate(slots, start=1):
-                    lhs = row(x_acted, i, acted)
-                    outside = bytes(map(plains[s].__getitem__, outside_at))
-                    head, tail = outside[: i - 1], outside[i - 1 :]
-                    rhs = tuple([head + q + tail for q in blocks[s]])
-                    if lhs != rhs:
-                        k = _first_difference(lhs, rhs)
-                        return _failed("equivariance", checked + k + 1, x, sigma, i, y, nus[k])
-                    checked += len(nus)
+    for ny in range(1, ay + 1):
+        found, limit = [], size**ny
+        nus = tuple(all_perms(ny))
+        for nx in range(1, ax + 1):
+            xs, rows = blocks[nx], None
+            for s, sigma in enumerate(all_perms(nx)):
+                if rows != limit:  # the first sigma, or a failure cut y short
+                    rows = limit
+                    ys = blocks.head(ny, rows)
+                    ys_acted = (b"".join(_acted(ys, nu) for nu in nus), ny)
+                    plains = [compose(xs, p, ys, by_v=True) for p in range(1, nx + 1)]
+                xs_acted = (_acted(xs, sigma), nx)
+                for i in range(1, nx + 1):
+                    lhs = compose(xs_acted, i, ys_acted, by_v=True)
+                    plain = plains[sigma[i - 1] - 1]
+                    rhs = b"".join(_acted(plain, block_substitute(sigma, i, nu)) for nu in nus)
+                    if lhs[0] == rhs:
+                        continue
+                    offset, (u, q, p) = _earliest(
+                        lhs, rhs, (rows, size**nx),
+                        (1, len(nus) * per_y, _sigma_slots(nx) * len(nus)),
+                    )
+                    index = offset + (
+                        blocks.before(ny, math.factorial) * per_y
+                        + (blocks.before(nx, _sigma_slots) + s * nx + i - 1) * len(nus)
+                    )
+                    operands = (blocks.word(nx, p), sigma, i, blocks.word(ny, q), nus[u])
+                    found.append((index, operands))
+                    limit = q + 1
+        if found:
+            return _failed("equivariance", found)
+        checked += size**ny * len(nus) * per_y
     return AxiomReport("equivariance", checked)
+
+
+def _sigma_slots(n: int) -> int:
+    """The pairs of a permutation sigma of degree n and a slot i."""
+    return math.factorial(n) * n
+
+
+def _failed(axiom: str, found: list[tuple[int, tuple]]) -> AxiomReport:
+    """The report of the failure first in loop order among (index, operands)."""
+    index, operands = min(found)
+    return AxiomReport(axiom, index + 1, operands)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import zlib
 
@@ -11,9 +13,9 @@ from opwords.words import (
     axiom_check_count,
     block_substitute,
     check_axioms,
+    letter_range,
     permute,
     splice,
-    words_up_to,
 )
 
 AXIOM_NAMES = {
@@ -68,6 +70,12 @@ def test_reports_render():
 
 # ---------------------------------------------------------------------------
 # the checker against a one-check-at-a-time reference
+
+
+def words_up_to(m, max_arity, letter_cap=3):
+    """Every word of arity 1..max_arity, by arity and then lexicographically."""
+    alphabet = letter_range(m, letter_cap)
+    return [w for n in range(1, max_arity + 1) for w in itertools.product(alphabet, repeat=n)]
 
 
 def reference_check_axioms(m, max_arities, letter_cap=3, subst=None):
@@ -198,11 +206,19 @@ def test_reports_match_reference_on_finite_monoids(m, arity):
     assert outcomes(check_axioms(m, bound)) == outcomes(reference_check_axioms(m, bound))
 
 
+@functools.cache
+def corrupted_reference(seed):
+    """The reference's outcomes on a corrupted case, computed once for the
+    two tests that compare with them."""
+    m, arities, subst = corrupted_case(seed)
+    return outcomes(reference_check_axioms(m, arities, 2, subst))
+
+
 @pytest.mark.parametrize("seed", CORRUPTED_SEEDS)
 def test_corrupted_reports_match_reference(seed):
     m, arities, subst = corrupted_case(seed)
     got = check_axioms(m, arities, letter_cap=2, subst=subst)
-    assert outcomes(got) == outcomes(reference_check_axioms(m, arities, 2, subst))
+    assert outcomes(got) == corrupted_reference(seed)
 
 
 def test_corrupted_set_fails_every_law():
@@ -215,32 +231,45 @@ def test_corrupted_set_fails_every_law():
     assert failed == AXIOM_NAMES
 
 
-def test_reports_match_reference_when_memos_are_cleared(monkeypatch):
-    monkeypatch.setattr(words, "_MEMO_CAP", 40)
-    recomputed = []
-    rows = words._rows
+# a law, a bound and two argument triples at which a substitution over N2 is
+# wrong; the first failure in loop order lies in a block laid after another
+# failing block of the same arity of the outermost operand, and in the
+# second case of a law at the same word of that operand as the other
+LATE_FIRST_FAILURES = (
+    ("series-associativity", (2, 2, 2), ((0, 1), 1, (0,)), ((0, 0), 1, (1, 0))),
+    ("series-associativity", (2, 2, 2), ((0, 0), 2, (0, 0, 1)), ((1, 0, 1), 2, (0, 1, 0))),
+    ("parallel-associativity", (3, 2, 2), ((1, 0, 0), 3, (1,)), ((0, 1), 2, (1,))),
+    ("parallel-associativity", (3, 2, 2), ((1, 0), 2, (1, 0)), ((1, 0, 0), 3, (0,))),
+    ("unit", (2, 2, 2), ((0, 0), 1, (0,)), ((0,), 1, (1, 0))),
+    ("equivariance", (2, 2, 2), ((0, 1), 2, (1, 1)), ((1, 0), 1, (0, 0))),
+    ("equivariance", (2, 2, 2), ((0, 1, 0), 1, (1, 0, 1)), ((0, 1), 1, (1,))),
+)
 
-    def watched_rows(subst):
-        # a row returned again as a new tuple was dropped by a clear
-        row, first = rows(subst), {}
 
-        def watched(w, i, vs):
-            got = row(w, i, vs)
-            if got is not first.setdefault((w, i, id(vs)), (vs, got))[1]:
-                recomputed.append((w, i))
-            return got
+def test_reports_match_reference_when_a_later_block_fails_first(monkeypatch):
+    laid = {}
+    failed = words._failed
 
-        return watched
+    def watched(axiom, found):
+        # the failures of one arity of the outermost operand, in laid order
+        laid[axiom] = list(found)
+        return failed(axiom, found)
 
-    monkeypatch.setattr(words, "_rows", watched_rows)
-    assert outcomes(check_axioms(cyclic(2), (3, 3, 3))) == outcomes(
-        reference_check_axioms(cyclic(2), (3, 3, 3))
-    )
+    monkeypatch.setattr(words, "_failed", watched)
+    m = cyclic(2)
+    for axiom, bound, *wrong in LATE_FIRST_FAILURES:
+
+        def subst(x, i, y, wrong=wrong):
+            r = splice(x, i, y, m.op)
+            return (1 - r[0],) + r[1:] if (x, i, y) in wrong else r
+
+        got = check_axioms(m, bound, subst=subst)
+        assert outcomes(got) == outcomes(reference_check_axioms(m, bound, subst=subst))
+        assert len(laid[axiom]) > 1 and laid[axiom][0] != min(laid[axiom]), axiom
     for seed in CORRUPTED_SEEDS:
         m, arities, subst = corrupted_case(seed)
         got = check_axioms(m, arities, letter_cap=2, subst=subst)
-        assert outcomes(got) == outcomes(reference_check_axioms(m, arities, 2, subst)), seed
-    assert recomputed
+        assert outcomes(got) == corrupted_reference(seed), seed
 
 
 @pytest.mark.parametrize("m", [cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name)
@@ -268,20 +297,45 @@ def test_check_count_over_naturals_and_past_the_cap():
 def test_packed_row_kernel_equals_splice(m):
     # over N with letter cap 3, a slot holds up to 6 and a result up to 9
     slot_letters, letters = (range(7), range(4)) if m == NATURALS else (m.elements(),) * 2
-    row = words._splice_rows(m, 9 if m == NATURALS else letters[-1], None)
+    compose = words._kernel(m, 9 if m == NATURALS else letters[-1], None)
     rng = random.Random(8)
 
-    def draw(alphabet, longest):
-        return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, longest)))
+    def draw(alphabet, n):
+        return tuple(rng.choice(alphabet) for _ in range(n))
 
-    rows = [tuple(draw(letters, 3) for _ in range(rng.randint(1, 5))) for _ in range(4)]
-    packed_rows = [tuple(map(bytes, vs)) for vs in rows]
+    loops = set()
     for _ in range(300):
-        x = draw(slot_letters, 4)
-        i = rng.randint(1, len(x))
-        k = rng.randrange(len(rows))
-        expected = [bytes(splice(x, i, v, m.op)) for v in rows[k]]
-        assert row(bytes(x), i, packed_rows[k]) == expected, (x, i, rows[k])
+        n, r = rng.randint(1, 4), rng.randint(1, 3)
+        i = rng.randint(1, n)
+        # the letter at slot i changes from row to row of W
+        ws = [draw(slot_letters, n)]
+        while len(ws) < rng.randint(1, 5):
+            w = draw(slot_letters, n)
+            if w[i - 1] != ws[-1][i - 1]:
+                ws.append(w)
+        vs = [draw(letters, r) for _ in range(rng.randint(1, 5))]
+        loops.add(len(ws) <= len(vs))  # the kernel loops over the smaller
+        packed_w, packed_v = (b"".join(map(bytes, ws)), n), (b"".join(map(bytes, vs)), r)
+        for by_v, pairs in (
+            (False, [(w, v) for w in ws for v in vs]),
+            (True, [(w, v) for v in vs for w in ws]),
+        ):
+            expected = b"".join(bytes(splice(w, i, v, m.op)) for w, v in pairs)
+            got = compose(packed_w, i, packed_v, by_v)
+            assert got == (expected, n + r - 1), (ws, i, vs, by_v)
+    assert loops == {True, False}
+
+
+def test_subst_of_the_wrong_arity_is_refused():
+    op = cyclic(2).op
+
+    def padded(x, i, y):
+        # one letter too many for one pair of arguments alone
+        r = splice(x, i, y, op)
+        return r + (0,) if y == (1, 1) else r
+
+    with pytest.raises(ValueError, match=r"arity 3 for \(0,\) o_1 \(1, 1\), not 2"):
+        check_axioms(cyclic(2), (2, 2, 2), subst=padded)
 
 
 def test_failing_reports_give_operands_as_tuples():

@@ -523,6 +523,17 @@ def test_negative_letter_cap_is_a_usage_error(capsys):
     assert "negative" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "3"])
+def test_letter_cap_over_a_finite_monoid_is_a_usage_error(capsys, cap):
+    code, out, err = run(
+        capsys, "check", "axioms", "--monoid", "N2", "--max-arity", "2", "--letter-cap", cap
+    )
+    assert code == 2 and out == ""
+    assert "--letter-cap" in err and "N2 is finite" in err
+    code, out, _ = run(capsys, "check", "axioms", "--monoid", "N", "--max-arity", "2", "--letter-cap", cap)
+    assert code == 0 and out.splitlines()[-1].startswith("pass")
+
+
 def test_letter_cap_past_a_packed_letter_is_a_usage_error(capsys):
     # over N a compared word holds sums of up to three letters: 3 * 85 = 255
     code, out, _ = run(

@@ -187,12 +187,11 @@ def assert_matches_all_pairs(gens, bound):
 
 @pytest.fixture
 def one_word_splices(monkeypatch):
-    """Every non-symmetric level of more than one word is spliced by columns,
-    one word per buffer, so every slice boundary is crossed; the unit's
-    level, each one-word frontier and every symmetric level are spliced word
-    by word."""
+    """Every non-symmetric level is spliced by columns, one word per buffer,
+    so every slice boundary is crossed; every symmetric level is spliced
+    word by word."""
     monkeypatch.setattr(generation, "_SPLICE_BYTES", 1)
-    monkeypatch.setattr(generation, "_SMALL_LEVEL", 1)
+    monkeypatch.setattr(generation, "_SMALL_LEVEL", 0)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -234,6 +233,15 @@ def test_one_word_column_splices_match_all_pairs_reference_at_the_top_byte(
     seed, one_word_splices
 ):
     assert_matches_all_pairs(*top_byte_generator_set(seed))
+
+
+def test_dias_closure_through_arity_100_equals_its_enumeration():
+    """From arity 80 on, a slice of a dias level would hold at most 20
+    words, so those levels are spliced word by word, as are the small levels
+    below arity 22; the levels between are spliced by columns."""
+    closure = closure_of("dias", 100)
+    for n in range(1, 101):
+        assert closure.arity_set(n) == set(fam.enumerate_dias(n)), n
 
 
 def test_column_splices_hold_one_slice_not_the_level():

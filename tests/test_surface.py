@@ -19,7 +19,6 @@ SRC = Path(opwords.__file__).resolve().parent
 
 # read by no library code, but checked against by the tests as references
 KEPT_AS_ORACLES = (
-    "words.block_substitute",
     "words.compose_perms",
     "words.inverse_perm",
     "words.identity_perm",
