@@ -8,7 +8,8 @@ exhaustively on small domains, a block of words at a time.  It packs the
 words of one arity into one `bytes`, one letter per byte, and substitutes
 every word of one block into every word of another by strided column copies
 and `bytes.translate`, so a compared word holding a letter above 255 is
-refused.
+refused.  Blocks only decide whether the laws hold; a failure is located by
+checking one operand tuple at a time through one memoised substitution.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -204,21 +204,34 @@ def axiom_check_count(
     m: Monoid, max_arities: tuple[int, int, int] = (3, 3, 3), letter_cap: int = 3
 ) -> int:
     """The checks `check_axioms` makes when every law holds, from the sizes
-    of its operand lists alone: series, parallel, unit and equivariance."""
+    of its operand lists alone: series, parallel, unit and equivariance.
+
+    The words are counted an arity at a time, and counting stops once the
+    count passes `MAX_CHECKS`, so the count is exact up to the cap and past
+    it only some number above the cap, however large the bounds.
+    """
     size = len(letter_range(m, letter_cap))
-
-    def over(bound: int, weight: Callable[[int], int] = lambda n: 1) -> int:
-        # weight(|w|) summed over the words w of arity 1..bound
-        return sum(weight(n) * size**n for n in range(1, bound + 1))
-
     ax, ay, az = max_arities
-    sx = over(ax, lambda n: n)
-    return (
-        sx * over(ay, lambda n: n) * over(az)
-        + over(ax, lambda n: math.comb(n, 2)) * over(ay) * over(az)
-        + over(ax) + sx
-        + over(ax, lambda n: math.factorial(n) * n) * over(ay, math.factorial)
-    )
+    # over the words w counted so far: the sums of |w|, C(|w|, 2), 1 and
+    # |w|! |w| over x; of |w|, 1 and |w|! over y; and of 1 over z
+    sx = cx = nx = fx = sy = ny = fy = nz = count = 0
+    for n in range(1, max(max_arities) + 1):
+        words = size**n
+        if n <= ax:
+            sx += n * words
+            cx += math.comb(n, 2) * words
+            nx += words
+            fx += math.factorial(n) * n * words
+        if n <= ay:
+            sy += n * words
+            ny += words
+            fy += math.factorial(n) * words
+        if n <= az:
+            nz += words
+        count = sx * sy * nz + cx * ny * nz + nx + sx + fx * fy
+        if count > MAX_CHECKS:
+            break
+    return count
 
 
 def check_axioms(
@@ -239,20 +252,20 @@ def check_axioms(
     above 255, are refused with `ValueError` before any substitution.
 
     The words of each arity are packed into one block, one letter per byte
-    and one row per word, and every substitution goes through one all-pairs
-    kernel (`_kernel`): K(W, i, V) is the block of w o_i v over every row w
-    of W and v of V.  A law is checked a block of operand arities and slots
-    at a time, its two sides built through K and compared as two `bytes`.
-    Only a failing block is scanned row by row.  The laws run over the
-    operand tuples in a fixed loop order, outermost operand first, and
-    `checked` and the counterexample, unpacked to tuples, are those of
-    checking one tuple at a time in that order: the blocks of one arity of
-    the outermost operand are all checked before a failure is reported, and
-    the failure reported is the first of them in loop order.
+    and one row per word, and every substitution of a block goes through one
+    all-pairs kernel (`_kernel`): K(W, i, V) is the block of w o_i v over
+    every row w of W and v of V.  Each law runs over its operand tuples in a
+    fixed loop order, outermost operand first, and is checked a group at a
+    time, one group per arity of the outermost operand.  A group is decided
+    a block of operand arities and slots at a time, its two sides built
+    through K and compared as two `bytes`.  The first group with a block
+    that differs is checked again one operand tuple at a time, in loop
+    order, so `checked` and the counterexample, as tuples, are those of
+    checking one tuple at a time from the start.  Blocks that differ where
+    no check of their group fails raise `RuntimeError`.
     """
-    count = axiom_check_count(m, max_arities, letter_cap)
-    if count > MAX_CHECKS:
-        raise ValueError(f"{count} axiom checks, over the cap of {MAX_CHECKS}")
+    if axiom_check_count(m, max_arities, letter_cap) > MAX_CHECKS:
+        raise ValueError(f"the axiom checks number over the cap of {MAX_CHECKS}")
     # a compared word holds products of up to three letters; over N, sums
     alphabet = letter_range(m, letter_cap)
     top = alphabet[-1] * (1 if m.is_finite else 3)
@@ -261,15 +274,39 @@ def check_axioms(
             f"letter {top} over {m.name} is above 255 and cannot be packed "
             "into an axiom-check word"
         )
+    sub = _substitution(m, subst)
+    compose = _kernel(m, top, None if subst is None else sub)
     blocks = _Blocks(alphabet, max(max_arities))
-    compose = _kernel(m, top, subst)
     ax, ay, az = max_arities
     return [
-        _check_series(compose, blocks, ax, ay, az),
-        _check_parallel(compose, blocks, ax, ay, az),
-        _check_unit(compose, blocks, bytes([m.unit]), ax),
-        _check_equivariance(compose, blocks, ax, ay),
+        _law("series-associativity", _series(compose, sub, blocks, ax, ay, az)),
+        _law("parallel-associativity", _parallel(compose, sub, blocks, ax, ay, az)),
+        _law("unit", _unit(compose, sub, blocks, (m.unit,), ax)),
+        _law("equivariance", _equivariance(compose, sub, blocks, ax, ay)),
     ]
+
+
+def _substitution(
+    m: Monoid, subst: Callable[[Letters, int, Letters], Letters] | None
+) -> Callable[[Letters, int, Letters], Letters]:
+    """`subst`, or splicing over m, memoised, with a result of the wrong
+    arity refused."""
+    op = m.op
+    if subst is None:
+        def subst(w: Letters, i: int, v: Letters) -> Letters:
+            return splice(w, i, v, op)
+
+    @functools.cache
+    def substitution(w: Letters, i: int, v: Letters) -> Letters:
+        got = tuple(subst(w, i, v))
+        if len(got) != len(w) + len(v) - 1:
+            raise ValueError(
+                f"subst gave a word of arity {len(got)} for {w} o_{i} {v}, "
+                f"not {len(w) + len(v) - 1}"
+            )
+        return got
+
+    return substitution
 
 
 Block = tuple[bytes, int]  # words of one arity, packed and joined; that arity
@@ -277,25 +314,17 @@ Block = tuple[bytes, int]  # words of one arity, packed and joined; that arity
 
 class _Blocks(dict):
     """`self[n]` is the block of every word of arity n over the alphabet, in
-    lexicographic order; `self.size` is the number of letters."""
+    lexicographic order, and `self.words[n]` those words as tuples."""
 
     def __init__(self, alphabet: Sequence[int], max_arity: int) -> None:
-        super().__init__(
-            (n, (b"".join(map(bytes, itertools.product(alphabet, repeat=n))), n))
-            for n in range(1, max_arity + 1)
-        )
-        self.size = len(alphabet)
+        self.words = {
+            n: list(itertools.product(alphabet, repeat=n)) for n in range(1, max_arity + 1)
+        }
+        super().__init__((n, (b"".join(map(bytes, ws)), n)) for n, ws in self.words.items())
 
-    def before(self, n: int, weight: Callable[[int], int] = lambda n: 1) -> int:
-        """weight(|w|) summed over the words w of arity 1..n - 1."""
-        return sum(weight(k) * self.size**k for k in range(1, n))
-
-    def head(self, n: int, rows: int) -> Block:
-        """The first `rows` words of arity n."""
-        return self[n][0][: rows * n], n
-
-    def word(self, n: int, row: int) -> Letters:
-        return tuple(self[n][0][row * n : (row + 1) * n])
+    def upto(self, n: int) -> list[Letters]:
+        """The words of arity 1..n, by arity and then lexicographically."""
+        return [w for k in range(1, n + 1) for w in self.words[k]]
 
 
 def _kernel(
@@ -310,27 +339,17 @@ def _kernel(
     left by a.  For each v, each letter b of v scales W's column i through a
     table multiplying on the right by b.  Each column of the rows of one w,
     or of one v, is laid by one strided assignment.  A `subst` is called on
-    tuples instead, and its results packed and memoised.
+    tuples instead, and its results packed.
     """
     if subst is not None:
-        @functools.cache
-        def packed(w: Letters, i: int, v: Letters) -> bytes:
-            got = subst(w, i, v)
-            if len(got) != len(w) + len(v) - 1:
-                raise ValueError(
-                    f"subst gave a word of arity {len(got)} for {w} o_{i} {v}, "
-                    f"not {len(w) + len(v) - 1}"
-                )
-            return bytes(got)
-
         def compose(W: Block, i: int, V: Block, by_v: bool = False) -> Block:
             (ws, n), (vs, r) = W, V
             lefts = [tuple(ws[s : s + n]) for s in range(0, len(ws), n)]
             rights = [tuple(vs[s : s + r]) for s in range(0, len(vs), r)]
             if by_v:
-                out = [packed(w, i, v) for v in rights for w in lefts]
+                out = [bytes(subst(w, i, v)) for v in rights for w in lefts]
             else:
-                out = [packed(w, i, v) for w in lefts for v in rights]
+                out = [bytes(subst(w, i, v)) for w in lefts for v in rights]
             return b"".join(out), n + r - 1
 
         return compose
@@ -384,191 +403,144 @@ def _acted(block: Block, sigma: Perm) -> bytearray:
     return out
 
 
-def _earliest(lhs: Block, rhs: bytes, inner: tuple[int, ...], weights: tuple[int, ...]):
-    """Of the rows where a block and the rows of `rhs` differ, the one first
-    in loop order.
-
-    A row's coordinates are the rows of its operands, outermost first, the
-    operands after the first having `inner` rows each.  Its offset in loop
-    order is the sum of each coordinate times its weight.  Gives (offset,
-    coordinates)."""
-    a, n = lhs
-    best = None
-    for t in range(len(a) // n):
-        if a[t * n : (t + 1) * n] != rhs[t * n : (t + 1) * n]:
-            coordinates = []
-            for count in reversed(inner):
-                t, c = divmod(t, count)
-                coordinates.append(c)
-            coordinates.append(t)
-            coordinates.reverse()
-            offset = sum(map(operator.mul, coordinates, weights))
-            if best is None or offset < best[0]:
-                best = offset, coordinates
-    return best
+def _law(axiom: str, groups: Iterable[tuple[int, Iterable, Iterable]]) -> AxiomReport:
+    """Check a law a group at a time.  Each group gives its number of
+    checks, its pairs of block sides and, lazily, its checks one at a time
+    as (operands, whether the law holds), all in loop order."""
+    checked = 0
+    for count, pairs, scan in groups:
+        if all(lhs == rhs for lhs, rhs in pairs):
+            checked += count
+            continue
+        for checked, (operands, holds) in enumerate(scan, start=checked + 1):
+            if not holds:
+                return AxiomReport(axiom, checked, operands)
+        raise RuntimeError(f"{axiom}: a block differs but none of its group's checks fails")
+    return AxiomReport(axiom, checked)
 
 
-# Each law is checked one arity of its outermost operand at a time.  Once a
-# block fails at the p-th word of that operand, no failure past that word
-# comes first in loop order, so the later blocks of the arity are built
-# from its first p + 1 words alone.
-
-
-def _check_series(compose, blocks: _Blocks, ax: int, ay: int, az: int) -> AxiomReport:
+def _series(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
     # (x o_i y) o_{i+j-1} z == x o_i (y o_j z), a block per (|x|, i, |y|, j, |z|)
     # with rows in (x, y, z) order; loop order x, i, y, j, z
-    size = blocks.size
-    per_j = blocks.before(az + 1)  # checks per (x, i, y, j)
-    per_i = blocks.before(ay + 1, lambda n: n) * per_j  # checks per (x, i)
+    ys, zs = blocks.upto(ay), blocks.upto(az)
     yzs = {
         (ny, j, nz): compose(blocks[ny], j, blocks[nz])
         for ny in range(1, ay + 1) for j in range(1, ny + 1) for nz in range(1, az + 1)
     }
-    checked = 0
-    for nx in range(1, ax + 1):
-        found, limit = [], size**nx
+
+    def pairs(nx: int):
+        xs = blocks[nx]
         for i in range(1, nx + 1):
             for ny in range(1, ay + 1):
-                xs = blocks.head(nx, limit)
                 xy = compose(xs, i, blocks[ny])
                 for j in range(1, ny + 1):
                     for nz in range(1, az + 1):
                         lhs = compose(xy, i + j - 1, blocks[nz])
-                        rhs = compose(xs, i, yzs[ny, j, nz])
-                        if lhs[0] == rhs[0]:
-                            continue
-                        offset, (p, q, u) = _earliest(
-                            lhs, rhs[0], (size**ny, size**nz), (nx * per_i, ny * per_j, 1)
-                        )
-                        index = offset + blocks.before(nz) + (
-                            (blocks.before(nx, lambda n: n) + i - 1) * per_i
-                            + (blocks.before(ny, lambda n: n) + j - 1) * per_j
-                        )
-                        operands = (blocks.word(nx, p), i, blocks.word(ny, q), j, blocks.word(nz, u))
-                        found.append((index, operands))
-                        limit = p + 1
-        if found:
-            return _failed("series-associativity", found)
-        checked += nx * size**nx * per_i
-    return AxiomReport("series-associativity", checked)
+                        yield lhs[0], compose(xs, i, yzs[ny, j, nz])[0]
+
+    def scan(nx: int):
+        for x in blocks.words[nx]:
+            for i in range(1, nx + 1):
+                for y in ys:
+                    xy = sub(x, i, y)
+                    for j in range(1, len(y) + 1):
+                        for z in zs:
+                            lhs = sub(xy, i + j - 1, z)
+                            yield (x, i, y, j, z), lhs == sub(x, i, sub(y, j, z))
+
+    for nx in range(1, ax + 1):
+        count = len(blocks.words[nx]) * nx * sum(map(len, ys)) * len(zs)
+        yield count, pairs(nx), scan(nx)
 
 
-def _check_parallel(compose, blocks: _Blocks, ax: int, ay: int, az: int) -> AxiomReport:
+def _parallel(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
     # (x o_i y) o_{j+|y|-1} z == (x o_j z) o_i y for i < j, a block per
     # (|x|, i, j, |y|, |z|) with rows in (y, x, z) order; loop order x, i, j, z, y
-    size = blocks.size
-    per_z = blocks.before(ay + 1)  # checks per (x, i, j, z)
-    per_ij = blocks.before(az + 1) * per_z  # checks per (x, i, j)
-    checked = 0
-    for nx in range(1, ax + 1):
-        found, limit = [], size**nx
+    ys, zs = blocks.upto(ay), blocks.upto(az)
+
+    def pairs(nx: int):
+        xs = blocks[nx]
+        xzs = {
+            (j, nz): compose(xs, j, blocks[nz])
+            for j in range(2, nx + 1) for nz in range(1, az + 1)
+        }
         for i in range(1, nx):
-            xs = blocks.head(nx, limit)
-            xzs = {
-                (j, nz): compose(xs, j, blocks[nz])
-                for j in range(i + 1, nx + 1) for nz in range(1, az + 1)
-            }
             for ny in range(1, ay + 1):
-                ys = blocks[ny]
-                yx = compose(xs, i, ys, by_v=True)
+                yx = compose(xs, i, blocks[ny], by_v=True)
                 for j in range(i + 1, nx + 1):
                     for nz in range(1, az + 1):
                         lhs = compose(yx, j + ny - 1, blocks[nz])
-                        rhs = compose(xzs[j, nz], i, ys, by_v=True)
-                        if lhs[0] == rhs[0]:
-                            continue
-                        offset, (q, p, u) = _earliest(
-                            lhs, rhs[0], (len(xs[0]) // nx, size**nz),
-                            (1, math.comb(nx, 2) * per_ij, per_z),
-                        )
-                        # the pairs before (i, j) for one x
-                        pair = (i - 1) * nx - i * (i - 1) // 2 + j - i - 1
-                        index = offset + blocks.before(ny) + (
-                            (blocks.before(nx, lambda n: math.comb(n, 2)) + pair) * per_ij
-                            + blocks.before(nz) * per_z
-                        )
-                        operands = (blocks.word(nx, p), i, blocks.word(ny, q), j, blocks.word(nz, u))
-                        found.append((index, operands))
-                        limit = p + 1
-        if found:
-            return _failed("parallel-associativity", found)
-        checked += math.comb(nx, 2) * size**nx * per_ij
-    return AxiomReport("parallel-associativity", checked)
+                        yield lhs[0], compose(xzs[j, nz], i, blocks[ny], by_v=True)[0]
+
+    def scan(nx: int):
+        for x in blocks.words[nx]:
+            for i in range(1, nx + 1):
+                for j in range(i + 1, nx + 1):
+                    for z in zs:
+                        xz = sub(x, j, z)
+                        for y in ys:
+                            lhs = sub(sub(x, i, y), j + len(y) - 1, z)
+                            yield (x, i, y, j, z), lhs == sub(xz, i, y)
+
+    for nx in range(1, ax + 1):
+        count = len(blocks.words[nx]) * math.comb(nx, 2) * len(ys) * len(zs)
+        yield count, pairs(nx), scan(nx)
 
 
-def _check_unit(compose, blocks: _Blocks, one: bytes, ax: int) -> AxiomReport:
+def _unit(compose, sub, blocks: _Blocks, one: Letters, ax: int):
     # 1 o_1 x == x, then x o_i 1 == x for each i, a block per (|x|, side);
     # loop order x, side
-    size = blocks.size
-    unit = (one, 1)
-    checked = 0
+    unit = (bytes(one), 1)
+
+    def pairs(nx: int):
+        xs = blocks[nx]
+        yield compose(unit, 1, xs)[0], xs[0]
+        for i in range(1, nx + 1):
+            yield compose(xs, i, unit)[0], xs[0]
+
+    def scan(nx: int):
+        for x in blocks.words[nx]:
+            yield ("left", x), sub(one, 1, x) == x
+            for i in range(1, nx + 1):
+                yield ("right", x, i), sub(x, i, one) == x
+
     for nx in range(1, ax + 1):
-        xs, found = blocks[nx], []
-        sides = [compose(unit, 1, xs)] + [compose(xs, i, unit) for i in range(1, nx + 1)]
-        for i, side in enumerate(sides):
-            if side[0] == xs[0]:
-                continue
-            offset, (p,) = _earliest(side, xs[0], (), (nx + 1,))
-            x = blocks.word(nx, p)
-            found.append((
-                blocks.before(nx, lambda n: n + 1) + offset + i,
-                ("right", x, i) if i else ("left", x),
-            ))
-        if found:
-            return _failed("unit", found)
-        checked += (nx + 1) * size**nx
-    return AxiomReport("unit", checked)
+        yield len(blocks.words[nx]) * (nx + 1), pairs(nx), scan(nx)
 
 
-def _check_equivariance(compose, blocks: _Blocks, ax: int, ay: int) -> AxiomReport:
+def _equivariance(compose, sub, blocks: _Blocks, ax: int, ay: int):
     # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a block per
     # (|y|, |x|, sigma, i) with rows in (nu, y, x) order; loop order y, x,
     # sigma, i, nu.  The right side is x o_{sigma_i} y, one block per slot,
     # acted on by B_i(sigma, nu) for each nu.
-    size = blocks.size
-    per_y = blocks.before(ax + 1, _sigma_slots)  # checks per (y, nu)
-    checked = 0
-    for ny in range(1, ay + 1):
-        found, limit = [], size**ny
-        nus = tuple(all_perms(ny))
+    xs = blocks.upto(ax)
+
+    def pairs(ny: int):
+        ys, nus = blocks[ny], tuple(all_perms(ny))
+        ys_acted = (b"".join(_acted(ys, nu) for nu in nus), ny)
         for nx in range(1, ax + 1):
-            xs, rows = blocks[nx], None
-            for s, sigma in enumerate(all_perms(nx)):
-                if rows != limit:  # the first sigma, or a failure cut y short
-                    rows = limit
-                    ys = blocks.head(ny, rows)
-                    ys_acted = (b"".join(_acted(ys, nu) for nu in nus), ny)
-                    plains = [compose(xs, p, ys, by_v=True) for p in range(1, nx + 1)]
-                xs_acted = (_acted(xs, sigma), nx)
+            plains = [compose(blocks[nx], p, ys, by_v=True) for p in range(1, nx + 1)]
+            for sigma in all_perms(nx):
+                xs_acted = (_acted(blocks[nx], sigma), nx)
                 for i in range(1, nx + 1):
                     lhs = compose(xs_acted, i, ys_acted, by_v=True)
                     plain = plains[sigma[i - 1] - 1]
-                    rhs = b"".join(_acted(plain, block_substitute(sigma, i, nu)) for nu in nus)
-                    if lhs[0] == rhs:
-                        continue
-                    offset, (u, q, p) = _earliest(
-                        lhs, rhs, (rows, size**nx),
-                        (1, len(nus) * per_y, _sigma_slots(nx) * len(nus)),
+                    yield lhs[0], b"".join(
+                        _acted(plain, block_substitute(sigma, i, nu)) for nu in nus
                     )
-                    index = offset + (
-                        blocks.before(ny, math.factorial) * per_y
-                        + (blocks.before(nx, _sigma_slots) + s * nx + i - 1) * len(nus)
-                    )
-                    operands = (blocks.word(nx, p), sigma, i, blocks.word(ny, q), nus[u])
-                    found.append((index, operands))
-                    limit = q + 1
-        if found:
-            return _failed("equivariance", found)
-        checked += size**ny * len(nus) * per_y
-    return AxiomReport("equivariance", checked)
 
+    def scan(ny: int):
+        nus = tuple(all_perms(ny))
+        for y in blocks.words[ny]:
+            for x in xs:
+                for sigma in all_perms(len(x)):
+                    for i in range(1, len(x) + 1):
+                        plain = sub(x, sigma[i - 1], y)
+                        for nu in nus:
+                            lhs = sub(permute(x, sigma), i, permute(y, nu))
+                            rhs = permute(plain, block_substitute(sigma, i, nu))
+                            yield (x, sigma, i, y, nu), lhs == rhs
 
-def _sigma_slots(n: int) -> int:
-    """The pairs of a permutation sigma of degree n and a slot i."""
-    return math.factorial(n) * n
-
-
-def _failed(axiom: str, found: list[tuple[int, tuple]]) -> AxiomReport:
-    """The report of the failure first in loop order among (index, operands)."""
-    index, operands = min(found)
-    return AxiomReport(axiom, index + 1, operands)
+    per_y = sum(math.factorial(len(x)) * len(x) for x in xs)  # checks per (y, nu)
+    for ny in range(1, ay + 1):
+        yield len(blocks.words[ny]) * math.factorial(ny) * per_y, pairs(ny), scan(ny)

@@ -247,15 +247,21 @@ LATE_FIRST_FAILURES = (
 
 
 def test_reports_match_reference_when_a_later_block_fails_first(monkeypatch):
-    laid = {}
-    failed = words._failed
+    groups_given = {}
+    law = words._law
 
-    def watched(axiom, found):
-        # the failures of one arity of the outermost operand, in laid order
-        laid[axiom] = list(found)
-        return failed(axiom, found)
+    def watched(axiom, groups):
+        # the checks of each group the law was given, up to the one it stopped in
+        counts = groups_given[axiom] = []
 
-    monkeypatch.setattr(words, "_failed", watched)
+        def counted():
+            for count, pairs, scan in groups:
+                counts.append(count)
+                yield count, pairs, scan
+
+        return law(axiom, counted())
+
+    monkeypatch.setattr(words, "_law", watched)
     m = cyclic(2)
     for axiom, bound, *wrong in LATE_FIRST_FAILURES:
 
@@ -265,11 +271,35 @@ def test_reports_match_reference_when_a_later_block_fails_first(monkeypatch):
 
         got = check_axioms(m, bound, subst=subst)
         assert outcomes(got) == outcomes(reference_check_axioms(m, bound, subst=subst))
-        assert len(laid[axiom]) > 1 and laid[axiom][0] != min(laid[axiom]), axiom
+        # the scan finds the failure in the group whose blocks differ
+        (report,) = [r for r in got if r.axiom == axiom]
+        counts = groups_given[axiom]
+        assert sum(counts[:-1]) < report.checked <= sum(counts), axiom
     for seed in CORRUPTED_SEEDS:
         m, arities, subst = corrupted_case(seed)
         got = check_axioms(m, arities, letter_cap=2, subst=subst)
         assert outcomes(got) == corrupted_reference(seed), seed
+
+
+def test_blocks_that_differ_where_no_check_fails_raise(monkeypatch):
+    # a kernel that lays one letter wrong where W is a single word, as the
+    # unit law's 1 o_1 x is; the substitution itself is right
+    kernel = words._kernel
+
+    def one_row_wrong(m, top, subst):
+        compose = kernel(m, top, subst)
+
+        def wrong(W, i, V, by_v=False):
+            out, width = compose(W, i, V, by_v)
+            if len(W[0]) == W[1]:
+                out[-1] ^= 1
+            return out, width
+
+        return wrong
+
+    monkeypatch.setattr(words, "_kernel", one_row_wrong)
+    with pytest.raises(RuntimeError, match="unit: a block differs"):
+        check_axioms(cyclic(2), (2, 2, 2))
 
 
 @pytest.mark.parametrize("m", [cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name)

@@ -515,6 +515,16 @@ def test_axiom_checks_over_the_cap_are_usage_errors(capsys, monkeypatch):
     assert "over the cap of 1000" in err
 
 
+@pytest.mark.parametrize("monoid, bound", [("N2", "10000"), ("N1", "1000000000")])
+def test_axiom_checks_at_a_huge_bound_are_refused_at_once(capsys, monoid, bound):
+    # the exact count at N2@1000 has over 4300 digits, and N1's words are one per arity
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "axioms", "--monoid", monoid, "--max-arity", bound)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "over the cap of 10000000" in err
+
+
 def test_negative_letter_cap_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, "check", "axioms", "--monoid", "N", "--max-arity", "2", "--letter-cap", "-1"

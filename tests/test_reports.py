@@ -43,6 +43,15 @@ def _groups() -> dict[str, list[list[str]]]:
         ]
     groups["gen-pw"] = [["gen", "--operad", "pw", "--max-arity", str(n)] for n in FULL]
     groups["functor"] = [["check", "functor", "--max-arity", str(n)] for n in (1, 3, 5)]
+    for monoid in ("N2", "N3", "B01"):
+        groups[f"axioms-{monoid}"] = [
+            ["check", "axioms", "--monoid", monoid, "--max-arity", str(n)] for n in (1, 2, 3)
+        ]
+    groups["axioms-N"] = [
+        ["check", "axioms", "--monoid", "N", "--max-arity", str(n), *cap]
+        for n in (1, 2, 3)
+        for cap in ([], ["--letter-cap", "0"], ["--letter-cap", "1"], ["--letter-cap", "2"])
+    ]
     for name in PRESETS:
         groups[f"relations-{name}"] = [["check", "relations", "--operad", name]]
         groups[f"presentation-{name}"] = [
@@ -70,8 +79,14 @@ def report_digest(runs: list[list[str]]) -> str:
 
 
 # as printed while the symmetric enumerators still expanded every orbit;
-# characterization-pw, dims-end and dims-pf since the cap counts sorted members
+# characterization-pw, dims-end and dims-pf since the cap counts sorted members;
+# the axiom groups as printed before a failing law was located by a scan of one
+# check at a time
 DIGESTS = {
+    "axioms-B01": "78a3189967a3e9a4c0220471b23deb01210d3f2923f4ba485e005b368dbf4ece",
+    "axioms-N": "1430f0e7f81129d1116ca8c174feff227a7c4cccaef4f2ab7c5d4c5226a9cacc",
+    "axioms-N2": "a3a6c8850dc30153d565e996176703bb3c3148a84d7a6985177052492a3a4918",
+    "axioms-N3": "fdedb94b883730c88afa39d0d45e9d12189e5ceee3fc8e7a78b4b1363b0969e6",
     "bijections-comp": "549aa52b28c25877c1c8259a07fd5883e2b5e4ebc616197e14aa1a74cefe0160",
     "bijections-da": "412697bcc018ded7745956f4d7350e1ed3729fe16ae5d483ddf707b9d3ed7c64",
     "bijections-dias": "db09d25abac61bef770986fe809da3c462931ae96eef0a49cfe2562c77f1decc",
