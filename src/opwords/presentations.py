@@ -15,10 +15,10 @@ the other at the root.  Since a rewrite below the root only moves a child
 within its class, the classes of arity n are the connected components of
 these root edges.  One pass up to an arity bound gives the class count of
 every arity below it, to compare with the dimensions of the operad the
-generators realize; it builds at most `MAX_NODES` nodes.  Each relation is
-compiled once per pass into a root matcher and a builder of the other side,
-so no arity walks the relation's terms again.  The schr relations reach
-arity 9 (103,049 classes) in about 5 s on a 2-vCPU Xeon.
+generators realize; it builds at most `MAX_NODES` nodes and `MAX_EDGES`
+edges.  Each edge comes from one assignment of classes to a relation's
+leaves, through one builder per side.  The schr relations reach arity 9
+(103,049 classes) in about 2 s on a 2-vCPU Xeon.
 
 `eval_term` works on raw letter tuples and checks the carrier once per term.
 """
@@ -28,7 +28,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping
 
 from .families import FAMILIES
@@ -57,7 +57,7 @@ __all__ = [
 
 
 class SizeError(ValueError):
-    """A congruence count would build more nodes than its guard allows."""
+    """A congruence count would build more nodes or edges than its guards allow."""
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,9 @@ def enumerate_terms(
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    """The compositions of n into k parts, in lexicographic order."""
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        yield tuple(map(operator.sub, cuts + (n,), (0,) + cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +346,10 @@ class _UnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
-
-# the most nodes a congruence count may build over all arities
+# the most nodes and root edges a congruence count may build over all arities
 MAX_NODES = 500_000
+MAX_EDGES = 2_000_000
 
 
 def congruence_class_count(
@@ -376,137 +369,132 @@ def congruence_class_counts(
     """Number of classes of terms of each arity 1..`max_arity` under the
     congruence the relations generate, from one pass over the arities.
 
-    Works arity by arity over nodes `(symbol, child class ids)`.  The nodes
-    of arity n are every symbol applied to a composition of n whose parts
-    are filled with the classes already found at smaller arities; the leaf
-    is class 0.  A union-find joins two nodes when one relation, in either
-    direction, applies at the root: a pattern leaf captures a child class,
-    an inner pattern node matches any node of its symbol in that child's
-    class, and the other side is built bottom-up from the captured classes.
+    Works arity by arity over nodes `(symbol, c1, ..., ck)`: a symbol applied
+    to a composition of n whose parts are filled with the class ids already
+    found at smaller arities; the leaf is class 0.  For each relation, each
+    composition of n into its leaves and each assignment of classes of those
+    arities to them, a union-find joins the nodes the two sides build from
+    it, each inner node of a side replaced by the class of the node it builds.
 
-    This is exact, with no orientation or confluence assumption.  A rewrite
-    below the root of a term moves a child only within its class, so the
-    term's node stays the same; a rewrite at the root is one of the edges;
-    and every edge lifts to a root rewrite of concrete terms once children
-    are chosen from their classes.  By induction on arity, the components
-    are the congruence classes.
+    This is exact, with no orientation or confluence assumption.  Give each
+    leaf a term of its class: the sides become terms one root rewrite apart
+    whose nodes are the two built nodes, and every root rewrite, in either
+    direction, arises so from the classes of the subterms its leaves capture.
+    A rewrite below the root keeps each child in its class, so the node stays
+    the same, and terms with one node are congruent child by child.  By
+    induction on arity, the components are the congruence classes.
 
-    At most `MAX_NODES` nodes are built over all arities; a `SizeError` is
-    raised before an arity whose nodes would exceed it.
+    Before each arity, its nodes and edges are counted from the class counts
+    below it; a `SizeError` is raised before an arity that would take the
+    nodes of all arities past `MAX_NODES` or their edges past `MAX_EDGES`.
     """
     _require_branching(symbols)
-    class_of: dict[tuple, int] = {}  # node -> class id, at smaller arities
-    members: dict[tuple[int, str], list[tuple]] = {}  # (class, symbol) -> child classes
-    # left to right is enough: a right-to-left match at a node T builds a
-    # node N whose inner nodes are members of their classes, so the left
-    # side matches at N through them and rebuilds T; that edge is found at N
-    rules: dict[str, list[tuple[Callable, Callable]]] = {}
-    for rel in relations:
-        _check_relation_term(rel.left, symbols)
-        _check_relation_term(rel.right, symbols)
-        if not rel.left.is_leaf:
-            rules.setdefault(rel.left.sym, []).append(
-                (_matcher(rel.left, members), _builder(rel.right, class_of))
-            )
     arities = {name: symbols[name].arity for name in sorted(symbols)}
-    classes: list[list[int]] = [[], [0]]  # class ids by arity
-    built = 0
+    class_of: dict[tuple, int] = {}  # node -> class id, at smaller arities
+    sides = []  # per relation: its leaf count and the builders of both sides
+    for rel in relations:
+        (leaf_count, uses, left), (_, right_uses, right) = _plan(rel.left), _plan(rel.right)
+        for sym, k in uses + right_uses:
+            if sym not in arities:
+                raise ValueError(f"relation uses unknown symbol {sym!r}")
+            if k != arities[sym]:
+                raise ValueError(f"{sym} has arity {arities[sym]}, got {k} children")
+        if not rel.left.is_leaf:
+            sides.append((leaf_count, _builder(left, class_of), _builder(right, class_of)))
+    leaf_counts = set(arities.values()) | {k for k, _, _ in sides}
+    classes = [range(0), range(1)]  # class ids by arity
+    built = edges = 0
     for n in range(2, max_arity + 1):
-        sizes = [len(ids) for ids in classes]
-        built += sum(
-            math.prod(sizes[p] for p in parts)
-            for k in arities.values()
-            for parts in _compositions(n, k)
-        )
+        # per leaf count: the class lists of each composition of n into it,
+        # and the number of ways to assign classes over all of them
+        pools = {
+            k: [[classes[p] for p in parts] for parts in _compositions(n, k)]
+            for k in leaf_counts
+        }
+        assignments = {k: sum(math.prod(map(len, pool)) for pool in pools[k]) for k in pools}
+        built += sum(assignments[k] for k in arities.values())
         if built > MAX_NODES:
             raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
-        nodes = [
-            (name, args)
-            for name, k in arities.items()
-            for parts in _compositions(n, k)
-            for args in itertools.product(*(classes[p] for p in parts))
-        ]
-        index = {nd: i for i, nd in enumerate(nodes)}
-        uf = _UnionFind(len(nodes))
-        for i, (name, args) in enumerate(nodes):
-            for match, build in rules.get(name, ()):
-                for slots in match(args):
-                    uf.union(i, index[build(slots)])
-        first = sum(len(ids) for ids in classes)
+        edges += sum(assignments[k] for k, _, _ in sides)
+        if edges > MAX_EDGES:
+            raise SizeError(f"{edges} edges through arity {n} exceed the {MAX_EDGES} guard")
+        index: dict[tuple, int] = {}
+        for name, k in arities.items():
+            head = (name,)
+            for pool in pools[k]:
+                nodes = map(head.__add__, itertools.product(*pool))
+                index.update(zip(nodes, itertools.count(len(index))))
+        uf = _UnionFind(len(index))
+        parent = uf.parent
+        node = index.__getitem__
+        for k, left, right in sides:
+            for pool in pools[k]:
+                for a, b in zip(map(node, left(pool)), map(node, right(pool))):
+                    # a union by path halving, inline: three calls an edge cost more
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a != b:
+                        parent[b] = a
+        first = classes[-1].stop
         roots: dict[int, int] = {}
-        for i, nd in enumerate(nodes):
-            cid = roots.setdefault(uf.find(i), first + len(roots))
-            class_of[nd] = cid
-            members.setdefault((cid, nd[0]), []).append(nd[1])
-        classes.append(list(roots.values()))
+        find = uf.find
+        for nd, i in index.items():
+            class_of[nd] = roots.setdefault(find(i), first + len(roots))
+        classes.append(range(first, first + len(roots)))
     return tuple(len(classes[n]) for n in range(1, max_arity + 1))
 
 
-def _check_relation_term(t: Term, symbols: Mapping[str, GeneratorSymbol]) -> None:
-    if t.is_leaf:
-        return
-    if t.sym not in symbols:
-        raise ValueError(f"relation uses unknown symbol {t.sym!r}")
-    if len(t.args) != symbols[t.sym].arity:
-        raise ValueError(
-            f"{t.sym} has arity {symbols[t.sym].arity}, got {len(t.args)} children"
-        )
-    for arg in t.args:
-        _check_relation_term(arg, symbols)
-
-
-def _matcher(
-    pattern: Term, members: Mapping[tuple[int, str], list[tuple]]
-) -> Callable[[tuple], list[tuple]]:
-    """Compile `pattern` into a function from the child classes of a node of
-    its symbol to the class tuples the pattern's leaves capture, left to
-    right, when its root sits on that node.  An inner pattern node matches
-    the nodes of its symbol that `members` holds in that child's class."""
-    kids = pattern.args
-    at = [j for j, sub in enumerate(kids) if not sub.is_leaf]
-    first = at[0] if at else len(kids)
-    # per inner child: its position, symbol, matcher (None when its children
-    # are all leaves, so that a member's child classes are its captures) and
-    # the end of the run of leaves after it
-    inner = []
-    for j, end in zip(at, at[1:] + [len(kids)]):
-        sub = kids[j]
-        flat = all(a.is_leaf for a in sub.args)
-        inner.append((j, sub.sym, None if flat else _matcher(sub, members), end))
-
-    def match(args: tuple) -> list[tuple]:
-        found = [args[:first]]
-        for j, sym, sub, end in inner:
-            below = members.get((args[j], sym))
-            if below is None:
-                return []
-            if sub is not None:
-                below = [slots for b in below for slots in sub(b)]
-            run = args[j + 1 : end]
-            found = [f + s + run for f in found for s in below]
-        return found
-
-    return match
-
-
-def _builder(pattern: Term, class_of: Mapping[tuple, int]) -> Callable[[tuple], tuple]:
-    """Compile `pattern` into a function from the classes its leaves hold,
-    left to right, to its node; inner nodes are replaced by their classes."""
+@lru_cache(maxsize=1024)
+def _plan(
+    pattern: Term,
+) -> tuple[int, tuple[tuple[str, int], ...], tuple[tuple[tuple, tuple[int, ...]], ...]]:
+    """A pattern compiled once per process, since at small arities compiling
+    it for every count would take longer than the count.  Gives its leaf
+    count; the symbol and child count of each inner node, parents first; and
+    per inner node, children first, its head `(symbol,)` and the positions of
+    its children's lists, where the leaves' lists come first, then one per
+    inner node."""
     leaves = itertools.count()
+    uses: list[tuple[str, int]] = []
+    steps: list[tuple[tuple, list[int]]] = []
 
-    def compile(p: Term) -> Callable[[tuple], tuple]:
-        sym = p.sym
-        kids = [next(leaves) if a.is_leaf else compile(a) for a in p.args]
-        inner = [k for k in kids if callable(k)]
-        # the classes of inner children are appended to the slots and read
-        # from the end; every symbol has arity >= 2, so `get` returns a tuple
-        ends = iter(range(-len(inner), 0))
-        get = operator.itemgetter(*[next(ends) if callable(k) else k for k in kids])
-        if not inner:  # the common inner node: its arguments are a run of slots
-            return lambda slots: (sym, get(slots))
-        return lambda slots: (sym, get(slots + tuple([class_of[b(slots)] for b in inner])))
+    def place(p: Term) -> int:
+        """A leaf's index, or minus the 1-based step of an inner node."""
+        if p.is_leaf:
+            return next(leaves)
+        uses.append((p.sym, len(p.args)))
+        kids = [place(a) for a in p.args]
+        steps.append(((p.sym,), kids))
+        return -len(steps)
 
-    return compile(pattern)
+    place(pattern)
+    leaf_count = next(leaves)
+    return leaf_count, tuple(uses), tuple(
+        (head, tuple(i if i >= 0 else leaf_count - 1 - i for i in kids)) for head, kids in steps
+    )
+
+
+def _builder(
+    steps: tuple[tuple[tuple, tuple[int, ...]], ...], class_of: Mapping[tuple, int]
+) -> Callable[[list[range]], Iterator[tuple]]:
+    """A function from one list of classes per leaf, left to right, to the
+    node `(symbol, c1, ..., ck)` the pattern of these `_plan` steps builds
+    from each leaf assignment, in lexicographic order of the assignments; an
+    inner node's class is looked up once per assignment of its own leaves."""
+    *inner, (head, get) = [(sym, operator.itemgetter(*kids)) for sym, kids in steps]
+
+    def build(pools: list[range]) -> Iterator[tuple]:
+        # an inner node holds a run of leaves, so each product over a node's
+        # children keeps the lexicographic order of the assignments
+        lists = list(pools)
+        for sym, kids in inner:
+            nodes = map(sym.__add__, itertools.product(*kids(lists)))
+            lists.append(list(map(class_of.__getitem__, nodes)))
+        return map(head.__add__, itertools.product(*get(lists)))
+
+    return build
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,10 @@ def axiom_check_count(
     # over the words w counted so far: the sums of |w|, C(|w|, 2), 1 and
     # |w|! |w| over x; of |w|, 1 and |w|! over y; and of 1 over z
     sx = cx = nx = fx = sy = ny = fy = nz = count = 0
-    for n in range(1, max(max_arities) + 1):
+    # past max(ax, ay) only z's sum moves, by size**n an arity; over one
+    # letter that is one an arity, so those arities are added at once
+    top = max(ax, ay) if size == 1 else max(max_arities)
+    for n in range(1, top + 1):
         words = size**n
         if n <= ax:
             sx += n * words
@@ -231,7 +234,7 @@ def axiom_check_count(
         count = sx * sy * nz + cx * ny * nz + nx + sx + fx * fy
         if count > MAX_CHECKS:
             break
-    return count
+    return count + (sx * sy + cx * ny) * max(az - top, 0)
 
 
 def check_axioms(

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import math
 import random
+import time
 import zlib
 
 import pytest
@@ -315,6 +317,44 @@ def test_check_count_over_naturals_and_past_the_cap():
     assert axiom_check_count(cyclic(9), (3, 3, 3)) > words.MAX_CHECKS
     with pytest.raises(ValueError, match="over the cap"):
         check_axioms(cyclic(2), (5, 5, 5))
+
+
+def count_by_arity(m, max_arities, letter_cap):
+    """`axiom_check_count` an arity at a time through the largest bound."""
+    size = len(letter_range(m, letter_cap))
+    ax, ay, az = max_arities
+    sx = cx = nx = fx = sy = ny = fy = nz = count = 0
+    for n in range(1, max(max_arities) + 1):
+        w = size**n
+        if n <= ax:
+            sx, cx, nx = sx + n * w, cx + n * (n - 1) // 2 * w, nx + w
+            fx += math.factorial(n) * n * w
+        if n <= ay:
+            sy, ny, fy = sy + n * w, ny + w, fy + math.factorial(n) * w
+        if n <= az:
+            nz += w
+        count = sx * sy * nz + cx * ny * nz + nx + sx + fx * fy
+        if count > words.MAX_CHECKS:
+            break
+    return count
+
+
+def test_check_count_with_unequal_bounds_equals_the_count_by_arity():
+    bounds = list(itertools.product(range(5), repeat=3))
+    bounds += [(ax, ay, az) for ax in (1, 2) for ay in (1, 3) for az in (50, 3000)]
+    for m, caps in ((cyclic(1), (3,)), (cyclic(2), (3,)), (BOOLEAN, (3,)), (NATURALS, (0, 1, 2))):
+        for cap in caps:
+            for b in bounds:
+                expected = count_by_arity(m, b, cap)
+                assert axiom_check_count(m, b, cap) == expected, (m.name, cap, b)
+
+
+def test_check_count_over_one_letter_does_not_loop_per_arity():
+    # x and y of arity 1 over one letter: z adds one check per arity
+    start = time.perf_counter()
+    assert axiom_check_count(cyclic(1), (1, 1, 10**6)) == 10**6 + 3
+    assert axiom_check_count(cyclic(1), (1, 1, 10**7)) == 10**7 + 3 > words.MAX_CHECKS
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

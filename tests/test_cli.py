@@ -325,6 +325,18 @@ def test_check_presentation_schr_at_arity_eight(capsys):
     assert payload["class_counts"][-1] == 20793
 
 
+def test_check_presentation_refuses_its_edges_before_building_them(capsys):
+    # dias has p classes at arity p: its nodes grow like n^3 and its root
+    # edges like n^5, 5 C(n+3, 6) through arity n; 2,375,100 through 26
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "presentation", "--operad", "dias", "--max-arity", "60"
+    )
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == "error: 2375100 edges through arity 26 exceed the 2000000 guard\n"
+
+
 def test_check_bijections(capsys):
     code, out, _ = run(
         capsys, "check", "bijections", "--operad", "prt", "--max-arity", "6"

@@ -191,6 +191,18 @@ def test_size_guard_counts_nodes_through_the_arity(monkeypatch):
         congruence_class_count(COMP.symbols, COMP.relations, 4)
 
 
+def test_edge_guard_counts_edges_through_the_arity(monkeypatch):
+    # each comp relation has one leaf assignment at arity 3 and six at arity 4
+    monkeypatch.setattr(presentations, "MAX_EDGES", 10)
+    assert congruence_class_count(COMP.symbols, COMP.relations, 3) == 4
+    with pytest.raises(SizeError, match="^28 edges through arity 4 exceed the 10 guard$"):
+        congruence_class_count(COMP.symbols, COMP.relations, 4)
+    # the nodes are counted first: at arity 4 both guards are crossed
+    monkeypatch.setattr(presentations, "MAX_NODES", 10)
+    with pytest.raises(SizeError, match="^34 nodes through arity 4"):
+        congruence_class_count(COMP.symbols, COMP.relations, 4)
+
+
 def reference_class_count(symbols, relations, arity):
     """Enumerate every term, rewrite it in both directions at every subterm,
     and count the components of the rewrite graph."""
@@ -242,6 +254,53 @@ def test_class_counts_match_term_rewriting_on_random_relations():
             assert got == expected, ([str(r) for r in relations], n)
             counts.append(got)
         assert congruence_class_counts(symbols, relations, 5) == tuple(counts)
+
+
+def side_by_side(t):
+    """Whether some node of t has two or more inner children."""
+    inner = [a for a in t.args if not a.is_leaf]
+    return len(inner) >= 2 or any(side_by_side(a) for a in inner)
+
+
+# each relation of a shaped presentation is drawn to have one of these shapes
+SHAPES = {
+    "nested inner nodes": lambda left, right: term_depth(left) >= 3,
+    "side-by-side inner nodes": lambda left, right: side_by_side(left),
+    "inner nodes on both sides": lambda left, right: min(map(term_depth, (left, right))) >= 2,
+    "equal sides": lambda left, right: left == right,
+}
+
+
+def shaped_presentation(rng):
+    """2-3 symbols of arity 2-3 and 1-4 relations of arity 3-5, each of a
+    named shape; `a` is binary, so that every shape fits in arity 4."""
+    names = "abc"[: rng.randint(2, 3)]
+    arities = {name: 2 if name == "a" else rng.randint(2, 3) for name in names}
+    symbols = {name: GeneratorSymbol(name, word(NATURALS, "0" * k)) for name, k in arities.items()}
+    relations, shapes = [], []
+    for _ in range(rng.randint(1, 4)):
+        shape = rng.choice(sorted(SHAPES))
+        while True:
+            pool = enumerate_terms(symbols, rng.randint(3, 5))
+            left = rng.choice(pool)
+            right = left if shape == "equal sides" else rng.choice(pool)
+            if SHAPES[shape](left, right):
+                break
+        relations.append(Relation(left, right))
+        shapes.append(shape)
+    return symbols, tuple(relations), shapes
+
+
+def test_class_counts_match_term_rewriting_on_shaped_relations():
+    rng = random.Random(1980)
+    seen = set()
+    for _ in range(30):
+        symbols, relations, shapes = shaped_presentation(rng)
+        expected = tuple(reference_class_count(symbols, relations, n) for n in range(1, 6))
+        got = congruence_class_counts(symbols, relations, 5)
+        assert got == expected, [str(r) for r in relations]
+        seen.update(shapes)
+    assert seen == set(SHAPES)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -310,6 +369,12 @@ def test_terms_need_symbols_of_arity_two():
 def test_relations_must_fit_the_symbols(text, message):
     with pytest.raises(ValueError, match=message):
         congruence_class_count(FCAT1.symbols, parse_relations(text), 3)
+
+
+def test_relation_symbols_need_their_children():
+    childless = (Relation(node("a"), node("b")),)
+    with pytest.raises(ValueError, match="a has arity 2, got 0 children"):
+        congruence_class_count(FCAT1.symbols, childless, 3)
 
 
 def test_preset_relations_are_parsed_once():

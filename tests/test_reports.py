@@ -57,6 +57,10 @@ def _groups() -> dict[str, list[list[str]]]:
         groups[f"presentation-{name}"] = [
             ["check", "presentation", "--operad", name, "--max-arity", "5"]
         ]
+        groups[f"presentation-deep-{name}"] = [
+            ["check", "presentation", "--operad", name, "--max-arity", str(n)]
+            for n in ((7, 8) if name == "schr" else (7,))
+        ]
     return groups
 
 
@@ -81,7 +85,8 @@ def report_digest(runs: list[list[str]]) -> str:
 # as printed while the symmetric enumerators still expanded every orbit;
 # characterization-pw, dims-end and dims-pf since the cap counts sorted members;
 # the axiom groups as printed before a failing law was located by a scan of one
-# check at a time
+# check at a time; the deep presentation groups as printed while the congruence
+# count still matched each relation's left side at the root of every node
 DIGESTS = {
     "axioms-B01": "78a3189967a3e9a4c0220471b23deb01210d3f2923f4ba485e005b368dbf4ece",
     "axioms-N": "1430f0e7f81129d1116ca8c174feff227a7c4cccaef4f2ab7c5d4c5226a9cacc",
@@ -135,6 +140,12 @@ DIGESTS = {
     "functor": "f1f8e4ce8a97aa3e01d051c7786c9dbb2af60b5dced38350796a68456d2987a5",
     "gen-pw": "c406833cd233736d7b6d6d6468553f0b944c50f7b3a26a484a6b9ad41a8e1601",
     "presentation-comp": "9614bb0d16eb18055f6454b6a83c82c5d3fb810a7a2fab0a72ab32d400b2d00d",
+    "presentation-deep-comp": "5f0c39858bddb94ddaf00ffe9aab93a5f0aeb3514ee0b8330e389a475dafdc15",
+    "presentation-deep-dias": "55ef7c7c9a28fcff925e6677f4b6546a51b76932d7f08db5f902aa3510966331",
+    "presentation-deep-fcat1": "119e5c713aa18d1d64b1f4aa715798973e691898d916298c3e4a8ddf38711cfc",
+    "presentation-deep-motz": "98d5f2ef465b6623918065e0a360c68f054b88b80fc1d7532989f374848dbab6",
+    "presentation-deep-prt": "909c06e2e3d5b3e9f5eb76162f5224e2bce7a9c4e20a8b1fa44225bbaea6ca36",
+    "presentation-deep-schr": "111e878f09e79e3098f61607b29658c0d7f49961e87e45bbcc5a04cc07c3b351",
     "presentation-dias": "ba22210f4a33a8c04769b7b822dc336cdcf6591dc77b470274c676088253a06f",
     "presentation-fcat1": "d0499a87e9007fc1dfbb64e4c455da78d0441abb1f4be366bc6e8ac7241ff2b9",
     "presentation-motz": "f09dc0a0a5bcde141749b384807ce8b63fc94e7daa004999b69e84b0a04ffafb",
