@@ -187,7 +187,7 @@ def cmd_check_characterization(args) -> RunReport:
 
 def cmd_check_relations(args) -> RunReport:
     report = RunReport(f"check relations --operad {args.operad}")
-    preset = _presentation(args.operad)
+    preset = PRESENTATIONS[args.operad]
     checks = verify_relations(preset.relations, preset.symbols)
     for check in checks:
         report.add(
@@ -203,13 +203,13 @@ def cmd_check_presentation(args) -> RunReport:
     report = RunReport(
         f"check presentation --operad {args.operad} --max-arity {args.max_arity}"
     )
-    preset = _presentation(args.operad)
+    preset = PRESENTATIONS[args.operad]
     checks = verify_relations(preset.relations, preset.symbols)
     bad = [c for c in checks if not c.ok]
     report.add(f"{len(checks)} relations hold in the target operad", ok=not bad)
-    family = fam.get_family(preset.family)
-    dims = family.closure(args.max_arity).dimensions()
+    # counted first, so a count over its guards is refused before any closure
     counts = congruence_class_counts(preset.symbols, preset.relations, args.max_arity)
+    dims = fam.get_family(preset.family).closure(args.max_arity).dimensions()
     report.data["class_counts"] = list(counts)
     report.data["dimensions"] = list(dims)
     sound = all(c >= d for c, d in zip(counts, dims))
@@ -293,15 +293,6 @@ def cmd_check_functor(args) -> RunReport:
     return report
 
 
-def _presentation(name: str):
-    try:
-        return PRESENTATIONS[name]
-    except KeyError:
-        raise UsageError(
-            f"no presentation preset {name!r}; choose from {sorted(PRESENTATIONS)}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -344,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     charac.set_defaults(func=cmd_check_characterization)
 
     rels = kinds.add_parser("relations", parents=[common])
-    rels.add_argument("--operad", required=True)
+    rels.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS))
     rels.set_defaults(func=cmd_check_relations)
 
     pres = kinds.add_parser("presentation", parents=[common])
-    pres.add_argument("--operad", required=True)
+    pres.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS))
     pres.add_argument("--max-arity", type=_arity, default=6)
     pres.set_defaults(func=cmd_check_presentation)
 

@@ -211,13 +211,20 @@ _CHUNK = 4096
 _DIGITS = tuple(bytes(ord(str(a).rjust(3, "\0")[d]) for a in range(256)) for d in range(3))
 
 
+# the most candidates a closure may splice over all its levels: fcat1@14's
+# 26,055,458 still close
+MAX_CLOSURE_CANDIDATES = 3 * 10**7
+
+
 def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     """Smallest family containing the unit and the generators, closed under
     substitution (and under letter permutation when symmetric), truncated to
     the arity bound.  A symmetric closure keeps one sorted word per orbit.
 
     Raises `ValueError` when a word of the closure would hold a letter above
-    255, which cannot be packed into `bytes`.
+    255, which cannot be packed into `bytes`, and before a splice would take
+    its candidates, one per source word, slot and generator (a sorted word's
+    arity bounds its slots), past `MAX_CLOSURE_CANDIDATES`.
     """
     m = gens.monoid
     gens.check_bound(max_arity)
@@ -235,19 +242,30 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     longer = [(r, _Scaled(m, same)) for r, same in by_length.items()]
     symmetric = gens.symmetric
     levels: dict[int, frozenset[bytes]] = {}
+    candidates = 0
+
+    def spliced(k: int, words: Collection[bytes], scaled: _Scaled) -> Iterable[bytes]:
+        """`_spliced` of words of arity k, once its candidates are counted."""
+        nonlocal candidates
+        candidates += k * len(words) * len(scaled.generators)
+        if candidates > MAX_CLOSURE_CANDIDATES:
+            raise ValueError(f"{candidates} candidates through arity {n} exceed "
+                             f"the {MAX_CLOSURE_CANDIDATES} guard")
+        return _spliced(words, scaled, symmetric)
+
     for n in range(1, max_arity + 1):
         if n == 1:
             level = frozenset([bytes([m.unit])])
         else:
             level = frozenset(
                 itertools.chain.from_iterable(
-                    [_spliced(levels[n - r + 1], row, symmetric) for r, row in longer if r <= n]
+                    [spliced(n - r + 1, levels[n - r + 1], row) for r, row in longer if r <= n]
                 )
             )
         if unary is not None:  # arity-1 generators close each level in itself
             grown, frontier = set(level), level
             while frontier:
-                frontier = set(_spliced(frontier, unary, symmetric))
+                frontier = set(spliced(n, frontier, unary))
                 frontier -= grown
                 grown |= frontier
             level = frozenset(grown)

@@ -149,13 +149,18 @@ def test_unknown_preset_is_usage_error(capsys):
 def test_unknown_bijections_operad_is_an_argparse_usage_error(capsys):
     # the same message as the other --operad commands, not a quoted KeyError
     errors = []
-    for command in (("dims",), ("check", "bijections")):
+    commands = (("dims",), ("check", "bijections"), ("check", "relations"),
+                ("check", "presentation"))
+    for command in commands:
         with pytest.raises(SystemExit) as exc:
             main([*command, "--operad", "zzz"])
         assert exc.value.code == 2
         errors.append(capsys.readouterr().err.splitlines()[-1])
     assert errors[1] == errors[0].replace("opwords dims:", "opwords check bijections:")
-    assert "argument --operad: invalid choice: 'zzz'" in errors[1]
+    # the presentation presets are fewer than the families, so only the
+    # start of their line is shared
+    for error in errors[1:]:
+        assert "argument --operad: invalid choice: 'zzz'" in error
 
 
 @pytest.mark.parametrize(
@@ -284,20 +289,36 @@ def test_check_presentation(capsys):
 
 
 def test_check_presentation_builds_each_arity_once(capsys, monkeypatch):
-    built = []
+    calls = []
 
-    class CountingUnionFind(presentations._UnionFind):
-        def __init__(self, size):
-            built.append(size)
-            super().__init__(size)
+    def counting(*args):
+        calls.append(args[-1])
+        return presentations.congruence_class_counts(*args)
 
-    monkeypatch.setattr(presentations, "_UnionFind", CountingUnionFind)
+    monkeypatch.setattr(cli, "congruence_class_counts", counting)
     code, _, _ = run(
         capsys, "check", "presentation", "--operad", "comp", "--max-arity", "6"
     )
     assert code == 0
-    # one union-find per arity 2..6; one call per arity would build 15
-    assert len(built) == 5
+    # one pass over arities 1..6, not one count per arity
+    assert calls == [6]
+
+
+def test_check_presentation_counts_before_building_a_closure(capsys, monkeypatch):
+    built = []
+    closure = Family.closure
+
+    def recording(self, max_arity):
+        built.append((self.name, max_arity))
+        return closure(self, max_arity)
+
+    monkeypatch.setattr(Family, "closure", recording)
+    code, out, err = run(
+        capsys, "check", "presentation", "--operad", "schr", "--max-arity", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: 2025663 nodes through arity 10 exceed the 500000 guard\n"
+    assert built == []
 
 
 def test_failing_asserted_presentation_shows_its_gap(capsys, monkeypatch):

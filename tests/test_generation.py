@@ -83,6 +83,41 @@ def test_arity_one_generators_over_finite_monoids():
     assert closure.dimensions() == (2, 0, 0)
 
 
+def test_closure_guard_refuses_a_level_before_laying_it(capsys, monkeypatch):
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 1000)
+    assert main(["dims", "--operad", "prt", "--max-arity", "5"]) == 0
+    capsys.readouterr()
+    assert main(["dims", "--operad", "prt", "--max-arity", "12"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "through arity" in out.err and "the 1000 guard" in out.err
+
+
+@pytest.mark.parametrize(
+    "monoid,generators",
+    [(cyclic(3), ((1,), (0, 1))), (cyclic(2), ((1,), (0, 1, 1), (1, 0))), (NATURALS, ((0, 1),))],
+)
+def test_closure_guard_counts_every_candidate(monkeypatch, monoid, generators):
+    """A non-symmetric closure's count is exactly the candidates it splices,
+    frontier passes included: it closes with the cap at that count and is
+    refused one below it."""
+    spliced = generation._spliced
+    laid = []
+
+    def counting(words, scaled, symmetric):
+        laid.append(len(list(spliced(words, scaled, symmetric))))
+        return spliced(words, scaled, symmetric)
+
+    gens = GeneratorSet(monoid, generators)
+    monkeypatch.setattr(generation, "_spliced", counting)
+    expected = generate_closure(gens, 6)
+    monkeypatch.setattr(generation, "_spliced", spliced)
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", sum(laid))
+    assert generate_closure(gens, 6) == expected
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", sum(laid) - 1)
+    with pytest.raises(ValueError, match=f"through arity 6 exceed the {sum(laid) - 1} guard"):
+        generate_closure(gens, 6)
+
+
 def test_generator_set_validation():
     with pytest.raises(ValueError):
         GeneratorSet(NATURALS, ())
