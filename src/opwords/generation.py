@@ -13,12 +13,13 @@ substitution, truncation included.
 A word is packed as `bytes`, one letter per byte, from the closure to the
 export, and `GradedFamily` keeps the packed words; tuples are built only
 where a caller asks for words.  Within one arity, `bytes` order is tuple
-order.  A level is spliced with the generators of one length by columns, at
-C level (`_lay`), in slices of its words that each lay at most
-`_SPLICE_BYTES`; a level of at most `_SMALL_LEVEL` words, or whose slices
-would hold at most that many, is spliced word by word.  A letter above 255
-cannot be packed, and is refused with `ValueError` exactly when a word of
-the closure would hold it.
+order.  A level is spliced with the generators of one length by columns,
+through the axiom checker's kernel (`words._kernel`), every slot of a slice
+in one call, in slices of its words that each lay at most `_SPLICE_BYTES`;
+a level of at most `_SMALL_LEVEL` words, or whose slices would hold at most
+that many, is spliced word by word.  A letter above 255 cannot be packed,
+and is refused with `ValueError` exactly when a word of the closure would
+hold it.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
@@ -49,10 +50,10 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, TextIO
+from typing import Callable, Collection, Iterable, Iterator, TextIO
 
 from .monoids import Monoid, Morphism
-from .words import Letters
+from .words import Letters, _kernel
 
 __all__ = [
     "GeneratorSet",
@@ -238,8 +239,9 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     for g in set(gens.generators):
         if g != (m.unit,):  # splicing the unit changes no word
             by_length.setdefault(len(g), []).append(g)
-    unary = _Scaled(m, by_length.pop(1)) if 1 in by_length else None
-    longer = [(r, _Scaled(m, same)) for r, same in by_length.items()]
+    compose = _kernel(m)  # one kernel, so one set of product tables
+    unary = _Scaled(m, by_length.pop(1), compose) if 1 in by_length else None
+    longer = [(r, _Scaled(m, same, compose)) for r, same in by_length.items()]
     symmetric = gens.symmetric
     levels: dict[int, frozenset[bytes]] = {}
     candidates = 0
@@ -277,12 +279,14 @@ class _Scaled(dict):
     """The generators of one length scaled by each letter: `self[a]` is each
     generator with every letter multiplied by a, packed, built when a level
     holding a is first spliced with them.  So a letter above 255 is refused
-    exactly when a word of the closure would hold it."""
+    exactly when a word of the closure would hold it.  `compose` is the
+    closure's column kernel (`words._kernel`)."""
 
-    def __init__(self, monoid: Monoid, generators: list[Letters]) -> None:
+    def __init__(self, monoid: Monoid, generators: list[Letters], compose: Callable) -> None:
         super().__init__()
         self.monoid = monoid
         self.generators = generators
+        self.compose = compose
 
     def __missing__(self, a: int) -> list[bytes]:
         op = self.monoid.op
@@ -300,8 +304,9 @@ class _Scaled(dict):
 
 # a source level of at most this many words, or whose slices would hold at
 # most this many, is spliced word by word: below it, laying columns costs
-# more in set-up than it saves (the two tie at 16 to 24 words on the 2-vCPU
-# x86-64 VM, CPython 3.11)
+# more in set-up than it saves (through `words._kernel`, the two tie at 16
+# to 24 words for fcat1, schr, motz and prt levels on the 2-vCPU x86-64 VM,
+# CPython 3.11)
 _SMALL_LEVEL = 20
 # the most bytes of candidate words one column splice lays at once; a larger
 # level is spliced in slices of its words
@@ -315,10 +320,12 @@ def _spliced(words: Collection[bytes], scaled: _Scaled, symmetric: bool) -> Iter
     and every generator g of `scaled`, all of one length r; sorted when
     symmetric.
 
-    Sorting costs more than columns save, so a symmetric word is spliced by
-    itself, once per distinct letter: where the block goes does not change
-    the sorted result.  So is each word of a small level, and of a level of
-    long words whose slices would be small.
+    A slice of the words is laid at every slot by one call of the column
+    kernel `scaled.compose`, once each of its letters is checked through
+    `scaled`.  Sorting costs more than columns save, so a symmetric word is
+    spliced by itself, once per distinct letter: where the block goes does
+    not change the sorted result.  So is each word of a small level, and of
+    a level of long words whose slices would be small.
     """
     if symmetric:
         return [
@@ -334,41 +341,20 @@ def _spliced(words: Collection[bytes], scaled: _Scaled, symmetric: bool) -> Iter
         n = m + len(row[0]) - 1
         step = max(1, _SPLICE_BYTES // (m * len(row) * n))  # the words of one slice
         if step > _SMALL_LEVEL:
+            # the generators scaled by the unit are the generators, packed
+            gens = (b"".join(scaled[scaled.monoid.unit]), len(row[0]))
+
+            def lay(joined: bytes) -> bytearray:
+                for a in _letters(joined):
+                    scaled[a]  # refuses a product above 255
+                return scaled.compose((joined, m), range(1, m + 1), gens, by_v=True)[0]
+
             unpack = struct.Struct(f"{n}s").iter_unpack
             return itertools.chain.from_iterable(
-                map(_FIRST, unpack(_lay(b"".join(words[start : start + step]), m, n, scaled)))
+                map(_FIRST, unpack(lay(b"".join(words[start : start + step]))))
                 for start in range(0, len(words), step)
             )
     return (x[:i] + b + x[i + 1 :] for x in words for i, a in enumerate(x) for b in scaled[a])
-
-
-def _lay(joined: bytes, m: int, n: int, scaled: _Scaled) -> bytearray:
-    """The candidates of `_spliced` from the joined words of arity m, as rows
-    of arity n in one buffer: a block of rows per slot and generator, laid
-    by one strided assignment per column.  A column is a strided slice of
-    the join, and the block of a generator letter is the column at the slot
-    through one 256-byte product table."""
-    # tables[g][t] sends a letter a to letter t of generator g scaled by a
-    tables = [[bytearray(256) for _ in block] for block in scaled[joined[0]]]
-    for a in _letters(joined):
-        for row, block in zip(tables, scaled[a]):
-            for table, b in zip(row, block):
-                table[a] = b
-    columns = [joined[j::m] for j in range(m)]
-    size = len(joined) // m * n
-    buf = bytearray(size * m * len(tables))
-    start = 0
-    for i, column in enumerate(columns):
-        for row in tables:
-            stop = start + size
-            for j in range(i):
-                buf[start + j : stop : n] = columns[j]
-            for t, table in enumerate(row, i):
-                buf[start + t : stop : n] = column.translate(table)
-            for j in range(i + 1, m):
-                buf[start + j + n - m : stop : n] = columns[j]
-            start = stop
-    return buf
 
 
 def _letters(joined: bytes) -> bytes:

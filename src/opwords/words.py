@@ -8,8 +8,9 @@ exhaustively on small domains, a block of words at a time.  It packs the
 words of one arity into one `bytes`, one letter per byte, and substitutes
 every word of one block into every word of another by strided column copies
 and `bytes.translate`, so a compared word holding a letter above 255 is
-refused.  Blocks only decide whether the laws hold; a failure is located by
-checking one operand tuple at a time through one memoised substitution.
+refused.  The closure lays its candidates through the same kernel
+(`_kernel`).  Blocks only decide whether the laws hold; a failure is located
+by checking one operand tuple at a time through one memoised substitution.
 """
 from __future__ import annotations
 
@@ -278,7 +279,7 @@ def check_axioms(
             "into an axiom-check word"
         )
     sub = _substitution(m, subst)
-    compose = _kernel(m, top, None if subst is None else sub)
+    compose = _kernel(m, None if subst is None else sub)
     blocks = _Blocks(alphabet, max(max_arities))
     ax, ay, az = max_arities
     return [
@@ -331,67 +332,79 @@ class _Blocks(dict):
 
 
 def _kernel(
-    m: Monoid, top: int, subst: Callable[[Letters, int, Letters], Letters] | None
+    m: Monoid, subst: Callable[[Letters, int, Letters], Letters] | None = None
 ) -> Callable[..., Block]:
-    """The all-pairs kernel K(W, i, V, by_v=False): the block of w o_i v
-    over every row w of W and v of V, whose letters are at most `top`, with
-    rows ordered by w and then v, or by v and then w when `by_v`.
+    """The all-pairs kernel K(W, slots, V, by_v=False): for each slot i of
+    `slots` in turn, the block of w o_i v over every row w of W and v of V,
+    with rows ordered by w and then v, or by v and then w when `by_v`.  A
+    product past 255 is kept mod 256, so callers refuse such letters first.
 
-    It loops over the smaller of W and V.  For each w, V scaled by w_i is
-    V.translate(T[w_i]), where T[a] is a 256-byte table multiplying on the
-    left by a.  For each v, each letter b of v scales W's column i through a
-    table multiplying on the right by b.  Each column of the rows of one w,
-    or of one v, is laid by one strided assignment.  A `subst` is called on
-    tuples instead, and its results packed.
+    For each slot it loops over the smaller of W and V; looping over V, it
+    slices W's columns once per call.  For each w, V scaled by w_i is V.translate(T[w_i]);
+    for each v, each letter b of v scales W's column i through T[b].  T[a] is
+    a 256-byte table multiplying by a, built when first read and kept for the
+    kernel's life; one table serves both sides, as the monoid commutes.  The
+    tables map the letters below some k, which doubles from 8 to at most 256
+    while a block laid through them holds a letter past it, so a table costs
+    about as many products as the letters it meets.  Each column of the rows
+    of one w, or of one v, is laid by one strided assignment.  A `subst` is
+    called on tuples instead, and its results packed.
     """
     if subst is not None:
-        def compose(W: Block, i: int, V: Block, by_v: bool = False) -> Block:
+        def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
             (ws, n), (vs, r) = W, V
             lefts = [tuple(ws[s : s + n]) for s in range(0, len(ws), n)]
             rights = [tuple(vs[s : s + r]) for s in range(0, len(vs), r)]
             if by_v:
-                out = [bytes(subst(w, i, v)) for v in rights for w in lefts]
+                pairs = [(w, v) for v in rights for w in lefts]
             else:
-                out = [bytes(subst(w, i, v)) for w in lefts for v in rights]
-            return b"".join(out), n + r - 1
+                pairs = [(w, v) for w in lefts for v in rights]
+            return b"".join(bytes(subst(w, i, v)) for i in slots for w, v in pairs), n + r - 1
 
         return compose
 
     op = m.op
-    # left[a][b] and right[b][a] are the product of a and b; entries past
-    # `top` are never read
-    left = [bytes([op(a, b) & 255 for b in range(256)]) for a in range(top + 1)]
-    right = [bytes([op(a, b) & 255 for a in range(256)]) for b in range(top + 1)]
+    covered = b""  # the letters below k, which every table maps
 
-    def compose(W: Block, i: int, V: Block, by_v: bool = False) -> Block:
+    @functools.cache
+    def T(a: int) -> bytes:
+        return bytes([op(a, b) & 255 for b in covered]).ljust(256, b"\0")
+
+    def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
+        nonlocal covered
         (ws, n), (vs, r) = W, V
         cw, cv = len(ws) // n, len(vs) // r
+        while (vs if cw <= cv else ws).translate(None, covered):  # a letter no table maps
+            covered = bytes(range(min(256, 2 * len(covered) or 8)))
+            T.cache_clear()
         width = n + r - 1
-        out = bytearray(cw * cv * width)
+        size = cw * cv * width
+        out = bytearray(size * len(slots))
         # bytes from the row of (w, v) to those of the next w, and the next v
         w_step, v_step = (width, cw * width) if by_v else (cv * width, width)
-        # the column of the result each letter of w but w_i lands in
-        kept = [(c, c if c < i - 1 else c + r - 1) for c in range(n) if c != i - 1]
-        if cw <= cv:
-            for s in range(cw):
-                w = ws[s * n : (s + 1) * n]
-                start = s * w_step
-                stop = start + cv * v_step
-                for c, at in kept:
-                    out[start + at : stop : v_step] = w[c : c + 1] * cv
-                scaled = vs.translate(left[w[i - 1]])
-                for q in range(r):
-                    out[start + i - 1 + q : stop : v_step] = scaled[q::r]
-        else:
-            columns = [ws[c::n] for c in range(n)]
-            slot = columns[i - 1]
-            for s in range(cv):
-                start = s * v_step
-                stop = start + cw * w_step
-                for c, at in kept:
-                    out[start + at : stop : w_step] = columns[c]
-                for q, b in enumerate(vs[s * r : (s + 1) * r]):
-                    out[start + i - 1 + q : stop : w_step] = slot.translate(right[b])
+        columns = [ws[c::n] for c in range(n)] if cw > cv else []  # read when looping over V
+        # letter c of w lands in column c of the result before the slot, c + r - 1 after
+        before, after = list(zip(range(n), range(n))), list(zip(range(n), range(r - 1, n + r - 1)))
+        for base, i in zip(itertools.count(0, size), slots):
+            kept = before[: i - 1] + after[i:]
+            if cw <= cv:
+                for s in range(cw):
+                    w = ws[s * n : (s + 1) * n]
+                    start = base + s * w_step
+                    stop = start + cv * v_step
+                    for c, at in kept:
+                        out[start + at : stop : v_step] = w[c : c + 1] * cv
+                    scaled = vs.translate(T(w[i - 1]))
+                    for q in range(r):
+                        out[start + i - 1 + q : stop : v_step] = scaled[q::r]
+            else:
+                for s in range(cv):
+                    start = base + s * v_step
+                    stop = start + cw * w_step
+                    for c, at in kept:
+                        out[start + at : stop : w_step] = columns[c]
+                    for at, b in enumerate(vs[s * r : (s + 1) * r], start + i - 1):
+                        out[at:stop:w_step] = columns[i - 1].translate(T(b))
         return out, width
 
     return compose
@@ -427,7 +440,7 @@ def _series(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
     # with rows in (x, y, z) order; loop order x, i, y, j, z
     ys, zs = blocks.upto(ay), blocks.upto(az)
     yzs = {
-        (ny, j, nz): compose(blocks[ny], j, blocks[nz])
+        (ny, j, nz): compose(blocks[ny], (j,), blocks[nz])
         for ny in range(1, ay + 1) for j in range(1, ny + 1) for nz in range(1, az + 1)
     }
 
@@ -435,11 +448,11 @@ def _series(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
         xs = blocks[nx]
         for i in range(1, nx + 1):
             for ny in range(1, ay + 1):
-                xy = compose(xs, i, blocks[ny])
+                xy = compose(xs, (i,), blocks[ny])
                 for j in range(1, ny + 1):
                     for nz in range(1, az + 1):
-                        lhs = compose(xy, i + j - 1, blocks[nz])
-                        yield lhs[0], compose(xs, i, yzs[ny, j, nz])[0]
+                        lhs = compose(xy, (i + j - 1,), blocks[nz])
+                        yield lhs[0], compose(xs, (i,), yzs[ny, j, nz])[0]
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -464,16 +477,16 @@ def _parallel(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
     def pairs(nx: int):
         xs = blocks[nx]
         xzs = {
-            (j, nz): compose(xs, j, blocks[nz])
+            (j, nz): compose(xs, (j,), blocks[nz])
             for j in range(2, nx + 1) for nz in range(1, az + 1)
         }
         for i in range(1, nx):
             for ny in range(1, ay + 1):
-                yx = compose(xs, i, blocks[ny], by_v=True)
+                yx = compose(xs, (i,), blocks[ny], by_v=True)
                 for j in range(i + 1, nx + 1):
                     for nz in range(1, az + 1):
-                        lhs = compose(yx, j + ny - 1, blocks[nz])
-                        yield lhs[0], compose(xzs[j, nz], i, blocks[ny], by_v=True)[0]
+                        lhs = compose(yx, (j + ny - 1,), blocks[nz])
+                        yield lhs[0], compose(xzs[j, nz], (i,), blocks[ny], by_v=True)[0]
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -497,9 +510,9 @@ def _unit(compose, sub, blocks: _Blocks, one: Letters, ax: int):
 
     def pairs(nx: int):
         xs = blocks[nx]
-        yield compose(unit, 1, xs)[0], xs[0]
+        yield compose(unit, (1,), xs)[0], xs[0]
         for i in range(1, nx + 1):
-            yield compose(xs, i, unit)[0], xs[0]
+            yield compose(xs, (i,), unit)[0], xs[0]
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -522,11 +535,11 @@ def _equivariance(compose, sub, blocks: _Blocks, ax: int, ay: int):
         ys, nus = blocks[ny], tuple(all_perms(ny))
         ys_acted = (b"".join(_acted(ys, nu) for nu in nus), ny)
         for nx in range(1, ax + 1):
-            plains = [compose(blocks[nx], p, ys, by_v=True) for p in range(1, nx + 1)]
+            plains = [compose(blocks[nx], (p,), ys, by_v=True) for p in range(1, nx + 1)]
             for sigma in all_perms(nx):
                 xs_acted = (_acted(blocks[nx], sigma), nx)
                 for i in range(1, nx + 1):
-                    lhs = compose(xs_acted, i, ys_acted, by_v=True)
+                    lhs = compose(xs_acted, (i,), ys_acted, by_v=True)
                     plain = plains[sigma[i - 1] - 1]
                     yield lhs[0], b"".join(
                         _acted(plain, block_substitute(sigma, i, nu)) for nu in nus

@@ -288,11 +288,11 @@ def test_blocks_that_differ_where_no_check_fails_raise(monkeypatch):
     # unit law's 1 o_1 x is; the substitution itself is right
     kernel = words._kernel
 
-    def one_row_wrong(m, top, subst):
-        compose = kernel(m, top, subst)
+    def one_row_wrong(m, subst):
+        compose = kernel(m, subst)
 
-        def wrong(W, i, V, by_v=False):
-            out, width = compose(W, i, V, by_v)
+        def wrong(W, slots, V, by_v=False):
+            out, width = compose(W, slots, V, by_v)
             if len(W[0]) == W[1]:
                 out[-1] ^= 1
             return out, width
@@ -362,37 +362,52 @@ def test_check_count_over_one_letter_does_not_loop_per_arity():
 
 
 @pytest.mark.parametrize(
-    "m", [NATURALS, cyclic(2), cyclic(3), BOOLEAN], ids=lambda m: m.name
+    "m", [NATURALS, cyclic(2), cyclic(3), BOOLEAN, cyclic(256)], ids=lambda m: m.name
 )
 def test_packed_row_kernel_equals_splice(m):
-    # over N with letter cap 3, a slot holds up to 6 and a result up to 9
-    slot_letters, letters = (range(7), range(4)) if m == NATURALS else (m.elements(),) * 2
-    compose = words._kernel(m, 9 if m == NATURALS else letters[-1], None)
+    # over N with letter cap 3, a slot holds up to 6 and a result up to 9;
+    # over N256 the letters 200..255 give products that wrap past a byte
+    if m == NATURALS:
+        slot_letters, letters = range(7), range(4)
+    elif m == cyclic(256):
+        slot_letters = letters = range(200, 256)
+    else:
+        slot_letters = letters = m.elements()
+    compose = words._kernel(m)
+    # the tuple branch, as a `subst` under test reaches it
+    through_tuples = words._kernel(m, lambda w, i, v: splice(w, i, v, m.op))
     rng = random.Random(8)
 
     def draw(alphabet, n):
         return tuple(rng.choice(alphabet) for _ in range(n))
 
     loops = set()
-    for _ in range(300):
+    for case in range(400):
         n, r = rng.randint(1, 4), rng.randint(1, 3)
-        i = rng.randint(1, n)
-        # the letter at slot i changes from row to row of W
+        # one slot, as the laws lay, or every slot in one call, as the
+        # closure lays a slice: over 20 words against 1 to 4 generators
+        if case % 2:
+            slots, rows, vrows = (rng.randint(1, n),), rng.randint(1, 5), rng.randint(1, 5)
+        else:
+            slots, rows, vrows = range(1, n + 1), rng.randint(21, 40), rng.randint(1, 4)
+        # the letter at the first slot changes from row to row of W
         ws = [draw(slot_letters, n)]
-        while len(ws) < rng.randint(1, 5):
+        while len(ws) < rows:
             w = draw(slot_letters, n)
-            if w[i - 1] != ws[-1][i - 1]:
+            if w[slots[0] - 1] != ws[-1][slots[0] - 1]:
                 ws.append(w)
-        vs = [draw(letters, r) for _ in range(rng.randint(1, 5))]
+        vs = [draw(letters, r) for _ in range(vrows)]
         loops.add(len(ws) <= len(vs))  # the kernel loops over the smaller
         packed_w, packed_v = (b"".join(map(bytes, ws)), n), (b"".join(map(bytes, vs)), r)
         for by_v, pairs in (
             (False, [(w, v) for w in ws for v in vs]),
             (True, [(w, v) for v in vs for w in ws]),
         ):
-            expected = b"".join(bytes(splice(w, i, v, m.op)) for w, v in pairs)
-            got = compose(packed_w, i, packed_v, by_v)
-            assert got == (expected, n + r - 1), (ws, i, vs, by_v)
+            expected = b"".join(
+                bytes(splice(w, i, v, m.op)) for i in slots for w, v in pairs
+            ), n + r - 1
+            assert compose(packed_w, slots, packed_v, by_v) == expected, (ws, slots, vs, by_v)
+            assert through_tuples(packed_w, slots, packed_v, by_v) == expected
     assert loops == {True, False}
 
 
