@@ -277,19 +277,12 @@ def cmd_check_functor(args) -> RunReport:
     closure = functools.cache(lambda name: fam.get_family(name).closure(args.max_arity))
     for source, target in arrows:
         theta = reduce_mod(fam.get_family(target).monoid.size)
-        image = quotient_image(closure(source), theta)
-        expected = closure(target)
-        ok = image.by_arity == expected.by_arity
+        verdict = equals_predicate(quotient_image(closure(source), theta), closure(target))
         line = (
             f"image of {source} mod {theta.target.size} equals {target} "
             f"up to arity {args.max_arity}"
         )
-        if not ok:
-            diff = sorted(
-                set(image.iter_all()) ^ set(expected.iter_all())
-            )
-            line += f"; first difference {format_letters(diff[0])}"
-        report.add(line, ok=ok)
+        report.add(line if verdict.ok else f"{line}; {verdict}", ok=verdict.ok)
     return report
 
 

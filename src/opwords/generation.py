@@ -174,14 +174,12 @@ class GradedFamily:
         control characters, so the head holds none.
         """
         arities = range(1, self.max_arity + 1)
-        # each chunk of words adds the letters it holds that are not yet
-        # seen: deleting the seen ones is one C-level pass over its bytes
+        # each chunk of words adds the letters it holds that are not yet seen
         seen = b""
         for n in arities:
             words = list(self.by_arity.get(n, ()))
             for start in range(0, len(words), _CHUNK):
-                joined = b"".join(words[start : start + _CHUNK])
-                seen += bytes(set(joined.translate(None, seen)))
+                seen += _letters(b"".join(words[start : start + _CHUNK]).translate(None, seen))
         for a in seen:
             self.monoid.check(a)
         digits = _DIGITS[-len(str(max(seen, default=0))) :]
@@ -464,7 +462,7 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
         )
     packed = [family.by_arity.get(n, ()) for n in range(1, family.max_arity + 1)]
     table = bytearray(256)
-    for a in set().union(*map(b"".join, packed)):
+    for a in _letters(b"".join(itertools.chain.from_iterable(packed))):
         b = theta(a)
         if b > 255:
             raise ValueError(

@@ -174,7 +174,7 @@ def lift_morphism(theta: Morphism, x: Word) -> Word:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Outcome of one exhaustively checked law."""
+    """Outcome of one exhaustively checked law; one with no checks is not shown as ok."""
 
     axiom: str
     checked: int
@@ -185,6 +185,8 @@ class AxiomReport:
         return self.counterexample is None
 
     def __str__(self) -> str:
+        if not self.checked:
+            return f"{self.axiom}: nothing to check at these arities"
         if self.ok:
             return f"{self.axiom}: ok ({self.checked} checks)"
         return f"{self.axiom}: FAILED at {self.counterexample!r}"
@@ -257,16 +259,18 @@ def check_axioms(
 
     The words of each arity are packed into one block, one letter per byte
     and one row per word, and every substitution of a block goes through one
-    all-pairs kernel (`_kernel`): K(W, i, V) is the block of w o_i v over
-    every row w of W and v of V.  Each law runs over its operand tuples in a
-    fixed loop order, outermost operand first, and is checked a group at a
-    time, one group per arity of the outermost operand.  A group is decided
-    a block of operand arities and slots at a time, its two sides built
-    through K and compared as two `bytes`.  The first group with a block
-    that differs is checked again one operand tuple at a time, in loop
-    order, so `checked` and the counterexample, as tuples, are those of
-    checking one tuple at a time from the start.  Blocks that differ where
-    no check of their group fails raise `RuntimeError`.
+    all-pairs kernel (`_kernel`): K(W, slots, V) is the block of w o_i v
+    over every slot i of `slots` and every row w of W and v of V.  Each law
+    runs over its operand tuples in a fixed loop order, outermost operand
+    first, and is checked a group at a time, one group per arity of the
+    outermost operand.  A group is decided a block of operand arities and
+    slots at a time, its two sides built through K and compared as two
+    `bytes`; each row of a block is one check, so a group whose blocks all
+    agree adds their rows to `checked`.  The first group with a block that
+    differs is checked again one operand tuple at a time, in loop order, so
+    `checked` and the counterexample, as tuples, are those of checking one
+    tuple at a time from the start.  Blocks that differ where no check of
+    their group fails raise `RuntimeError`.
     """
     if axiom_check_count(m, max_arities, letter_cap) > MAX_CHECKS:
         raise ValueError(f"the axiom checks number over the cap of {MAX_CHECKS}")
@@ -419,14 +423,20 @@ def _acted(block: Block, sigma: Perm) -> bytearray:
     return out
 
 
-def _law(axiom: str, groups: Iterable[tuple[int, Iterable, Iterable]]) -> AxiomReport:
-    """Check a law a group at a time.  Each group gives its number of
-    checks, its pairs of block sides and, lazily, its checks one at a time
-    as (operands, whether the law holds), all in loop order."""
+def _law(axiom: str, groups: Iterable[tuple[Iterable, Iterable]]) -> AxiomReport:
+    """Check a law a group at a time.  Each group gives its pairs of block
+    sides, each side a kernel block, and, lazily, its checks one at a time as
+    (operands, whether the law holds), in loop order.  A passing group adds
+    the rows its pairs compared to `checked`, one check a row."""
     checked = 0
-    for count, pairs, scan in groups:
-        if all(lhs == rhs for lhs, rhs in pairs):
-            checked += count
+    for pairs, scan in groups:
+        rows = 0
+        for lhs, rhs in pairs:
+            if lhs != rhs:
+                break
+            rows += len(lhs[0]) // lhs[1]
+        else:
+            checked += rows
             continue
         for checked, (operands, holds) in enumerate(scan, start=checked + 1):
             if not holds:
@@ -452,7 +462,7 @@ def _series(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
                 for j in range(1, ny + 1):
                     for nz in range(1, az + 1):
                         lhs = compose(xy, (i + j - 1,), blocks[nz])
-                        yield lhs[0], compose(xs, (i,), yzs[ny, j, nz])[0]
+                        yield lhs, compose(xs, (i,), yzs[ny, j, nz])
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -465,8 +475,7 @@ def _series(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
                             yield (x, i, y, j, z), lhs == sub(x, i, sub(y, j, z))
 
     for nx in range(1, ax + 1):
-        count = len(blocks.words[nx]) * nx * sum(map(len, ys)) * len(zs)
-        yield count, pairs(nx), scan(nx)
+        yield pairs(nx), scan(nx)
 
 
 def _parallel(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
@@ -486,7 +495,7 @@ def _parallel(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
                 for j in range(i + 1, nx + 1):
                     for nz in range(1, az + 1):
                         lhs = compose(yx, (j + ny - 1,), blocks[nz])
-                        yield lhs[0], compose(xzs[j, nz], (i,), blocks[ny], by_v=True)[0]
+                        yield lhs, compose(xzs[j, nz], (i,), blocks[ny], by_v=True)
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -499,20 +508,18 @@ def _parallel(compose, sub, blocks: _Blocks, ax: int, ay: int, az: int):
                             yield (x, i, y, j, z), lhs == sub(xz, i, y)
 
     for nx in range(1, ax + 1):
-        count = len(blocks.words[nx]) * math.comb(nx, 2) * len(ys) * len(zs)
-        yield count, pairs(nx), scan(nx)
+        yield pairs(nx), scan(nx)
 
 
 def _unit(compose, sub, blocks: _Blocks, one: Letters, ax: int):
-    # 1 o_1 x == x, then x o_i 1 == x for each i, a block per (|x|, side);
-    # loop order x, side
+    # 1 o_1 x == x, then x o_i 1 == x for each i, a block per (|x|, side)
+    # with the right side's rows in (i, x) order; loop order x, side
     unit = (bytes(one), 1)
 
     def pairs(nx: int):
         xs = blocks[nx]
-        yield compose(unit, (1,), xs)[0], xs[0]
-        for i in range(1, nx + 1):
-            yield compose(xs, (i,), unit)[0], xs[0]
+        yield compose(unit, (1,), xs), xs
+        yield compose(xs, range(1, nx + 1), unit), (xs[0] * nx, nx)
 
     def scan(nx: int):
         for x in blocks.words[nx]:
@@ -521,12 +528,12 @@ def _unit(compose, sub, blocks: _Blocks, one: Letters, ax: int):
                 yield ("right", x, i), sub(x, i, one) == x
 
     for nx in range(1, ax + 1):
-        yield len(blocks.words[nx]) * (nx + 1), pairs(nx), scan(nx)
+        yield pairs(nx), scan(nx)
 
 
 def _equivariance(compose, sub, blocks: _Blocks, ax: int, ay: int):
     # (x.sigma) o_i (y.nu) == (x o_{sigma_i} y) . B_i(sigma, nu), a block per
-    # (|y|, |x|, sigma, i) with rows in (nu, y, x) order; loop order y, x,
+    # (|y|, |x|, sigma) with rows in (i, nu, y, x) order; loop order y, x,
     # sigma, i, nu.  The right side is x o_{sigma_i} y, one block per slot,
     # acted on by B_i(sigma, nu) for each nu.
     xs = blocks.upto(ax)
@@ -538,12 +545,12 @@ def _equivariance(compose, sub, blocks: _Blocks, ax: int, ay: int):
             plains = [compose(blocks[nx], (p,), ys, by_v=True) for p in range(1, nx + 1)]
             for sigma in all_perms(nx):
                 xs_acted = (_acted(blocks[nx], sigma), nx)
-                for i in range(1, nx + 1):
-                    lhs = compose(xs_acted, (i,), ys_acted, by_v=True)
-                    plain = plains[sigma[i - 1] - 1]
-                    yield lhs[0], b"".join(
-                        _acted(plain, block_substitute(sigma, i, nu)) for nu in nus
-                    )
+                lhs = compose(xs_acted, range(1, nx + 1), ys_acted, by_v=True)
+                rhs = b"".join(
+                    _acted(plains[sigma[i - 1] - 1], block_substitute(sigma, i, nu))
+                    for i in range(1, nx + 1) for nu in nus
+                )
+                yield lhs, (rhs, lhs[1])
 
     def scan(ny: int):
         nus = tuple(all_perms(ny))
@@ -557,6 +564,5 @@ def _equivariance(compose, sub, blocks: _Blocks, ax: int, ay: int):
                             rhs = permute(plain, block_substitute(sigma, i, nu))
                             yield (x, sigma, i, y, nu), lhs == rhs
 
-    per_y = sum(math.factorial(len(x)) * len(x) for x in xs)  # checks per (y, nu)
     for ny in range(1, ay + 1):
-        yield len(blocks.words[ny]) * math.factorial(ny) * per_y, pairs(ny), scan(ny)
+        yield pairs(ny), scan(ny)

@@ -70,6 +70,15 @@ def test_reports_render():
     assert bad and "FAILED" in str(bad[0])
 
 
+def test_a_law_with_nothing_to_check_does_not_render_ok():
+    # parallel associativity needs a word of arity at least 2
+    reports = {r.axiom: r for r in check_axioms(cyclic(2), (1, 1, 1))}
+    parallel = reports.pop("parallel-associativity")
+    assert (parallel.ok, parallel.checked) == (True, 0)
+    assert str(parallel) == "parallel-associativity: nothing to check at these arities"
+    assert all(r.checked and str(r).endswith(f"ok ({r.checked} checks)") for r in reports.values())
+
+
 # ---------------------------------------------------------------------------
 # the checker against a one-check-at-a-time reference
 
@@ -257,26 +266,29 @@ def test_reports_match_reference_when_a_later_block_fails_first(monkeypatch):
         counts = groups_given[axiom] = []
 
         def counted():
-            for count, pairs, scan in groups:
-                counts.append(count)
-                yield count, pairs, scan
+            for pairs, scan in groups:
+                scan = list(scan)
+                counts.append(len(scan))
+                yield pairs, iter(scan)
 
         return law(axiom, counted())
 
-    monkeypatch.setattr(words, "_law", watched)
     m = cyclic(2)
-    for axiom, bound, *wrong in LATE_FIRST_FAILURES:
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "_law", watched)
+        for axiom, bound, *wrong in LATE_FIRST_FAILURES:
 
-        def subst(x, i, y, wrong=wrong):
-            r = splice(x, i, y, m.op)
-            return (1 - r[0],) + r[1:] if (x, i, y) in wrong else r
+            def subst(x, i, y, wrong=wrong):
+                r = splice(x, i, y, m.op)
+                return (1 - r[0],) + r[1:] if (x, i, y) in wrong else r
 
-        got = check_axioms(m, bound, subst=subst)
-        assert outcomes(got) == outcomes(reference_check_axioms(m, bound, subst=subst))
-        # the scan finds the failure in the group whose blocks differ
-        (report,) = [r for r in got if r.axiom == axiom]
-        counts = groups_given[axiom]
-        assert sum(counts[:-1]) < report.checked <= sum(counts), axiom
+            got = check_axioms(m, bound, subst=subst)
+            assert outcomes(got) == outcomes(reference_check_axioms(m, bound, subst=subst))
+            # the scan finds the failure in the group whose blocks differ
+            (report,) = [r for r in got if r.axiom == axiom]
+            counts = groups_given[axiom]
+            assert sum(counts[:-1]) < report.checked <= sum(counts), axiom
+    # listing every scan would compute each check, so the seeds run unwatched
     for seed in CORRUPTED_SEEDS:
         m, arities, subst = corrupted_case(seed)
         got = check_axioms(m, arities, letter_cap=2, subst=subst)

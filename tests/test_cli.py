@@ -380,6 +380,25 @@ def test_check_bijections(capsys):
     assert code == 2 and "object view" in err
 
 
+def test_check_bijections_reports_a_word_that_does_not_round_trip(capsys, monkeypatch):
+    family = fam.get_family("prt")
+    altered = family.to_object((0, 1, 1))
+
+    def from_object(view):
+        return (0, 1, 2) if view == altered else family.from_object(view)
+
+    monkeypatch.setitem(
+        fam.FAMILIES, "prt", dataclasses.replace(family, from_object=from_object)
+    )
+    code, out, _ = run(capsys, "check", "bijections", "--operad", "prt", "--max-arity", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[3] == "FAIL arity 3: 2 words round-trip; first failure 011"
+    assert lines[2].startswith("     arity 2: 1 words round-trip")
+    assert lines[4].startswith("     arity 4: 5 words round-trip")
+    assert lines[-1].startswith("FAIL (")
+
+
 def test_enumerations_over_the_candidate_cap_are_usage_errors(capsys, monkeypatch):
     """Under a cap of 100 sorted members, end passes arity 4 (35 members) and
     stops at 5 (126), pf at 6 (132) and pw at 8 (128); per builds one."""
@@ -686,6 +705,26 @@ def test_check_functor_lines(capsys):
         "     image of fcat2 mod 3 equals scomp up to arity 3",
         "     image of fcat1 mod 3 equals da up to arity 3",
     ]
+
+
+def test_check_functor_reports_the_first_arity_that_differs(capsys, monkeypatch):
+    reduce = cli.reduce_mod
+
+    def to_zero(modulus):
+        theta = reduce(modulus)
+        return dataclasses.replace(theta, map=lambda a: 0) if modulus == 2 else theta
+
+    monkeypatch.setattr(cli, "reduce_mod", to_zero)
+    code, out, _ = run(capsys, "check", "functor", "--max-arity", "3")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1:4] == [
+        "FAIL image of fcat1 mod 2 equals comp up to arity 3; mismatch at arity 2; "
+        "missing (0, 1)",
+        "     image of fcat2 mod 3 equals scomp up to arity 3",
+        "     image of fcat1 mod 3 equals da up to arity 3",
+    ]
+    assert lines[4].startswith("FAIL (")
 
 
 def test_check_functor_builds_each_closure_once(capsys, monkeypatch):

@@ -240,6 +240,20 @@ def test_full_enumerators_are_the_filtered_products(name):
         assert members == _filtered_product(n, member), (name, n)
 
 
+NON_SYMMETRIC = sorted(name for name, family in fam.FAMILIES.items() if not family.symmetric)
+
+
+@pytest.mark.parametrize("name", NON_SYMMETRIC)
+def test_predicates_accept_exactly_the_enumerated_words(name):
+    # every word on the letters 0..L+1, L the largest letter of any member
+    family = fam.get_family(name)
+    members = {n: set(family.enumerate_arity(n)) for n in range(1, 6)}
+    letters = range(max(map(max, itertools.chain(*members.values()))) + 2)
+    for n, want in members.items():
+        got = {w for w in itertools.product(letters, repeat=n) if family.contains(w)}
+        assert got == want, (name, n)
+
+
 # ---------------------------------------------------------------------------
 # per-family knowledge held on the Family records
 
