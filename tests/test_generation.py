@@ -317,6 +317,132 @@ def test_letters_above_255_are_refused_only_where_a_word_holds_them():
         generate_closure(gens, 4)
 
 
+# ---------------------------------------------------------------------------
+# closures kept across calls
+
+
+def fresh_closure(gens, bound):
+    """The closure computed with no kept level, leaving the kept ones as
+    they were."""
+    kept = generation._closures
+    generation._closures = {}
+    try:
+        return generate_closure(gens, bound)
+    finally:
+        generation._closures = kept
+
+
+def refusal(gens, bound):
+    with pytest.raises(ValueError) as refused:
+        generate_closure(gens, bound)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_kept_closure_equals_a_fresh_one(seed):
+    """Each set is asked at rising, falling and repeated bounds; every
+    answer, kept levels read or extended, equals a fresh closure."""
+    gens = random_generator_set(seed)
+    rng = random.Random(seed)
+    top = 4 if gens.symmetric else 5
+    rising = sorted(rng.sample(range(max(map(len, gens.generators)), top + 1), 2))
+    for bound in rising + [top, top] + rising[::-1] + [rng.randint(rising[0], top)]:
+        assert generate_closure(gens, bound) == fresh_closure(gens, bound), bound
+
+
+def kept_state(gens):
+    kept = generation._closures[gens]
+    return list(kept.blocks), list(kept.counts)
+
+
+def test_kept_closure_holds_one_joined_level_per_arity():
+    """A kept level n is one `bytes` of n bytes a word, never a set."""
+    cases = [
+        (fam.get_family("fcat1").generator_set(), 9),
+        (fam.get_family("pw").generator_set(), 6),
+        (GeneratorSet(cyclic(3), ((1,), (0, 1))), 5),
+    ]
+    for gens, bound in cases:
+        family = generate_closure(gens, bound)
+        generate_closure(gens, bound - 2)
+        blocks, _ = kept_state(gens)
+        assert len(blocks) == bound
+        for n, block in enumerate(blocks, 1):
+            assert type(block) is bytes and len(block) == n * len(family.by_arity[n])
+            assert frozenset(generation._unpacked(block, n)) == family.by_arity[n]
+
+
+# sha256 of each `gen --out` file, as written by a closure that kept nothing
+KEPT_EXPORT_DIGESTS = {
+    "fcat1@11": "9311516ac540881b358ea751746fccd667db99f746c65e525b00397c040816ee",
+    "schr@9": "fdc640397c68038211849b6c05cd93d2bd08100ea27a3aafd694f03e446e6e10",
+    "comp@14": "06a849ac82dc606b2405ded84150aada3e91f904a85bd45bd2a0d420dd7c1cac",
+    "pw@7": "adcabd2ff050a6afc6c6195668606ee08406f9588095606e2adf7ddc08091f87",
+    "motz@12": "bf848ff08a89839eed1820129328c8d6f514a6b4ef77c8babfea74d386448187",
+    "da@10": "8116f734b6ed6e08ad35a267baa30ccba25cd868a343346fc2aa3d0bd256c47f",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(KEPT_EXPORT_DIGESTS))
+def test_exports_from_kept_levels_are_pinned(spec, tmp_path, capsys):
+    """`gen --out` after a shallower request of the same set, and again
+    after it, writes the bytes a fresh closure wrote."""
+    operad, bound = spec.split("@")
+    assert main(["dims", "--operad", operad, "--max-arity", str(int(bound) - 3)]) == 0
+    for name in ("extended", "read"):
+        path = tmp_path / name
+        assert main(["gen", "--operad", operad, "--max-arity", bound, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == KEPT_EXPORT_DIGESTS[spec], name
+
+
+@pytest.mark.parametrize("cap", [1, 50, 400, 3000])
+def test_kept_closure_is_refused_by_the_guard_as_a_fresh_one(monkeypatch, cap):
+    """Read from kept levels, a closure is refused, message for message, at
+    the bounds where a fresh one is, and served at the others."""
+    gens = fam.get_family("schr").generator_set()
+    generate_closure(gens, 6)
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", cap)
+
+    def outcome(close, bound):
+        try:
+            return close(gens, bound)
+        except ValueError as refused:
+            return str(refused)
+
+    for bound in (6, 4, 2):
+        assert outcome(generate_closure, bound) == outcome(fresh_closure, bound), bound
+
+
+def test_refused_extension_keeps_the_kept_levels(monkeypatch, capsys):
+    gens = fam.get_family("prt").generator_set()
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 1000)
+    assert "1000 guard" in refusal(gens, 12)
+    assert generation._closures == {}  # a refused first closure keeps nothing
+    assert main(["dims", "--operad", "prt", "--max-arity", "5"]) == 0
+    before = kept_state(gens)
+    assert main(["dims", "--operad", "prt", "--max-arity", "12"]) == 2
+    assert kept_state(gens) == before
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 10**6)
+    assert generate_closure(gens, 12) == fresh_closure(gens, 12)
+
+
+def test_kept_closure_is_refused_a_letter_above_255_as_a_fresh_one():
+    gens = GeneratorSet(cyclic(300), ((0, 128),))
+    assert generate_closure(gens, 2).dimensions() == (1, 1)
+    message = refusal(gens, 3)
+    assert message.startswith("letter 256 over N300 ")
+    assert len(kept_state(gens)[0]) == 2
+    generation._closures.clear()
+    assert refusal(gens, 3) == message
+
+
+def test_refused_letter_is_the_least_refused_source_letter():
+    """Letters 100, 150 and 200 would each leave a product above 255; the
+    least is checked first, whatever the order of the level's words."""
+    gens = GeneratorSet(NATURALS, ((0, 100), (0, 150), (0, 200)))
+    assert refusal(gens, 3).startswith("letter 300 over N ")
+
+
 def test_contains_is_false_for_words_that_cannot_be_packed():
     closure = closure_of("fcat1", 4)
     assert closure.contains((0, 1))
