@@ -4,6 +4,12 @@ Paths are serialized as strings over "U", "D", "S" (up, down, stationary).
 A word maps to a k-Dyck path by reading its letters as the starting
 ordinates of the up steps; a word maps to a Motzkin path by reading its
 letters as the ordinates of the path's points.
+
+Each view reads its word or path once, left to right, and refuses a
+non-member at the first letter or step that breaks it: `NotAMemberError`
+for a path that dips below zero or a letter off the path, `ValueError` for
+a step other than U, D or S; a path that ends above zero, or a k-Dyck path
+with no up step, is refused at its end.
 """
 from __future__ import annotations
 
@@ -14,26 +20,20 @@ from ..words import Letters, NotAMemberError
 Steps = tuple[int, ...]  # entries in {-1, 0, 1}
 
 _STEP_CHARS = {1: "U", 0: "S", -1: "D"}
-_CHAR_STEPS = {"U": 1, "S": 0, "D": -1}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise NotAMemberError(message)
 
 
 def word_to_kdyck(letters: Letters, k: int) -> str:
-    """The k-Dyck path whose up steps start at the given ordinates."""
+    """The k-Dyck path whose up steps start at the given ordinates: the run
+    of down steps before each up step, and after the last, joined by U."""
     out: list[str] = []
     height = 0
     for pos, a in enumerate(letters):
         if not 0 <= a <= height:
             raise NotAMemberError(f"letter {a} at position {pos + 1} breaks the path")
         out.append("D" * (height - a))
-        out.append("U")
         height = a + k
     out.append("D" * height)
-    return "".join(out)
+    return "U".join(out)
 
 
 def kdyck_to_word(path: str, k: int) -> Letters:
@@ -46,18 +46,22 @@ def kdyck_to_word(path: str, k: int) -> Letters:
             height += k
         elif ch == "D":
             height -= 1
-            _require(height >= 0, "path dips below zero")
+            if height < 0:
+                raise NotAMemberError("path dips below zero")
         else:
             raise ValueError(f"bad k-Dyck step {ch!r}")
-    _require(height == 0, "path does not return to zero")
-    _require(bool(letters), "path has no up step")
+    if height != 0:
+        raise NotAMemberError("path does not return to zero")
+    if not letters:
+        raise NotAMemberError("path has no up step")
     return tuple(letters)
 
 
 def word_to_motzkin(letters: Letters) -> str:
     """The Motzkin path whose point ordinates read off the word; the path has
     one step fewer than the word has letters."""
-    _require(letters[0] == 0 and letters[-1] == 0, "ordinates must start and end at 0")
+    if letters[0] != 0 or letters[-1] != 0:
+        raise NotAMemberError("ordinates must start and end at 0")
     steps = []
     for pos, (a, b) in enumerate(zip(letters, letters[1:])):
         if abs(b - a) > 1:
@@ -69,13 +73,19 @@ def word_to_motzkin(letters: Letters) -> str:
 def motzkin_to_word(path: str) -> Letters:
     """Point ordinates of a Motzkin path; inverse of `word_to_motzkin`."""
     letters = [0]
+    height = 0
     for ch in path:
-        if ch not in _CHAR_STEPS:
+        if ch == "U":
+            height += 1
+        elif ch == "D":
+            height -= 1
+            if height < 0:
+                raise NotAMemberError("path dips below zero")
+        elif ch != "S":
             raise ValueError(f"bad Motzkin step {ch!r}")
-        nxt = letters[-1] + _CHAR_STEPS[ch]
-        _require(nxt >= 0, "path dips below zero")
-        letters.append(nxt)
-    _require(letters[-1] == 0, "path does not return to zero")
+        letters.append(height)
+    if height != 0:
+        raise NotAMemberError("path does not return to zero")
     return tuple(letters)
 
 

@@ -6,17 +6,23 @@ boxes form a ribbon running down and to the right.  Boxes are scanned from
 up to down and from left to right, which traverses the ribbon in order.
 A box is replaced by a whole diagram during substitution: by the diagram
 itself when the box is the upper box of its column, by its transpose
-otherwise.
+otherwise.  `ribbon_substitute` keeps the boxes of each diagram and of its
+transpose, in scan order, for the last `_DIAGRAMS` compositions it met.
 """
 from __future__ import annotations
 
-from collections import Counter
+import functools
+import itertools
+from operator import itemgetter
+from typing import Iterable
 
 from ..words import Letters, NotAMemberError, PositionError
 from .membership import is_comp_word
 
 Composition = tuple[int, ...]
 Box = tuple[int, int]  # (column, row); rows grow downward
+
+_DIAGRAMS = 1024  # compositions whose diagrams `ribbon_substitute` keeps
 
 
 def word_to_composition(letters: Letters) -> Composition:
@@ -56,9 +62,10 @@ def ribbon_boxes(parts: Composition) -> list[Box]:
     return boxes
 
 
-def boxes_to_composition(boxes: list[Box]) -> Composition:
-    heights = Counter(col for col, _ in boxes)
-    return tuple(heights[col] for col in sorted(heights))
+def boxes_to_composition(boxes: Iterable[Box]) -> Composition:
+    """Column heights of a diagram whose boxes come column by column, as in
+    scan order."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(boxes, itemgetter(0)))
 
 
 def transpose_boxes(boxes: list[Box]) -> list[Box]:
@@ -66,19 +73,29 @@ def transpose_boxes(boxes: list[Box]) -> list[Box]:
     return sorted((row, col) for col, row in boxes)
 
 
+@functools.lru_cache(maxsize=_DIAGRAMS)
+def _diagram(parts: Composition) -> tuple[list[Box], list[Box]]:
+    """The boxes of the ribbon diagram of `parts` and of its transpose, both
+    in scan order, kept for the last `_DIAGRAMS` compositions asked for and
+    shared by every caller, so read and never changed."""
+    boxes = ribbon_boxes(parts)
+    return boxes, transpose_boxes(boxes)
+
+
 def ribbon_substitute(c: Composition, i: int, d: Composition) -> Composition:
     """Replace the i-th box of c's ribbon diagram by the whole diagram of d,
     transposed unless the box is the upper box of its column; the rest of the
-    ribbon reattaches after the inserted diagram."""
-    c_boxes = ribbon_boxes(c)
+    ribbon reattaches after the inserted diagram.
+
+    The box above the i-th is in the ribbon exactly when it is the box before
+    it in scan order.  The result's boxes stay in scan order, so its column
+    heights are counted run by run."""
+    c_boxes = _diagram(tuple(c))[0]
     if not 1 <= i <= len(c_boxes):
         raise PositionError(f"position {i} not in 1..{len(c_boxes)}")
     target = c_boxes[i - 1]
-    upper = (target[0], target[1] - 1) not in set(c_boxes)
-
-    d_boxes = ribbon_boxes(d)
-    if not upper:
-        d_boxes = transpose_boxes(d_boxes)
+    upper = i == 1 or c_boxes[i - 2][0] != target[0]
+    d_boxes = _diagram(tuple(d))[0 if upper else 1]
 
     first, last = d_boxes[0], d_boxes[-1]
     place = (target[0] - first[0], target[1] - first[1])

@@ -4,11 +4,15 @@ sector-depth words.
 A tree is a nested tuple of its child subtrees; the single-node tree is ().
 Serialization is the balanced-parenthesis string of that structure with the
 root written as one enclosing pair.
+
+Each word costs one pass.  Both word-to-tree views read the word left to
+right over a stack of the open nodes' finished children, and close a node
+into its tuple once a later letter is no deeper; `tree_to_word` writes the
+depths in one preorder walk that makes no call for a leaf.
 """
 from __future__ import annotations
 
 from ..words import Letters, NotAMemberError, PositionError
-from .membership import is_prt_word
 
 Tree = tuple  # children are themselves trees
 
@@ -32,34 +36,43 @@ def tree_to_parens(tree: Tree) -> str:
 
 
 def tree_to_word(tree: Tree) -> Letters:
-    """Node depths in depth-first preorder."""
-    out: list[int] = []
+    """Node depths in depth-first preorder; a leaf is written without a call."""
+    out = [0]
+    append = out.append
 
     def walk(node: Tree, depth: int) -> None:
-        out.append(depth)
         for child in node:
-            walk(child, depth + 1)
+            append(depth)
+            if child:
+                walk(child, depth + 1)
 
-    walk(tree, 0)
+    walk(tree, 1)
     return tuple(out)
 
 
 def word_to_tree(letters: Letters) -> Tree:
-    """Rebuild the tree whose preorder depth word is given."""
-    if not is_prt_word(letters):
+    """Rebuild the tree whose preorder depth word is given, in one pass.
+
+    `stack[d]` holds the finished children of the open depth-d node.  A
+    letter d closes every open node at depth d or deeper into a tuple,
+    appended to its parent's children, and opens the new node; the end of the
+    word closes the rest.  Each letter is checked as it is read, so a
+    non-member is refused at its first letter that is not a preorder depth.
+    """
+    if letters[0] != 0:
         raise NotAMemberError(f"{letters} is not a preorder depth word")
-    root: list = []
-    path = [root]  # path[d] holds the children of the current depth-d node
+    stack: list[list] = [[]]
     for depth in letters[1:]:
-        child: list = []
-        path[depth - 1].append(child)
-        del path[depth:]
-        path.append(child)
-    return _freeze(root)
-
-
-def _freeze(node: list) -> Tree:
-    return tuple(_freeze(child) for child in node)
+        if not 0 < depth <= len(stack):
+            raise NotAMemberError(f"{letters} is not a preorder depth word")
+        while len(stack) > depth:
+            node = tuple(stack.pop())
+            stack[-1].append(node)
+        stack.append([])
+    node = tuple(stack.pop())
+    while stack:
+        node = (*stack.pop(), node)
+    return node
 
 
 def prt_graft(host: Tree, i: int, graft: Tree) -> Tree:
@@ -118,29 +131,65 @@ def schr_tree_to_word(tree: Tree) -> Letters:
 
 
 def schr_word_to_tree(letters: Letters) -> Tree:
-    """Rebuild the tree from its sector-depth word.
+    """Rebuild the tree from its sector-depth word, in one pass.
 
-    All occurrences of the minimum letter in a segment are the sectors of
-    that segment's root, so they split the segment into the child subtrees.
+    `stack[d]` holds the finished children of the open depth-d node, whose
+    next child is so far a leaf.  A letter a is a sector of the open depth-a
+    node: it first closes every deeper open node, each into a tuple appended
+    to its parent's children, or, when the stack is shallower, opens the
+    nodes down to depth a, those above it with no child finished yet.  A
+    node closed with one child is the root of a segment that misses its
+    depth, as is the whole word when its least letter is not 0.
     """
+    if not letters:
+        return ()
+    if min(letters) != 0 or max(letters) >= len(letters):  # too deep for its sectors
+        raise _missing_depth(letters)
+    stack: list[list] = [[]]
+    for a in letters:
+        node: Tree = ()
+        while len(stack) > a + 1:
+            children = stack.pop()
+            if not children:
+                raise _missing_depth(letters)
+            children.append(node)
+            node = tuple(children)
+        if a < len(stack):
+            stack[a].append(node)
+        else:
+            stack += [[] for _ in range(len(stack), a)]
+            stack.append([node])
+    node = ()
+    while stack:
+        children = stack.pop()
+        if not children:
+            raise _missing_depth(letters)
+        children.append(node)
+        node = tuple(children)
+    return node
 
-    def build(segment: Letters, depth: int) -> Tree:
-        if not segment:
-            return ()
-        if min(segment) != depth:
-            raise NotAMemberError(
-                f"{letters} is not a sector-depth word (segment {segment} "
-                f"misses depth {depth})"
-            )
-        children = []
-        part: list[int] = []
-        for a in segment:
-            if a == depth:
-                children.append(build(tuple(part), depth + 1))
-                part = []
-            else:
-                part.append(a)
-        children.append(build(tuple(part), depth + 1))
-        return tuple(children)
 
-    return build(tuple(letters), 0)
+def _missing_depth(letters: Letters) -> NotAMemberError:
+    """The refusal of a non-member, naming its first segment, in preorder,
+    that misses its depth."""
+    segment, depth = _first_gap(tuple(letters))
+    return NotAMemberError(
+        f"{letters} is not a sector-depth word (segment {segment} misses depth {depth})"
+    )
+
+
+def _first_gap(word: Letters) -> tuple[Letters, int]:
+    """The first segment of a non-member, in preorder, that misses its depth,
+    and that depth.  The root's segment is the whole word; below it, the
+    depth-d segments are the maximal runs of letters >= d, in preorder when
+    ordered by their start and then by depth."""
+    if min(word) != 0:
+        return word, 0
+    for p, a in enumerate(word):
+        for depth in range(word[p - 1] + 1 if p else 1, a + 1):  # those starting at p
+            end = p
+            while end < len(word) and word[end] >= depth:
+                end += 1
+            if depth not in word[p:end]:
+                return word[p:end], depth
+    raise ValueError(f"{word} is a sector-depth word")

@@ -128,9 +128,9 @@ class GradedFamily:
         if not self.symmetric or n == 1:
             yield sorted(words)
             return
-        for a in sorted(set(b"".join(words))):
+        for a in sorted(_letters_in(words)):
             rests = [w.replace(_BYTE[a], b"", 1) for w in words if a in w]
-            for b in sorted(set(b"".join(rests))):
+            for b in sorted(_letters_in(rests)):
                 prefix = bytes((a, b))
                 memo: dict[bytes, list[bytes]] = {}
                 run = []
@@ -187,12 +187,9 @@ class GradedFamily:
         control characters, so the head holds none.
         """
         arities = range(1, self.max_arity + 1)
-        # each chunk of words adds the letters it holds that are not yet seen
         seen = b""
         for n in arities:
-            words = list(self.by_arity.get(n, ()))
-            for start in range(0, len(words), _CHUNK):
-                seen += _letters(b"".join(words[start : start + _CHUNK]).translate(None, seen))
+            seen = _letters_in(self.by_arity.get(n, ()), seen)
         for a in seen:
             self.monoid.check(a)
         digits = _DIGITS[-len(str(max(seen, default=0))) :]
@@ -428,6 +425,17 @@ def _letters(joined: bytes) -> bytes:
     return found
 
 
+def _letters_in(words: Iterable[bytes], found: bytes = b"") -> bytes:
+    """`found`, then the distinct letters of the words that it lacks, found
+    `_CHUNK` words at a time: each chunk is joined and adds the letters it
+    holds that are not yet found.  Joined at once by `b"".join`, a level
+    would take a buffer view of about 80 bytes a word."""
+    words = iter(words)
+    while chunk := b"".join(itertools.islice(words, _CHUNK)):
+        found += _letters(chunk.translate(None, found))
+    return found
+
+
 def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
     """The distinct rearrangements of the sorted word `w`.
 
@@ -513,7 +521,9 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
     """Letterwise image of every word under a monoid morphism, deduplicated.
 
     Each distinct letter of the family goes through `theta`, and so through
-    its carrier check, once; the words are mapped through one
+    its carrier check, once and in increasing order, so a refusal names the
+    least letter refused; the letters are found a chunk of words at a time
+    (`_letters_in`), and the words are mapped through one
     `bytes.translate` table.  An image letter above 255 cannot be packed and
     is refused with `ValueError`.  The image of an orbit is an orbit, but a
     morphism such as mod 2 need not keep a word sorted, so a symmetric
@@ -525,7 +535,7 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
         )
     packed = [family.by_arity.get(n, ()) for n in range(1, family.max_arity + 1)]
     table = bytearray(256)
-    for a in _letters(b"".join(itertools.chain.from_iterable(packed))):
+    for a in sorted(_letters_in(itertools.chain.from_iterable(packed))):
         b = theta(a)
         if b > 255:
             raise ValueError(

@@ -335,6 +335,20 @@ class _Blocks(dict):
         return [w for k in range(1, n + 1) for w in self.words[k]]
 
 
+class _Tables(dict):
+    """`self[a]` is the 256-byte table of each letter's product with a under
+    `op`, kept mod 256 and built when first read.  It maps the letters that
+    `covered` holds and zero-fills the rest; whoever widens `covered`
+    clears the tables."""
+
+    def __init__(self, op: Callable[[int, int], int]) -> None:
+        self.op, self.covered = op, b""
+
+    def __missing__(self, a: int) -> bytes:
+        table = self[a] = bytes([self.op(a, b) & 255 for b in self.covered]).ljust(256, b"\0")
+        return table
+
+
 def _kernel(
     m: Monoid, subst: Callable[[Letters, int, Letters], Letters] | None = None
 ) -> Callable[..., Block]:
@@ -367,20 +381,14 @@ def _kernel(
 
         return compose
 
-    op = m.op
-    covered = b""  # the letters below k, which every table maps
-
-    @functools.cache
-    def T(a: int) -> bytes:
-        return bytes([op(a, b) & 255 for b in covered]).ljust(256, b"\0")
+    T = _Tables(m.op)
 
     def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
-        nonlocal covered
         (ws, n), (vs, r) = W, V
         cw, cv = len(ws) // n, len(vs) // r
-        while (vs if cw <= cv else ws).translate(None, covered):  # a letter no table maps
-            covered = bytes(range(min(256, 2 * len(covered) or 8)))
-            T.cache_clear()
+        while (vs if cw <= cv else ws).translate(None, T.covered):  # a letter no table maps
+            T.covered = bytes(range(min(256, 2 * len(T.covered) or 8)))
+            T.clear()
         width = n + r - 1
         size = cw * cv * width
         out = bytearray(size * len(slots))
@@ -398,7 +406,7 @@ def _kernel(
                     stop = start + cv * v_step
                     for c, at in kept:
                         out[start + at : stop : v_step] = w[c : c + 1] * cv
-                    scaled = vs.translate(T(w[i - 1]))
+                    scaled = vs.translate(T[w[i - 1]])
                     for q in range(r):
                         out[start + i - 1 + q : stop : v_step] = scaled[q::r]
             else:
@@ -408,7 +416,7 @@ def _kernel(
                     for c, at in kept:
                         out[start + at : stop : w_step] = columns[c]
                     for at, b in enumerate(vs[s * r : (s + 1) * r], start + i - 1):
-                        out[at:stop:w_step] = columns[i - 1].translate(T(b))
+                        out[at:stop:w_step] = columns[i - 1].translate(T[b])
         return out, width
 
     return compose

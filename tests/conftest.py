@@ -1,10 +1,14 @@
 import pytest
 
 from opwords import generation
+from opwords.families import ribbons
 
 
 @pytest.fixture(autouse=True)
 def fresh_closures():
     """Each test closes its generator sets afresh, so a test that patches the
-    splice or the guard runs the patched code, not a level kept by another."""
+    splice or the guard runs the patched code, not a level kept by another;
+    likewise each test draws its ribbon diagrams afresh, so a patched
+    `ribbon_boxes` or `transpose_boxes` is the one read."""
     generation._closures.clear()
+    ribbons._diagram.cache_clear()

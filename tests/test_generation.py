@@ -598,6 +598,28 @@ def test_quotient_image_of_a_symmetric_family_maps_every_word():
     assert image.dimensions() == tuple(len(image.arity_set(n)) for n in range(1, 6))
 
 
+def test_quotient_image_holds_one_chunk_not_the_family():
+    """fcat1@11 holds 82,499 words.  Its letters are found 4,096 words at a
+    time, so its image mod 2 allocates at its peak about 0.3 MB over the
+    image; joining every word at once, about 8 MB."""
+    family = generate_closure(fam.get_family("fcat1").generator_set(), 11)
+    tracemalloc.start()
+    try:
+        image = quotient_image(family, reduce_mod(2))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert image.dimensions() == tuple(2 ** (n - 1) for n in range(1, 12))
+    assert peak - kept < 2 * 10**6
+
+
+def test_quotient_image_names_the_least_refused_letter():
+    times_100 = Morphism(NATURALS, NATURALS, lambda a: 100 * a)
+    # fcat1@5 holds the letters 0..4, of which 3 and 4 go above 255
+    with pytest.raises(ValueError, match="letter 300 over N "):
+        quotient_image(closure_of("fcat1", 5), times_100)
+
+
 def test_quotient_image_above_255_is_refused():
     times_200 = Morphism(NATURALS, NATURALS, lambda a: 200 * a)
     assert quotient_image(closure_of("fcat1", 2), times_200).dimensions() == (1, 2)

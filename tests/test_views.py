@@ -1,12 +1,14 @@
 """Bijections between words and trees, paths, and ribbon compositions."""
+import collections
 import itertools
 
 import pytest
 
 from opwords import families as fam
+from opwords.families import ribbons
 from opwords.monoids import NATURALS
 from opwords.presentations import LEAF, PRESENTATIONS, eval_term, node
-from opwords.words import splice
+from opwords.words import PositionError, splice
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +312,202 @@ def test_dias_encode_lands_on_single_one_words():
     terms = [node("l", LEAF, node("r", LEAF, LEAF)), node("r", node("l", LEAF, LEAF), LEAF)]
     for t in terms:
         assert fam.is_dias_word(eval_term(t, DIAS).letters)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass views against their first-written forms, kept here as
+# references: same objects for members, and for non-members the same
+# exception type with the same message
+
+
+def ref_word_to_tree(letters):
+    """A path list of open child lists, frozen by a second recursive pass."""
+    if not fam.is_prt_word(letters):
+        raise fam.NotAMemberError(f"{letters} is not a preorder depth word")
+    root = []
+    path = [root]  # path[d] holds the children of the current depth-d node
+    for depth in letters[1:]:
+        child = []
+        path[depth - 1].append(child)
+        del path[depth:]
+        path.append(child)
+
+    def freeze(node):
+        return tuple(freeze(child) for child in node)
+
+    return freeze(root)
+
+
+def ref_schr_word_to_tree(letters):
+    """Split each segment at its least letter, recursively."""
+
+    def build(segment, depth):
+        if not segment:
+            return ()
+        if min(segment) != depth:
+            raise fam.NotAMemberError(
+                f"{letters} is not a sector-depth word (segment {segment} "
+                f"misses depth {depth})"
+            )
+        children, part = [], []
+        for a in segment:
+            if a == depth:
+                children.append(build(tuple(part), depth + 1))
+                part = []
+            else:
+                part.append(a)
+        children.append(build(tuple(part), depth + 1))
+        return tuple(children)
+
+    return build(tuple(letters), 0)
+
+
+def ref_kdyck_to_word(path, k):
+    letters, height = [], 0
+    for ch in path:
+        if ch == "U":
+            letters.append(height)
+            height += k
+        elif ch == "D":
+            height -= 1
+            if height < 0:
+                raise fam.NotAMemberError("path dips below zero")
+        else:
+            raise ValueError(f"bad k-Dyck step {ch!r}")
+    if height != 0:
+        raise fam.NotAMemberError("path does not return to zero")
+    if not letters:
+        raise fam.NotAMemberError("path has no up step")
+    return tuple(letters)
+
+
+def ref_motzkin_to_word(path):
+    steps = {"U": 1, "S": 0, "D": -1}
+    letters = [0]
+    for ch in path:
+        if ch not in steps:
+            raise ValueError(f"bad Motzkin step {ch!r}")
+        letters.append(letters[-1] + steps[ch])
+        if letters[-1] < 0:
+            raise fam.NotAMemberError("path dips below zero")
+    if letters[-1] != 0:
+        raise fam.NotAMemberError("path does not return to zero")
+    return tuple(letters)
+
+
+def ref_ribbon_substitute(c, i, d):
+    """The box model: whole box lists, a set lookup for the box above, and
+    column heights counted over every box."""
+
+    def boxes(parts):
+        out, row = [], 0
+        for col, height in enumerate(parts):
+            out += [(col, r) for r in range(row, row + height)]
+            row += height - 1
+        return out
+
+    c_boxes = boxes(c)
+    if not 1 <= i <= len(c_boxes):
+        raise PositionError(f"position {i} not in 1..{len(c_boxes)}")
+    target = c_boxes[i - 1]
+    d_boxes = boxes(d)
+    if (target[0], target[1] - 1) in set(c_boxes):
+        d_boxes = sorted((row, col) for col, row in d_boxes)
+    first, last = d_boxes[0], d_boxes[-1]
+    out = c_boxes[: i - 1]
+    out += [(col + target[0] - first[0], row + target[1] - first[1]) for col, row in d_boxes]
+    out += [(col + last[0] - first[0], row + last[1] - first[1]) for col, row in c_boxes[i:]]
+    heights = collections.Counter(col for col, _ in out)
+    return tuple(heights[col] for col in sorted(heights))
+
+
+def outcome(view, *args):
+    """What a view gives: its object, or its exception's type and message."""
+    try:
+        return view(*args)
+    except Exception as error:  # compared by type and message
+        return type(error), str(error)
+
+
+def words_up_to(length, letters=range(4)):
+    return [w for n in range(length + 1) for w in itertools.product(letters, repeat=n)]
+
+
+def test_word_to_tree_matches_reference_on_every_prt_word():
+    words = [w for n in range(1, 10) for w in fam.enumerate_prt(n)]
+    assert len(words) == 2056
+    for w in words:
+        tree = fam.word_to_tree(w)
+        assert tree == ref_word_to_tree(w)
+        assert fam.tree_to_word(tree) == w
+
+
+def test_tree_views_refuse_as_reference():
+    # each word over 0..3 of length <= 6, the empty word too, and letters
+    # below 0 or too deep for the sectors that follow them
+    for w in words_up_to(6) + [(0, -1), (-1, 0), (0, 9), (9, 0, 1), (0, 1, 5, 0)]:
+        assert outcome(fam.word_to_tree, w) == outcome(ref_word_to_tree, w)
+        assert outcome(fam.schr_word_to_tree, w) == outcome(ref_schr_word_to_tree, w)
+
+
+def test_schr_word_to_tree_matches_reference_on_every_schr_word():
+    for n in range(1, 8):
+        for w in fam.enumerate_schr(n):
+            assert fam.schr_word_to_tree(w) == ref_schr_word_to_tree(w)
+
+
+# through arity 8, but fcat3 through 7: its 420,732 words of arity 8 alone
+# took 9 s
+@pytest.mark.parametrize("k, top", [(1, 8), (2, 8), (3, 7)])
+def test_kdyck_views_match_reference_both_ways(k, top):
+    # the reference inverse takes each path back to its word, so the path
+    # is the word's; the rewritten inverse must agree
+    for n in range(1, top + 1):
+        for w in fam.enumerate_fcat(n, k):
+            path = fam.word_to_kdyck(w, k)
+            assert fam.kdyck_to_word(path, k) == ref_kdyck_to_word(path, k) == w
+
+
+def test_motzkin_views_match_reference_both_ways():
+    for n in range(1, 9):
+        for w in fam.enumerate_motz(n):
+            path = fam.word_to_motzkin(w)
+            assert fam.motzkin_to_word(path) == ref_motzkin_to_word(path) == w
+
+
+def test_path_views_refuse_as_reference():
+    # every string over U, D, S and a bad step X, up to length 7: paths that
+    # dip, end above 0, hold no U, or hold a bad step
+    paths = ["".join(p) for p in words_up_to(7, "UDSX")]
+    for path in paths:
+        assert outcome(fam.motzkin_to_word, path) == outcome(ref_motzkin_to_word, path)
+        for k in (0, 1, 2, 3):
+            assert outcome(fam.kdyck_to_word, path, k) == outcome(ref_kdyck_to_word, path, k)
+
+
+def test_ribbon_substitute_matches_reference_on_every_case():
+    comps = [fam.word_to_composition(w) for n in range(1, 6) for w in fam.enumerate_comp(n)]
+    cases = [(c, i, d) for c in comps for d in comps for i in range(0, sum(c) + 2)]
+    assert len(cases) == 3999 + 2 * 31 * 31
+    for c, i, d in cases:
+        assert outcome(fam.ribbon_substitute, c, i, d) == outcome(ref_ribbon_substitute, c, i, d)
+
+
+def test_ribbon_diagrams_are_kept_for_a_bounded_number_of_compositions():
+    comps = [fam.word_to_composition(w) for n in range(1, 12) for w in fam.enumerate_comp(n)]
+    for c in comps:
+        fam.ribbon_substitute(c, 1, (1,))
+    assert len(comps) == 2047 > ribbons._DIAGRAMS
+    assert ribbons._diagram.cache_info().currsize == ribbons._DIAGRAMS
+
+
+def test_ribbon_substitute_draws_through_a_patched_ribbon_boxes(monkeypatch):
+    drawn = []
+
+    def ribbon_boxes(parts):
+        drawn.append(parts)
+        return fam.ribbon_boxes(parts)
+
+    monkeypatch.setattr(ribbons, "ribbon_boxes", ribbon_boxes)
+    assert fam.ribbon_substitute((2, 1), 2, (1, 1)) == (3, 1)
+    assert drawn == [(2, 1), (1, 1)]
