@@ -7,8 +7,9 @@ root written as one enclosing pair.
 
 Each word costs one pass.  Both word-to-tree views read the word left to
 right over a stack of the open nodes' finished children, and close a node
-into its tuple once a later letter is no deeper; `tree_to_word` writes the
-depths in one preorder walk that makes no call for a leaf.
+into its tuple once a later letter is no deeper.  The views that take a
+tree walk it over an explicit stack, making no call per node, so a tree
+deeper than the interpreter's recursion limit is read as any other.
 """
 from __future__ import annotations
 
@@ -18,17 +19,40 @@ Tree = tuple  # children are themselves trees
 
 
 def node_count(tree: Tree) -> int:
-    return 1 + sum(node_count(child) for child in tree)
+    count, stack = 0, [tree]
+    while stack:
+        count += 1
+        stack.extend(stack.pop())
+    return count
 
 
 def leaf_count(tree: Tree) -> int:
-    if not tree:
-        return 1
-    return sum(leaf_count(child) for child in tree)
+    count, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if node:
+            stack.extend(node)
+        else:
+            count += 1
+    return count
 
 
 def tree_to_parens(tree: Tree) -> str:
-    return "(" + "".join(tree_to_parens(child) for child in tree) + ")"
+    """One pair per node; `stack[-1]` iterates the children of the deepest
+    node still open."""
+    out, stack = ["("], [iter(tree)]
+    append = out.append
+    while stack:
+        for child in stack[-1]:
+            if child:
+                append("(")
+                stack.append(iter(child))
+                break
+            append("()")
+        else:
+            stack.pop()
+            append(")")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -36,17 +60,19 @@ def tree_to_parens(tree: Tree) -> str:
 
 
 def tree_to_word(tree: Tree) -> Letters:
-    """Node depths in depth-first preorder; a leaf is written without a call."""
-    out = [0]
+    """Node depths in depth-first preorder.  `stack[-1]` iterates the
+    children of the deepest node still open, so a child's depth is the
+    stack's height."""
+    out, stack = [0], [iter(tree)]
     append = out.append
-
-    def walk(node: Tree, depth: int) -> None:
-        for child in node:
-            append(depth)
+    while stack:
+        for child in stack[-1]:
+            append(len(stack))
             if child:
-                walk(child, depth + 1)
-
-    walk(tree, 1)
+                stack.append(iter(child))
+                break
+        else:
+            stack.pop()
     return tuple(out)
 
 
@@ -77,23 +103,25 @@ def word_to_tree(letters: Letters) -> Tree:
 
 def prt_graft(host: Tree, i: int, graft: Tree) -> Tree:
     """Attach the root subtrees of `graft` as leftmost children of the i-th
-    node of `host` in depth-first preorder."""
+    node of `host` in depth-first preorder.
+
+    The walk keeps the path from the root to the node it is at, each entry a
+    node and the number of its children entered, then rebuilds that path
+    from the grafted node up."""
     total = node_count(host)
     if not 1 <= i <= total:
         raise PositionError(f"position {i} not in 1..{total}")
-    visited = 0
-
-    def go(node: Tree) -> Tree:
-        nonlocal visited
-        visited += 1
-        if visited == i:
-            return tuple(graft) + node
-        out = []
-        for child in node:
-            out.append(go(child) if visited < i else child)
-        return tuple(out)
-
-    return go(host)
+    path = [[host, 0]]
+    for _ in range(i - 1):  # step to the next node in preorder
+        while path[-1][1] == len(path[-1][0]):
+            path.pop()
+        entry = path[-1]
+        entry[1] += 1
+        path.append([entry[0][entry[1] - 1], 0])
+    node = tuple(graft) + path.pop()[0]
+    for parent, j in reversed(path):
+        node = parent[: j - 1] + (node,) + parent[j:]
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +133,36 @@ def prt_graft(host: Tree, i: int, graft: Tree) -> Tree:
 
 
 def is_schroeder_tree(tree: Tree) -> bool:
-    if len(tree) == 1:
-        return False
-    return all(is_schroeder_tree(child) for child in tree)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if len(node) == 1:
+            return False
+        stack.extend(node)
+    return True
 
 
 def schr_tree_to_word(tree: Tree) -> Letters:
-    """Sector depths, left to right."""
+    """Sector depths, left to right.  The walk descends each node's leftmost
+    path, keeping per node on it an iterator over its later children, so a
+    sector's depth is the number of iterators below the top."""
     out: list[int] = []
-
-    def walk(node: Tree, depth: int) -> None:
-        if not node:
-            return
-        if len(node) == 1:
-            raise NotAMemberError("a node with exactly one child has no sector word")
-        walk(node[0], depth + 1)
-        for child in node[1:]:
-            out.append(depth)
-            walk(child, depth + 1)
-
-    walk(tree, 0)
+    stack = []
+    node = tree
+    while True:
+        while node:
+            if len(node) == 1:
+                raise NotAMemberError("a node with exactly one child has no sector word")
+            stack.append(iter(node[1:]))
+            node = node[0]
+        while stack:
+            node = next(stack[-1], None)
+            if node is not None:
+                out.append(len(stack) - 1)
+                break
+            stack.pop()
+        else:
+            break
     if not out:
         raise NotAMemberError("a bare leaf has no sectors")
     return tuple(out)

@@ -20,6 +20,11 @@ edges.  Each edge comes from one assignment of classes to a relation's
 leaves, through one builder per side.  The schr relations reach arity 9
 (103,049 classes) in about 1.4 s on a 2-vCPU Xeon.
 
+A process keeps each relation set's count (`_counts`) and relation checks
+(`_checks`): a later bound reads the kept arities and counts only the
+missing ones, with the guards replayed on the kept totals, so a refusal is
+the one a fresh count gives (see `congruence_class_counts`).
+
 `eval_term` works on raw letter tuples and checks the carrier once per term.
 """
 from __future__ import annotations
@@ -28,8 +33,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .families import FAMILIES
 from .words import Letters, PositionError, Word, splice
@@ -264,14 +269,33 @@ class RelationCheck:
         return self.left_word == self.right_word
 
 
+def _key(symbols: Mapping[str, GeneratorSymbol], relations: tuple[Relation, ...]) -> tuple:
+    """The key of what a process keeps of a relation set over some symbols:
+    the identity of the relations' tuple, which each entry holds so that no
+    other tuple takes its id, and the symbols.  Hashing the relations would
+    hash every term of both sides of each one on every call."""
+    return id(relations), tuple(symbols.items())
+
+
 def verify_relations(
     relations: tuple[Relation, ...], symbols: Mapping[str, GeneratorSymbol]
 ) -> list[RelationCheck]:
-    """Evaluate both sides of every relation in the target operad."""
-    return [
-        RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
-        for rel in relations
-    ]
+    """Evaluate both sides of every relation in the target operad, once per
+    relation set and symbols in a process (`_checks`); each call returns a
+    new list."""
+    key = _key(symbols, relations)
+    kept = _checks.get(key)
+    if kept is None:
+        kept = _checks[key] = relations, [
+            RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
+            for rel in relations
+        ]
+    return list(kept[1])
+
+
+# the relation checks made in this process, by `_key`, each with the
+# relations whose id the key holds
+_checks: dict[tuple, tuple[tuple[Relation, ...], list[RelationCheck]]] = {}
 
 
 def match_slots(pattern: Term, subject: Term) -> list[Term] | None:
@@ -346,9 +370,7 @@ def congruence_class_counts(
     composition of n into its leaves and each assignment of classes of those
     arities to them, a union-find joins the nodes the two sides build from
     it, each inner node of a side replaced by the class of the node it builds.
-    An arity's count is its nodes less the merges of its union-find; only
-    the arities below `max_arity` give their nodes class ids, since only a
-    later arity's nodes read them.
+    An arity's count is its nodes less the merges of its union-find.
 
     This is exact, with no orientation or confluence assumption.  Give each
     leaf a term of its class: the sides become terms one root rewrite apart
@@ -358,81 +380,153 @@ def congruence_class_counts(
     the same, and terms with one node are congruent child by child.  By
     induction on arity, the components are the congruence classes.
 
+    Each relation set is counted once per process (`_counts`): a bound at or
+    below its kept arities reads their counts, and a deeper bound counts only
+    the missing arities, each kept as soon as it is finished.  Only a later
+    arity's nodes read class ids, so an arity's nodes get theirs once the
+    guards let the next arity be built.  Until then only its union-find is
+    kept; when a later call needs its class ids, its nodes are listed again
+    from the class ids below it, since keeping them would hold a dict of
+    every node of that arity between calls.
+
     Before each arity, its nodes and edges are counted from the class counts
     below it; a `SizeError` is raised before an arity that would take the
     nodes of all arities past `MAX_NODES` or their edges past `MAX_EDGES`.
+    Both guards are read at each call and replayed on the kept running
+    totals, so a kept arity is refused where a fresh count would be.
     """
-    _require_branching(symbols)
-    arities = {name: symbols[name].arity for name in sorted(symbols)}
-    class_of: dict[tuple, int] = {}  # node -> class id, at smaller arities
-    sides = []  # per relation: its leaf count and the builders of both sides
-    for rel in relations:
-        (leaf_count, uses, left), (_, right_uses, right) = _plan(rel.left), _plan(rel.right)
-        for sym, k in uses + right_uses:
-            if sym not in arities:
-                raise ValueError(f"relation uses unknown symbol {sym!r}")
-            if k != arities[sym]:
-                raise ValueError(f"{sym} has arity {arities[sym]}, got {k} children")
-        if not rel.left.is_leaf:
-            sides.append((leaf_count, _builder(left, class_of), _builder(right, class_of)))
-    leaf_counts = set(arities.values()) | {k for k, _, _ in sides}
-    classes = [range(0), range(1)]  # class ids by arity
-    built = edges = 0
-    for n in range(2, max_arity + 1):
-        # per leaf count: the class lists of each composition of n into it,
-        # and the number of ways to assign classes over all of them
-        pools = {
-            k: [[classes[p] for p in parts] for parts in _compositions(n, k)]
-            for k in leaf_counts
+    key = _key(symbols, relations)
+    count = _counts.get(key)
+    if count is None:
+        count = _counts[key] = _Count(symbols, relations)
+    max_arity = max(max_arity, 0)  # a bound below 0 counts no arity, as 0 does
+    for n, (built, edges) in enumerate(count.totals[2 : max_arity + 1], 2):
+        _guard(built, edges, n)
+    count.extend(max_arity)
+    return tuple(map(len, count.classes[1 : max_arity + 1]))
+
+
+def _guard(built: int, edges: int, n: int) -> None:
+    """Refuse a count whose nodes or edges through arity n pass the guards."""
+    if built > MAX_NODES:
+        raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
+    if edges > MAX_EDGES:
+        raise SizeError(f"{edges} edges through arity {n} exceed the {MAX_EDGES} guard")
+
+
+class _Count:
+    """What is kept of one relation set's congruence count between calls: the
+    symbols' arities and the relations' sides, each a leaf count and the
+    builders of its two `_plan`s; `class_of`, the class id of each node of the
+    arities below the top; the class ids by arity; the running totals of
+    nodes and edges through each arity; and the top arity's union-find,
+    pending until a deeper arity needs its nodes' class ids."""
+
+    def __init__(
+        self, symbols: Mapping[str, GeneratorSymbol], relations: tuple[Relation, ...]
+    ) -> None:
+        _require_branching(symbols)
+        self.relations = relations  # holds the tuple whose id keys the entry
+        self.arities = {name: symbols[name].arity for name in sorted(symbols)}
+        self.class_of: dict[tuple, int] = {}
+        self.sides = []
+        for rel in relations:
+            (leaf_count, uses, left), (_, right_uses, right) = _plan(rel.left), _plan(rel.right)
+            for sym, k in uses + right_uses:
+                if sym not in self.arities:
+                    raise ValueError(f"relation uses unknown symbol {sym!r}")
+                if k != self.arities[sym]:
+                    raise ValueError(f"{sym} has arity {self.arities[sym]}, got {k} children")
+            if not rel.left.is_leaf:
+                self.sides.append(
+                    (leaf_count, _builder(left, self.class_of), _builder(right, self.class_of))
+                )
+        self.leaf_counts = set(self.arities.values()) | {k for k, _, _ in self.sides}
+        self.classes = [range(0), range(1)]  # class ids by arity
+        self.totals = [(0, 0), (0, 0)]  # nodes and edges through each arity
+        self.pending: list[int] | None = None  # the top arity's union-find
+
+    def extend(self, max_arity: int) -> None:
+        """Count each arity from the first one not kept through `max_arity`,
+        each once the guards allow it."""
+        index = None  # the nodes of the arity last counted by this call
+        for n in range(len(self.classes), max_arity + 1):
+            pools = self.pools(n)
+            assignments = {k: sum(math.prod(map(len, pool)) for pool in pools[k]) for k in pools}
+            built, edges = self.totals[-1]
+            built += sum(assignments[k] for k in self.arities.values())
+            edges += sum(assignments[k] for k, _, _ in self.sides)
+            _guard(built, edges, n)
+            if self.pending is not None:
+                # arity n - 1: this call's last one frees its nodes before n's
+                # are built; an earlier call's top one has them listed again
+                if index is None:
+                    self.assign(zip(self.nodes(self.pools(n - 1)), itertools.count()))
+                else:
+                    self.assign(index.items())
+                    index = None
+            index = dict(zip(self.nodes(pools), itertools.count()))
+            parent = list(range(len(index)))
+            merges = 0
+            node = index.__getitem__
+            for k, left, right in self.sides:
+                for pool in pools[k]:
+                    for a, b in zip(map(node, left(pool)), map(node, right(pool))):
+                        # a union by path halving, inline: three calls an edge cost more
+                        while parent[a] != a:
+                            parent[a] = a = parent[parent[a]]
+                        while parent[b] != b:
+                            parent[b] = b = parent[parent[b]]
+                        if a != b:
+                            parent[b] = a
+                            merges += 1
+            first = self.classes[-1].stop
+            self.classes.append(range(first, first + len(index) - merges))
+            self.totals.append((built, edges))
+            self.pending = parent
+
+    def pools(self, n: int) -> dict[int, list[list[range]]]:
+        """Per leaf count, the class lists of each composition of n into it."""
+        return {
+            k: [[self.classes[p] for p in parts] for parts in _compositions(n, k)]
+            for k in self.leaf_counts
         }
-        assignments = {k: sum(math.prod(map(len, pool)) for pool in pools[k]) for k in pools}
-        built += sum(assignments[k] for k in arities.values())
-        if built > MAX_NODES:
-            raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
-        edges += sum(assignments[k] for k, _, _ in sides)
-        if edges > MAX_EDGES:
-            raise SizeError(f"{edges} edges through arity {n} exceed the {MAX_EDGES} guard")
-        index: dict[tuple, int] = {}
-        for name, k in arities.items():
-            head = (name,)
-            for pool in pools[k]:
-                nodes = map(head.__add__, itertools.product(*pool))
-                index.update(zip(nodes, itertools.count(len(index))))
-        parent = list(range(len(index)))
-        merges = 0
-        node = index.__getitem__
-        for k, left, right in sides:
-            for pool in pools[k]:
-                for a, b in zip(map(node, left(pool)), map(node, right(pool))):
-                    # a union by path halving, inline: three calls an edge cost more
-                    while parent[a] != a:
-                        parent[a] = a = parent[parent[a]]
-                    while parent[b] != b:
-                        parent[b] = b = parent[parent[b]]
-                    if a != b:
-                        parent[b] = a
-                        merges += 1
-        first = classes[-1].stop
-        classes.append(range(first, first + len(index) - merges))
-        if n < max_arity:  # only a later arity's builders read class ids
-            roots: dict[int, int] = {}
-            for nd, i in index.items():
-                while parent[i] != i:
-                    parent[i] = i = parent[parent[i]]
-                class_of[nd] = roots.setdefault(i, first + len(roots))
-    return tuple(len(classes[n]) for n in range(1, max_arity + 1))
+
+    def nodes(self, pools: dict[int, list[list[range]]]) -> Iterator[tuple]:
+        """The nodes of one arity from its pools, in the order of their indices
+        in its union-find."""
+        return itertools.chain.from_iterable(
+            map((name,).__add__, itertools.product(*pool))
+            for name, k in self.arities.items()
+            for pool in pools[k]
+        )
+
+    def assign(self, indexed: Iterable[tuple[tuple, int]]) -> None:
+        """Give the pending top arity's nodes, each with its index in the
+        union-find, their class ids, numbered in the order their roots are
+        first met."""
+        parent = self.pending
+        first = self.classes[-1].start
+        class_of = self.class_of
+        roots: dict[int, int] = {}
+        for nd, i in indexed:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            class_of[nd] = roots.setdefault(i, first + len(roots))
+        self.pending = None
 
 
-@lru_cache(maxsize=1024)
+# the congruence counts made in this process, by `_key`
+_counts: dict[tuple, _Count] = {}
+
+
 def _plan(
     pattern: Term,
 ) -> tuple[int, tuple[tuple[str, int], ...], tuple[tuple[tuple, tuple[int, ...]], ...]]:
-    """A pattern compiled once per process, since at small arities compiling
-    it for every count would take longer than the count.  Gives its leaf
-    count; the symbol and child count of each inner node, parents first; and
-    per inner node, children first, its head `(symbol,)` and the positions of
-    its children's lists, where the leaves' lists come first, then one per
-    inner node."""
+    """A pattern compiled for the builders: its leaf count; the symbol and
+    child count of each inner node, parents first; and per inner node,
+    children first, its head `(symbol,)` and the positions of its children's
+    lists, where the leaves' lists come first, then one per inner node."""
     leaves = itertools.count()
     uses: list[tuple[str, int]] = []
     steps: list[tuple[tuple, list[int]]] = []

@@ -11,6 +11,7 @@ from opwords.presentations import (
     PRESENTATIONS,
     Relation,
     SizeError,
+    Term,
     congruence_class_count,
     congruence_class_counts,
     enumerate_terms,
@@ -399,6 +400,130 @@ def test_rewrites_reach_both_directions():
     assert parse_term("a(.,a(.,.))") in reachable
     back = set(rewrites(parse_term("a(.,a(.,.))"), COMP.relations))
     assert t in back
+
+
+# ---------------------------------------------------------------------------
+# counts and relation checks kept per process
+
+
+def fresh(call, *args):
+    """What `call` gives with nothing kept, as its result or its exception's
+    type and message; what is kept stays as it was."""
+    kept = dict(presentations._counts), dict(presentations._checks)
+    presentations._counts.clear()
+    presentations._checks.clear()
+    try:
+        return outcome(call, *args)
+    finally:
+        for memo, entries in zip((presentations._counts, presentations._checks), kept):
+            memo.clear()
+            memo.update(entries)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as error:  # SizeError too; compared by type and message
+        return type(error), str(error)
+
+
+# rising, falling and repeated bounds, then a mix of the three
+BOUNDS = (0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0, 2, 5, 1, 3, 3, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_kept_counts_equal_a_fresh_count_on_presets(name):
+    preset = PRESENTATIONS[name]
+    top = 9 if name == "motz" else 7
+    for n in BOUNDS + (top, 2, top - 1, top):
+        expected = fresh(congruence_class_counts, preset.symbols, preset.relations, n)
+        assert congruence_class_counts(preset.symbols, preset.relations, n) == expected
+    assert len(presentations._counts) == 1
+
+
+def test_kept_counts_equal_a_fresh_count_on_random_relations():
+    rng = random.Random(2012)
+    for _ in range(100):
+        symbols, relations = random_presentation(rng)
+        for n in BOUNDS:
+            expected = fresh(congruence_class_counts, symbols, relations, n)
+            assert congruence_class_counts(symbols, relations, n) == expected, n
+    assert len(presentations._counts) == 100
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    (10, None, "34 nodes through arity 4 exceed the 10 guard"),
+    (None, 10, "28 edges through arity 4 exceed the 10 guard"),
+    (10, 10, "34 nodes through arity 4 exceed the 10 guard"),
+    (34, 27, "28 edges through arity 4 exceed the 27 guard"),
+    (33, 28, "34 nodes through arity 4 exceed the 33 guard"),
+])
+def test_kept_counts_are_refused_with_the_fresh_message(monkeypatch, nodes, edges, message):
+    # comp builds 2, 10 and 34 nodes through arities 2-4, and 0, 4 and 28 edges
+    assert congruence_class_counts(COMP.symbols, COMP.relations, 6) == (1, 2, 4, 8, 16, 32)
+    for guard, cap in (("MAX_NODES", nodes), ("MAX_EDGES", edges)):
+        if cap is not None:
+            monkeypatch.setattr(presentations, guard, cap)
+    assert congruence_class_counts(COMP.symbols, COMP.relations, 3) == (1, 2, 4)
+    for n in (6, 4, 5, 1, 4, 0, 3):
+        expected = fresh(congruence_class_counts, COMP.symbols, COMP.relations, n)
+        assert outcome(congruence_class_counts, COMP.symbols, COMP.relations, n) == expected
+    assert fresh(congruence_class_counts, COMP.symbols, COMP.relations, 4) == (SizeError, message)
+
+
+def test_a_refused_extension_keeps_the_arities_it_finished(monkeypatch):
+    assert congruence_class_counts(COMP.symbols, COMP.relations, 3) == (1, 2, 4)
+    (count,) = presentations._counts.values()
+    monkeypatch.setattr(presentations, "MAX_NODES", 100)
+    with pytest.raises(SizeError, match="^258 nodes through arity 6 exceed the 100 guard$"):
+        congruence_class_counts(COMP.symbols, COMP.relations, 8)
+    # arities 4 and 5 are kept; only arity 5, the top one, has no class ids
+    assert [len(c) for c in count.classes] == [0, 1, 2, 4, 8, 16]
+    assert count.pending is not None
+    assert len(count.class_of) == 2 + 8 + 24
+    monkeypatch.setattr(presentations, "MAX_NODES", 500_000)
+    assert congruence_class_counts(COMP.symbols, COMP.relations, 8) == fresh(
+        congruence_class_counts, COMP.symbols, COMP.relations, 8
+    ) == (1, 2, 4, 8, 16, 32, 64, 128)
+    assert presentations._counts == {presentations._key(COMP.symbols, COMP.relations): count}
+
+
+def test_bounds_up_to_one_check_the_relations_and_keep_nothing_beyond():
+    for n in (0, 1, 0, -1, -2):
+        assert congruence_class_counts(COMP.symbols, COMP.relations, n) == (1,) * max(n, 0)
+    (count,) = presentations._counts.values()
+    assert len(count.classes) == 2 and count.pending is None
+    assert congruence_class_counts(COMP.symbols, COMP.relations, 2) == (1, 2)
+    # a relation set that does not fit its symbols is refused at every call
+    for n in (0, 1, 0):
+        with pytest.raises(ValueError, match="unknown symbol 'c'"):
+            congruence_class_counts(FCAT1.symbols, parse_relations("c(.,.) == a(.,.)"), n)
+
+
+def test_a_kept_count_is_found_without_hashing_a_term(monkeypatch):
+    schr = PRESENTATIONS["schr"]
+    congruence_class_counts(schr.symbols, schr.relations, 5)
+    verify_relations(schr.relations, schr.symbols)
+    hashed = []
+    term_hash = Term.__hash__
+    monkeypatch.setattr(Term, "__hash__", lambda t: hashed.append(t) or term_hash(t))
+    assert congruence_class_counts(schr.symbols, schr.relations, 4) == (1, 3, 11, 45)
+    assert all(check.ok for check in verify_relations(schr.relations, schr.symbols))
+    assert hashed == []
+
+
+def test_kept_relation_checks_are_new_lists_for_their_own_symbols():
+    checks = verify_relations(COMP.relations, COMP.symbols)
+    assert all(check.ok for check in checks)
+    expected = list(checks)
+    checks.clear()
+    assert verify_relations(COMP.relations, COMP.symbols) == expected
+    # the same names over other images are checked afresh
+    swapped = {"a": COMP.symbols["b"], "b": COMP.symbols["a"]}
+    assert verify_relations(COMP.relations, swapped) == fresh(
+        verify_relations, COMP.relations, swapped
+    )
+    assert not all(check.ok for check in verify_relations(COMP.relations, swapped))
 
 
 # ---------------------------------------------------------------------------

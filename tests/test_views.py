@@ -362,6 +362,69 @@ def ref_schr_word_to_tree(letters):
     return build(tuple(letters), 0)
 
 
+def ref_node_count(tree):
+    return 1 + sum(ref_node_count(child) for child in tree)
+
+
+def ref_leaf_count(tree):
+    return sum(ref_leaf_count(child) for child in tree) if tree else 1
+
+
+def ref_tree_to_parens(tree):
+    return "(" + "".join(ref_tree_to_parens(child) for child in tree) + ")"
+
+
+def ref_tree_to_word(tree):
+    out = [0]
+
+    def walk(node, depth):
+        for child in node:
+            out.append(depth)
+            walk(child, depth + 1)
+
+    walk(tree, 1)
+    return tuple(out)
+
+
+def ref_prt_graft(host, i, graft):
+    total = ref_node_count(host)
+    if not 1 <= i <= total:
+        raise PositionError(f"position {i} not in 1..{total}")
+    visited = 0
+
+    def go(node):
+        nonlocal visited
+        visited += 1
+        if visited == i:
+            return tuple(graft) + node
+        return tuple(go(child) if visited < i else child for child in node)
+
+    return go(host)
+
+
+def ref_is_schroeder_tree(tree):
+    return len(tree) != 1 and all(ref_is_schroeder_tree(child) for child in tree)
+
+
+def ref_schr_tree_to_word(tree):
+    out = []
+
+    def walk(node, depth):
+        if not node:
+            return
+        if len(node) == 1:
+            raise fam.NotAMemberError("a node with exactly one child has no sector word")
+        walk(node[0], depth + 1)
+        for child in node[1:]:
+            out.append(depth)
+            walk(child, depth + 1)
+
+    walk(tree, 0)
+    if not out:
+        raise fam.NotAMemberError("a bare leaf has no sectors")
+    return tuple(out)
+
+
 def ref_kdyck_to_word(path, k):
     letters, height = [], 0
     for ch in path:
@@ -454,6 +517,51 @@ def test_schr_word_to_tree_matches_reference_on_every_schr_word():
     for n in range(1, 8):
         for w in fam.enumerate_schr(n):
             assert fam.schr_word_to_tree(w) == ref_schr_word_to_tree(w)
+
+
+# every view that takes a tree, with its reference
+TREE_VIEWS = [
+    (fam.node_count, ref_node_count),
+    (fam.leaf_count, ref_leaf_count),
+    (fam.tree_to_parens, ref_tree_to_parens),
+    (fam.tree_to_word, ref_tree_to_word),
+    (fam.is_schroeder_tree, ref_is_schroeder_tree),
+    (fam.schr_tree_to_word, ref_schr_tree_to_word),
+]
+
+
+def test_tree_views_match_reference_on_every_prt_and_schr_tree():
+    prt = [fam.word_to_tree(w) for n in range(1, 9) for w in fam.enumerate_prt(n)]
+    schr = [fam.schr_word_to_tree(w) for n in range(1, 8) for w in fam.enumerate_schr(n)]
+    assert (len(prt), len(schr)) == (626, 5439)
+    for tree in prt + schr + [5, None, ((), 5)]:
+        for view, ref in TREE_VIEWS:
+            assert outcome(view, tree) == outcome(ref, tree), (view.__name__, tree)
+    for host, graft in itertools.product(prt[:65], prt[:9]):  # through arity 6 and 4
+        for i in range(ref_node_count(host) + 2):
+            assert outcome(fam.prt_graft, host, i, graft) == outcome(
+                ref_prt_graft, host, i, graft
+            )
+
+
+def test_tree_views_take_a_tree_deeper_than_the_recursion_limit():
+    # each reference raises RecursionError on this chain of 1,200 nodes
+    chain = fam.word_to_tree(tuple(range(1200)))
+    with pytest.raises(RecursionError):
+        ref_node_count(chain)
+    assert fam.tree_to_word(chain) == tuple(range(1200))
+    assert fam.tree_to_parens(chain) == "(" * 1200 + ")" * 1200
+    assert (fam.node_count(chain), fam.leaf_count(chain)) == (1200, 1)
+    assert not fam.is_schroeder_tree(chain)
+    with pytest.raises(fam.NotAMemberError, match="exactly one child"):
+        fam.schr_tree_to_word(chain)
+    grafted = fam.prt_graft(chain, 1200, ((), ()))
+    assert fam.tree_to_word(grafted) == tuple(range(1200)) + (1200, 1200)
+    # a Schroeder comb of 1,200 sectors whose sector depths rise by one
+    comb = fam.schr_word_to_tree(tuple(range(1200)))
+    assert fam.is_schroeder_tree(comb)
+    assert fam.schr_tree_to_word(comb) == tuple(range(1200))
+    assert fam.leaf_count(comb) == 1201
 
 
 # through arity 8, but fcat3 through 7: its 420,732 words of arity 8 alone
