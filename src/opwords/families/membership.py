@@ -326,9 +326,9 @@ def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
     `da_prefix_description` accepts, independently of the closure.
     """
     rows = []
-    closure = da_closure(max_arity)
+    levels = da_closure(max_arity).truncate(max_arity).by_arity
     for n in range(1, max_arity + 1):
-        generated = closure.by_arity[n]
+        generated = levels[n]
         described = {bytes(steps_from_phi(s)) for s in motzkin_prefixes(n - 1)}
         rows.append((n, generated == described, len(generated), len(described)))
     return rows
@@ -387,11 +387,10 @@ class Family:
 
     def enumerated(self, max_arity: int) -> GradedFamily:
         """The enumerator's words to the arity bound, one sorted word per
-        orbit when symmetric; the top arity is enumerated first, so an
-        over-cap enumeration is refused before any other work."""
-        words = {
-            n: frozenset(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, 0, -1)
-        }
+        orbit when symmetric, as sorted, deduplicated blocks; the top arity
+        is enumerated first, so an over-cap enumeration is refused before
+        any other work."""
+        words = {n: list(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, 0, -1)}
         return GradedFamily(self.monoid, max_arity, words, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:

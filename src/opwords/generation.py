@@ -10,29 +10,27 @@ loop.  It is complete because x o_i (y o_j g) = (x o_i y) o_{i+j-1} g and
 arities never shrink, so induction on y shows the result closed under every
 substitution, truncation included.
 
-A word is packed as `bytes`, one letter per byte, from the closure to the
-export, and `GradedFamily` keeps the packed words; tuples are built only
-where a caller asks for words.  Within one arity, `bytes` order is tuple
-order.  A finished level is also joined into one block, n bytes a word.  A
-level is spliced from its source's block with the generators of one length
-by columns, through the axiom checker's kernel (`words._kernel`), every slot
-of a slice in one call, in slices of its words that each lay at most
-`_SPLICE_BYTES`; a level of at most `_SMALL_LEVEL` words, or whose slices
-would hold at most that many, is spliced word by word.  A letter above 255
-cannot be packed, and is refused with `ValueError` exactly when a word of
-the closure would hold it; the source's letters are checked in increasing
-order, so the letter named does not depend on the order of its words.
+A word is packed as `bytes`, one letter per byte, and a finished level is
+joined into one block, n bytes a word: the storage behind `GradedFamily`.
+Within one arity, `bytes` order is tuple order.  A level is spliced from its
+source's block with the generators of one length by columns, through the
+axiom checker's kernel (`words._kernel`), every slot of a slice in one call,
+in slices of its words that each lay at most `_SPLICE_BYTES`; a level of at
+most `_SMALL_LEVEL` words, or whose slices would hold at most that many, is
+spliced word by word.  A letter above 255 cannot be packed, and is refused
+with `ValueError` exactly when a word of the closure would hold it; the
+source's letters are checked in increasing order, so the letter named does
+not depend on the order of its words.
 
 The truncation of a closure at arity n is the first n levels of any deeper
 one, so each generator set is closed once per process: `_closures` keeps,
-per set, its scaled generators over one kernel, each finished level's block
-and the running candidate count after every splice.  A bound at or below
-the kept levels is read from their blocks, one `struct.iter_unpack` a
-level, and the guard is replayed on the kept counts, so it refuses where a
-fresh closure would; a deeper bound splices only the missing levels, which
-are kept once the whole call succeeds, so a refused call keeps nothing.
-A level's block takes a seventh or less of the memory of its set of `bytes`
-(fcat1@12: 3.4 MB of blocks against a 24 MB family).
+for the 64 sets used last, the scaled generators over one kernel, each
+finished level's block and the running candidate count after every splice.
+A bound at or below the kept levels is served from their blocks, and the
+guard is replayed on the kept counts, so it refuses where a fresh closure
+would; a deeper bound splices only the missing levels, which are kept once
+the whole call succeeds, so a refused call keeps nothing.  A kept block is
+sorted the first time an ordered read needs it, and kept sorted.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
@@ -47,12 +45,11 @@ word that holds a and b, less one of each, and distinct orbit words leave
 distinct rests, so no word repeats.
 
 An export is written as it is laid, arity by arity and a few thousand words
-at a time, so it costs one such chunk and one group of an arity with the
-same first two letters over the family itself.  A chunk is laid by columns
-too: its lines are copies of one byte template with a fixed-width digit
-cell per letter, each letter column writes its hundreds, tens and ones
-digits into the cells through three 256-byte tables that give NUL for a
-leading zero, and one `translate` deletes the NULs.
+at a time, each chunk a slice of a sorted block.  A chunk is laid by columns:
+its lines are copies of one byte template with a fixed-width digit cell per
+letter, each letter column writes its hundreds, tens and ones digits into
+the cells through three 256-byte tables that give NUL for a leading zero,
+and one `translate` deletes the NULs.
 """
 from __future__ import annotations
 
@@ -63,7 +60,8 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .monoids import Monoid, Morphism
 from .words import Block, Letters, _kernel
@@ -106,31 +104,100 @@ class GeneratorSet:
             )
 
 
-@dataclass
+class _Levels:
+    """A family's words, one block per arity (arity n at index n - 1), n
+    bytes a word, and the arities whose block is not yet in bytes order."""
+
+    def __init__(self, blocks: list[bytes]) -> None:
+        self.blocks = blocks
+        self.unsorted: set[int] = set()
+
+
 class GradedFamily:
     """Arity-indexed finite sets of canonical words, an arity-truncated closure.
 
-    Each word is kept packed as `bytes`, one letter per byte.  A symmetric
-    family keeps one sorted word per orbit of the letter-permuting action,
+    The words of arity n are packed one letter per byte into one block, n
+    bytes a word, shared with the closure that keeps it.  A block is sorted
+    the first time an ordered read (`words`, `write_jsonl`, `==`,
+    `equals_predicate`) needs it, from the level's set when the closure call
+    that built it handed it over, and the sorted block replaces the kept one.
+    `by_arity` is a read-only view of the levels as sets of `bytes`, built
+    when first read.  A symmetric family keeps one sorted word per orbit,
     and its orbits are expanded only where words are asked for.
     """
 
-    monoid: Monoid
-    max_arity: int
-    by_arity: dict[int, frozenset[bytes]]
-    symmetric: bool = False
+    def __init__(
+        self,
+        monoid: Monoid,
+        max_arity: int,
+        by_arity: Mapping[int, Iterable[bytes]],
+        symmetric: bool = False,
+    ) -> None:
+        """The family of the packed words of each arity, in any order and
+        with repeats; words already increasing are joined as they come."""
+        blocks = []
+        for n in range(1, max_arity + 1):
+            words = list(by_arity.get(n, ()))
+            increasing = all(map(operator.lt, words, itertools.islice(words, 1, None)))
+            blocks.append(_joined(words) if increasing else _sort(set(words)))
+        self.monoid, self.max_arity, self.symmetric = monoid, max_arity, symmetric
+        self._levels = _Levels(blocks)
+        self._sets: dict[int, frozenset[bytes]] = {}
+
+    @classmethod
+    def _of(cls, monoid: Monoid, max_arity: int, levels: _Levels, symmetric: bool,
+            sets: dict[int, frozenset[bytes]] | None = None) -> "GradedFamily":
+        """The family read from `levels`; `sets` are level sets already built."""
+        family = cls(monoid, 0, {}, symmetric)
+        family.max_arity, family._levels, family._sets = max_arity, levels, sets or {}
+        return family
+
+    def _block(self, n: int) -> bytes:
+        """The words of arity n, in any order."""
+        return self._levels.blocks[n - 1] if 1 <= n <= self.max_arity else b""
+
+    def _sorted(self, n: int) -> bytes:
+        """The words of arity n in bytes order, each kept level sorted once;
+        a set handed over for the level is dropped then."""
+        levels = self._levels
+        if n in levels.unsorted:
+            words = self._sets.pop(n, None) or _unpacked(levels.blocks[n - 1], n)
+            levels.blocks[n - 1] = _sort(words)
+            levels.unsorted.discard(n)
+        return self._block(n)
+
+    def _set(self, n: int) -> frozenset[bytes]:
+        found = self._sets.get(n)
+        if found is None:
+            found = self._sets[n] = frozenset(_unpacked(self._block(n), n))
+        return found
+
+    @property
+    def by_arity(self) -> Mapping[int, frozenset[bytes]]:
+        """The packed words of each arity as sets, built when first read."""
+        return MappingProxyType({n: self._set(n) for n in range(1, self.max_arity + 1)})
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedFamily):
+            return NotImplemented
+        return (self.monoid, self.max_arity, self.symmetric) == (
+            other.monoid, other.max_arity, other.symmetric
+        ) and all(self._sorted(n) == other._sorted(n) for n in range(1, self.max_arity + 1))
+
+    def _ordered(self, n: int) -> Iterable[bytes]:
+        """The packed words of arity n in increasing order, as consecutive
+        blocks: the whole arity, or one per `_sorted_runs` run."""
+        if not self.symmetric or n == 1:
+            return [self._sorted(n)]
+        return map(_joined, self._sorted_runs(n))
 
     def _sorted_runs(self, n: int) -> Iterator[list[bytes]]:
-        """The packed words of arity n in increasing order, in consecutive
-        runs: the whole arity, or one run per first two letters when
-        symmetric above arity 1."""
-        words = self.by_arity.get(n, ())
-        if not self.symmetric or n == 1:
-            yield sorted(words)
-            return
-        for a in sorted(_letters_in(words)):
+        """The words of the symmetric arity n in increasing order, one run
+        per first two letters."""
+        words = list(_unpacked(self._block(n), n))
+        for a in sorted(_letters(self._block(n))):
             rests = [w.replace(_BYTE[a], b"", 1) for w in words if a in w]
-            for b in sorted(_letters_in(rests)):
+            for b in sorted(_letters(_joined(rests))):
                 prefix = bytes((a, b))
                 memo: dict[bytes, list[bytes]] = {}
                 run = []
@@ -150,59 +217,63 @@ class GradedFamily:
             packed = bytes(sorted(letters) if self.symmetric else letters)
         except ValueError:  # a letter outside 0..255 is in no closure
             return False
-        return packed in self.by_arity.get(len(packed), ())
+        return 0 < len(packed) <= self.max_arity and packed in self._set(len(packed))
 
     def words(self, n: int) -> list[Letters]:
-        return list(map(tuple, itertools.chain.from_iterable(self._sorted_runs(n))))
+        if not 1 <= n <= self.max_arity:
+            return []
+        unpack = struct.Struct(f"{n}B").iter_unpack
+        return list(itertools.chain.from_iterable(map(unpack, self._ordered(n))))
 
     def iter_all(self) -> Iterator[Letters]:
         for n in range(1, self.max_arity + 1):
             yield from self.words(n)
 
     def dimensions(self) -> tuple[int, ...]:
-        sets = [self.by_arity.get(n, ()) for n in range(1, self.max_arity + 1)]
+        arities = range(1, self.max_arity + 1)
         if self.symmetric:
-            return tuple(sum(map(_orbit_size, s)) for s in sets)
-        return tuple(map(len, sets))
+            return tuple(sum(map(_orbit_size, _unpacked(self._block(n), n))) for n in arities)
+        return tuple(len(self._block(n)) // n for n in arities)
 
     def truncate(self, max_arity: int) -> "GradedFamily":
         if max_arity > self.max_arity:
             raise ValueError("cannot truncate upward")
-        kept = {n: s for n, s in self.by_arity.items() if n <= max_arity}
-        return GradedFamily(self.monoid, max_arity, kept, self.symmetric)
+        sets = {n: s for n, s in self._sets.items() if n <= max_arity}
+        return GradedFamily._of(self.monoid, max_arity, self._levels, self.symmetric, sets)
 
     def write_jsonl(self, handle: TextIO) -> None:
         """Write one `Word.to_record` line per word, ordered by arity then
         word, to the open text handle, `_CHUNK` words at a time.
 
-        Each distinct letter is checked against the carrier once, before
-        anything is written; an orbit holds the letters of its sorted word.
-        The lines are laid by columns instead of formatted one by one: every
-        line of arity n fits one byte template, the head and n cells as wide
-        as the largest letter's digits.  A chunk of words is joined, and each
-        letter column, a strided slice of the join, writes its hundreds, tens
-        and ones digits into the chunk's templates by strided assignment,
-        through three 256-byte tables (`_DIGITS`) that give NUL for a leading
-        zero.  One `translate` then deletes the NULs; `json.dumps` escapes
-        control characters, so the head holds none.
+        Each distinct letter is checked against the carrier once, in
+        increasing order, before anything is written; an orbit holds the
+        letters of its sorted word.  The lines are laid by columns instead
+        of formatted one by one: every line of arity n fits one byte
+        template, the head and n cells as wide as the largest letter's
+        digits.  Each letter column of a chunk, a strided slice of a sorted
+        block, writes its hundreds, tens and ones digits into the chunk's
+        templates by strided assignment, through three 256-byte tables
+        (`_DIGITS`) that give NUL for a leading zero.  One `translate` then
+        deletes the NULs; `json.dumps` escapes control characters, so the
+        head holds none.
         """
         arities = range(1, self.max_arity + 1)
         seen = b""
         for n in arities:
-            seen = _letters_in(self.by_arity.get(n, ()), seen)
-        for a in seen:
+            seen += _letters(self._block(n).translate(None, seen))
+        for a in sorted(seen):
             self.monoid.check(a)
         digits = _DIGITS[-len(str(max(seen, default=0))) :]
         head = ('{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": [').encode()
         cell = len(digits) + len(", ")
         for n in arities:
             template = bytearray(head + b", ".join([bytes(len(digits))] * n) + b"]}\n")
-            for run in self._sorted_runs(n):
-                for start in range(0, len(run), _CHUNK):
-                    joined = b"".join(run[start : start + _CHUNK])
-                    lines = template * (len(joined) // n)
+            for block in self._ordered(n):
+                for start in range(0, len(block), _CHUNK * n):
+                    chunk = block[start : start + _CHUNK * n]
+                    lines = template * (len(chunk) // n)
                     for j in range(n):
-                        column = joined[j::n]
+                        column = chunk[j::n]
                         for at, table in enumerate(digits, len(head) + j * cell):
                             lines[at :: len(template)] = column.translate(table)
                     handle.write(lines.translate(None, b"\0").decode("ascii"))
@@ -231,8 +302,10 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     the arity bound.  A symmetric closure keeps one sorted word per orbit.
 
     Each generator set is closed once per process (`_closures`): a bound at
-    or below its kept levels is read from them, and a deeper bound splices
-    only the missing levels, kept once the whole call succeeds.
+    or below its kept levels is served from their blocks, and a deeper bound
+    splices only the missing levels, kept once the whole call succeeds.  The
+    family gets the set of the last level this call built, to sort that
+    level from, and no other level's set outlives the call.
 
     Raises `ValueError` when a word of the closure would hold a letter above
     255, which cannot be packed into `bytes`, and before a splice would take
@@ -248,12 +321,16 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 f"arity-1 generator {g[0]} over {m.name} is not the unit, so "
                 "the closure has infinitely many words of arity 1"
             )
-    closure = _closures.get(gens) or _Closure(gens)
+    closure = _closures.get(gens)
+    if closure is None:
+        closure = _Closure(gens)
+    else:
+        _keep(_closures, gens, closure)
     for count, n in closure.counts:
         if n <= max_arity:
             _guard(count, n)
     blocks = closure.blocks[:max_arity]
-    levels = {n: frozenset(_unpacked(block, n)) for n, block in enumerate(blocks, 1)}
+    built: dict[int, frozenset[bytes]] = {}  # the set of the last level built
     counts: list[tuple[int, int]] = []
     candidates = closure.counts[-1][0] if closure.counts else 0
 
@@ -282,13 +359,14 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 frontier -= grown
                 grown |= frontier
             level = frozenset(grown)
-        levels[n] = level
+        built = {n: level}
         blocks.append(_joined(level))
-    if len(blocks) > len(closure.blocks):  # kept only now that every new level is finished
+    if built:  # kept only now that every new level is finished
+        closure.unsorted.update(range(len(closure.blocks) + 1, len(blocks) + 1))
         closure.blocks = blocks
         closure.counts += counts
-        _closures[gens] = closure
-    return GradedFamily(m, max_arity, levels, gens.symmetric)
+        _keep(_closures, gens, closure)
+    return GradedFamily._of(m, max_arity, closure, gens.symmetric, built)
 
 
 def _guard(candidates: int, n: int) -> None:
@@ -298,13 +376,14 @@ def _guard(candidates: int, n: int) -> None:
                          f"the {MAX_CLOSURE_CANDIDATES} guard")
 
 
-class _Closure:
+class _Closure(_Levels):
     """What is kept of one generator set's closure between calls: its
-    `_Scaled` tables over one kernel, so one set of product tables; each
-    finished level n as one joined `bytes`, n bytes a word; and the running
-    candidate count after every splice, with the arity it was for."""
+    `_Scaled` tables over one kernel, so one set of product tables; its
+    finished levels; and the running candidate count after every splice,
+    with the arity it was for."""
 
     def __init__(self, gens: GeneratorSet) -> None:
+        super().__init__([])
         m = gens.monoid
         by_length: dict[int, list[Letters]] = {}
         for g in set(gens.generators):
@@ -313,12 +392,22 @@ class _Closure:
         compose = _kernel(m)
         self.unary = _Scaled(m, by_length.pop(1), compose) if 1 in by_length else None
         self.longer = [(r, _Scaled(m, same, compose)) for r, same in by_length.items()]
-        self.blocks: list[bytes] = []
         self.counts: list[tuple[int, int]] = []
 
 
-# the closures made in this process, by generator set
+# the closures made in this process, by generator set, the most recently
+# used last; at most `_KEPT` of them
 _closures: dict[GeneratorSet, _Closure] = {}
+_KEPT = 64
+
+
+def _keep(memo: dict, key: object, entry: object) -> None:
+    """Put the entry last in the memo, dropping the least recently used
+    entry past `_KEPT`."""
+    memo.pop(key, None)
+    memo[key] = entry
+    if len(memo) > _KEPT:
+        del memo[next(iter(memo))]
 
 
 class _Scaled(dict):
@@ -425,15 +514,9 @@ def _letters(joined: bytes) -> bytes:
     return found
 
 
-def _letters_in(words: Iterable[bytes], found: bytes = b"") -> bytes:
-    """`found`, then the distinct letters of the words that it lacks, found
-    `_CHUNK` words at a time: each chunk is joined and adds the letters it
-    holds that are not yet found.  Joined at once by `b"".join`, a level
-    would take a buffer view of about 80 bytes a word."""
-    words = iter(words)
-    while chunk := b"".join(itertools.islice(words, _CHUNK)):
-        found += _letters(chunk.translate(None, found))
-    return found
+def _sort(words: Iterable[bytes]) -> bytes:
+    """The words joined in increasing order."""
+    return _joined(sorted(words))
 
 
 def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
@@ -489,9 +572,10 @@ class ComparisonVerdict:
 
 def equals_predicate(family: GradedFamily, expected: GradedFamily) -> ComparisonVerdict:
     """Compare the family, arity by arity, with the expected family, such as
-    a predicate's enumeration (`Family.enumerated`).  Symmetric families are
-    compared by sorted words, one per orbit; the least word of a union of
-    orbits is sorted, so the witnesses are the least words of the difference.
+    a predicate's enumeration (`Family.enumerated`): one `bytes` equality of
+    their sorted blocks, and sets only to name the witnesses, the least
+    words of the difference.  Symmetric families are compared by sorted
+    words, one per orbit; the least word of a union of orbits is sorted.
     Families over different monoids, or of which one only is symmetric,
     are not compared."""
     if family.monoid != expected.monoid:
@@ -503,9 +587,9 @@ def equals_predicate(family: GradedFamily, expected: GradedFamily) -> Comparison
             False, detail=f"symmetry mismatch: {family.symmetric} vs {expected.symmetric}"
         )
     for n in range(1, max(family.max_arity, expected.max_arity) + 1):
-        want = expected.by_arity.get(n, frozenset())
-        got = family.by_arity.get(n, frozenset())
+        got, want = family._sorted(n), expected._sorted(n)
         if got != want:
+            got, want = set(_unpacked(got, n)), set(_unpacked(want, n))
             missing = want - got
             extra = got - want
             return ComparisonVerdict(
@@ -522,20 +606,22 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
 
     Each distinct letter of the family goes through `theta`, and so through
     its carrier check, once and in increasing order, so a refusal names the
-    least letter refused; the letters are found a chunk of words at a time
-    (`_letters_in`), and the words are mapped through one
-    `bytes.translate` table.  An image letter above 255 cannot be packed and
-    is refused with `ValueError`.  The image of an orbit is an orbit, but a
-    morphism such as mod 2 need not keep a word sorted, so a symmetric
-    family's image words are sorted again.
+    least letter refused.  Each level is mapped by one `bytes.translate` of
+    its block.  An image letter above 255 cannot be packed and is refused
+    with `ValueError`.  The image of an orbit is an orbit, but a morphism
+    such as mod 2 need not keep a word sorted, so a symmetric family's image
+    words are sorted again.
     """
     if family.monoid != theta.source:
         raise ValueError(
             f"family over {family.monoid.name}, morphism from {theta.source.name}"
         )
-    packed = [family.by_arity.get(n, ()) for n in range(1, family.max_arity + 1)]
+    arities = range(1, family.max_arity + 1)
+    found = b""
+    for n in arities:
+        found += _letters(family._block(n).translate(None, found))
     table = bytearray(256)
-    for a in sorted(_letters_in(itertools.chain.from_iterable(packed))):
+    for a in sorted(found):
         b = theta(a)
         if b > 255:
             raise ValueError(
@@ -544,9 +630,9 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
             )
         table[a] = b
     image = {}
-    for n, words in enumerate(packed, 1):
-        mapped = (w.translate(table) for w in words)
+    for n in arities:
+        mapped = _unpacked(family._block(n).translate(table), n)
         if family.symmetric:
             mapped = (bytes(sorted(w)) for w in mapped)
-        image[n] = frozenset(mapped)
+        image[n] = sorted(set(mapped))
     return GradedFamily(theta.target, family.max_arity, image, family.symmetric)

@@ -20,10 +20,10 @@ edges.  Each edge comes from one assignment of classes to a relation's
 leaves, through one builder per side.  The schr relations reach arity 9
 (103,049 classes) in about 1.4 s on a 2-vCPU Xeon.
 
-A process keeps each relation set's count (`_counts`) and relation checks
-(`_checks`): a later bound reads the kept arities and counts only the
-missing ones, with the guards replayed on the kept totals, so a refusal is
-the one a fresh count gives (see `congruence_class_counts`).
+A process keeps the count (`_counts`) and relation checks (`_checks`) of
+the 64 relation sets used last: a later bound reads the kept arities and
+counts only the missing ones, with the guards replayed on the kept totals,
+so a refusal is the one a fresh count gives (see `congruence_class_counts`).
 
 `eval_term` works on raw letter tuples and checks the carrier once per term.
 """
@@ -37,6 +37,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .families import FAMILIES
+from .generation import _keep
 from .words import Letters, PositionError, Word, splice
 
 __all__ = [
@@ -284,17 +285,16 @@ def verify_relations(
     relation set and symbols in a process (`_checks`); each call returns a
     new list."""
     key = _key(symbols, relations)
-    kept = _checks.get(key)
-    if kept is None:
-        kept = _checks[key] = relations, [
-            RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
-            for rel in relations
-        ]
+    kept = _checks.get(key) or (relations, [
+        RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
+        for rel in relations
+    ])
+    _keep(_checks, key, kept)
     return list(kept[1])
 
 
 # the relation checks made in this process, by `_key`, each with the
-# relations whose id the key holds
+# relations whose id the key holds; at most 64, the most recently used last
 _checks: dict[tuple, tuple[tuple[Relation, ...], list[RelationCheck]]] = {}
 
 
@@ -396,9 +396,8 @@ def congruence_class_counts(
     totals, so a kept arity is refused where a fresh count would be.
     """
     key = _key(symbols, relations)
-    count = _counts.get(key)
-    if count is None:
-        count = _counts[key] = _Count(symbols, relations)
+    count = _counts.get(key) or _Count(symbols, relations)
+    _keep(_counts, key, count)
     max_arity = max(max_arity, 0)  # a bound below 0 counts no arity, as 0 does
     for n, (built, edges) in enumerate(count.totals[2 : max_arity + 1], 2):
         _guard(built, edges, n)
@@ -516,7 +515,8 @@ class _Count:
         self.pending = None
 
 
-# the congruence counts made in this process, by `_key`
+# the congruence counts made in this process, by `_key`; at most 64, the most
+# recently used last
 _counts: dict[tuple, _Count] = {}
 
 

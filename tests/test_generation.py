@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -341,18 +342,67 @@ def refusal(gens, bound):
 @pytest.mark.parametrize("seed", range(60))
 def test_kept_closure_equals_a_fresh_one(seed):
     """Each set is asked at rising, falling and repeated bounds; every
-    answer, kept levels read or extended, equals a fresh closure."""
+    answer, kept levels read or extended, equals a fresh closure, and reads
+    alike in a seeded order: its words, export, membership, truncations and
+    comparisons, whichever of them sorts a kept level first."""
     gens = random_generator_set(seed)
     rng = random.Random(seed)
     top = 4 if gens.symmetric else 5
     rising = sorted(rng.sample(range(max(map(len, gens.generators)), top + 1), 2))
+    letters = range(4) if gens.monoid.size is None else gens.monoid.elements()
     for bound in rising + [top, top] + rising[::-1] + [rng.randint(rising[0], top)]:
-        assert generate_closure(gens, bound) == fresh_closure(gens, bound), bound
+        kept, fresh = generate_closure(gens, bound), fresh_closure(gens, bound)
+        probes = [w for n in range(1, bound + 1) for w in fresh.words(n)[:5]] + [
+            tuple(rng.choice(letters) for _ in range(rng.randint(0, bound + 1)))
+            for _ in range(10)
+        ]
+        cut = rng.randint(1, bound)
+        reads = [
+            lambda f: [f.words(n) for n in range(bound + 2)],
+            lambda f: f.to_jsonl(),
+            lambda f: [f.contains(w) for w in probes],
+            lambda f: (f.truncate(cut) == fresh.truncate(cut), f.truncate(cut).words(cut)),
+            lambda f: (equals_predicate(f, fresh), equals_predicate(fresh, f)),
+            lambda f: f.dimensions(),
+        ]
+        rng.shuffle(reads)
+        for read in reads:
+            assert read(kept) == read(fresh), bound
+        assert kept == fresh, bound
 
 
 def kept_state(gens):
     kept = generation._closures[gens]
     return list(kept.blocks), list(kept.counts)
+
+
+def test_memo_keeps_the_64_sets_used_last(monkeypatch):
+    """100 seeded sets leave 64; a set used again is kept over older ones,
+    and an evicted set asked again answers as a fresh one, refusals too."""
+    sets = list(dict.fromkeys(random_generator_set(seed) for seed in range(100)))
+    assert len(sets) > 64
+    for gens in sets:
+        generate_closure(gens, 4)
+        generate_closure(sets[0], 3)
+    assert len(generation._closures) == 64
+    assert list(generation._closures)[-1] == sets[0]
+    assert sets[1] not in generation._closures
+    monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 3)
+    refused = outcome(generate_closure, sets[1], 5)
+    assert refused == "4 candidates through arity 5 exceed the 3 guard"
+    for bound in (4, 5, 3, 5):
+        assert outcome(generate_closure, sets[1], bound) == outcome(fresh_closure, sets[1], bound)
+    monkeypatch.undo()
+    assert generate_closure(sets[1], 5) == fresh_closure(sets[1], 5)
+    assert list(generation._closures)[-1] == sets[1]
+
+
+def outcome(close, gens, bound):
+    """The closure, or the message it is refused with."""
+    try:
+        return close(gens, bound)
+    except ValueError as refused:
+        return str(refused)
 
 
 def test_kept_closure_holds_one_joined_level_per_arity():
@@ -402,15 +452,9 @@ def test_kept_closure_is_refused_by_the_guard_as_a_fresh_one(monkeypatch, cap):
     gens = fam.get_family("schr").generator_set()
     generate_closure(gens, 6)
     monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", cap)
-
-    def outcome(close, bound):
-        try:
-            return close(gens, bound)
-        except ValueError as refused:
-            return str(refused)
-
     for bound in (6, 4, 2):
-        assert outcome(generate_closure, bound) == outcome(fresh_closure, bound), bound
+        expected = outcome(fresh_closure, gens, bound)
+        assert outcome(generate_closure, gens, bound) == expected, bound
 
 
 def test_refused_extension_keeps_the_kept_levels(monkeypatch, capsys):
@@ -434,6 +478,44 @@ def test_kept_closure_is_refused_a_letter_above_255_as_a_fresh_one():
     assert len(kept_state(gens)[0]) == 2
     generation._closures.clear()
     assert refusal(gens, 3) == message
+
+
+def test_each_kept_level_is_sorted_once(monkeypatch, tmp_path, capsys):
+    """Two exports, `check bijections` and `check characterization` of prt
+    sort each kept level once, and leave every kept block in bytes order."""
+    sort = generation._sort
+    sorted_arities = []
+
+    def counting(words):
+        words = list(words)
+        sorted_arities.append(len(words[0]))
+        return sort(words)
+
+    monkeypatch.setattr(generation, "_sort", counting)
+    out = str(tmp_path / "words.jsonl")
+    for argv in (["gen", "--out", out], ["gen", "--out", out], ["check", "bijections"],
+                 ["check", "characterization"]):
+        assert main(argv + ["--operad", "prt", "--max-arity", "8"]) == 0
+    assert sorted(sorted_arities) == list(range(1, 9))
+    kept = generation._closures[fam.get_family("prt").generator_set()]
+    assert kept.unsorted == set()
+    for n, block in enumerate(kept.blocks, 1):
+        assert block == b"".join(sorted(generation._unpacked(block, n)))
+
+
+@pytest.mark.parametrize("command", ["dims", "gen"])
+def test_reading_a_kept_closure_builds_no_word(command, capsys):
+    """Reading the kept fcat1@11, 82,499 words, allocates a few kilobytes,
+    where rebuilding each level's set took megabytes."""
+    argv = [command, "--operad", "fcat1", "--max-arity", "11"]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_refused_letter_is_the_least_refused_source_letter():
@@ -553,6 +635,39 @@ def test_equals_predicate_reports_mismatch():
     assert "mismatch" in str(verdict)
 
 
+def set_verdict(family, expected):
+    """The verdict of comparing the two families' words as sets."""
+    for n in range(1, max(family.max_arity, expected.max_arity) + 1):
+        got, want = family.arity_set(n), expected.arity_set(n)
+        if got != want:
+            return ComparisonVerdict(
+                False, n, min(want - got, default=None), min(got - want, default=None)
+            )
+    return ComparisonVerdict(True)
+
+
+@pytest.mark.parametrize("name,bound", [("prt", 6), ("motz", 6), ("pw", 4)])
+def test_enumeration_with_repeats_compares_as_its_set(name, bound):
+    """An enumerator that repeats members, out of order, and one that also
+    drops its least member, give the verdicts the set comparison gives."""
+    family = fam.get_family(name)
+
+    def repeating(n):
+        words = family.enumerate_arity(n)
+        return words[::-1] + words[: n % 3]
+
+    def dropping(n):
+        words = family.enumerate_arity(n)
+        return (words[1:] + words[1:2])[::-1] if n > 2 else words
+
+    closure = family.closure(bound)
+    for enumerate_arity in (repeating, dropping):
+        noisy = dataclasses.replace(family, enumerate_arity=enumerate_arity).enumerated(bound)
+        assert equals_predicate(closure, noisy) == set_verdict(closure, noisy)
+        assert equals_predicate(noisy, closure) == set_verdict(noisy, closure)
+    assert equals_predicate(closure, noisy).extra == family.enumerate_arity(3)[0]
+
+
 def test_equals_predicate_monoid_mismatch():
     verdict = equals_predicate(closure_of("comp", 4), fam.get_family("prt").enumerated(4))
     assert not verdict.ok and "monoid" in verdict.detail
@@ -599,9 +714,9 @@ def test_quotient_image_of_a_symmetric_family_maps_every_word():
 
 
 def test_quotient_image_holds_one_chunk_not_the_family():
-    """fcat1@11 holds 82,499 words.  Its letters are found 4,096 words at a
-    time, so its image mod 2 allocates at its peak about 0.3 MB over the
-    image; joining every word at once, about 8 MB."""
+    """fcat1@11 holds 82,499 words.  Its image mod 2 allocates at its peak
+    about 0.8 MB over the image, most of it the translated copy of the
+    arity-11 block; joining every word at once took about 8 MB."""
     family = generate_closure(fam.get_family("fcat1").generator_set(), 11)
     tracemalloc.start()
     try:

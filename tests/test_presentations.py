@@ -448,7 +448,35 @@ def test_kept_counts_equal_a_fresh_count_on_random_relations():
         for n in BOUNDS:
             expected = fresh(congruence_class_counts, symbols, relations, n)
             assert congruence_class_counts(symbols, relations, n) == expected, n
-    assert len(presentations._counts) == 100
+    assert len(presentations._counts) == 64
+
+
+def test_memos_keep_the_64_relation_sets_used_last(monkeypatch):
+    """Of 100 relation sets, the counts and checks of the 64 used last are
+    kept, a set used again moved last; an evicted set asked again answers as
+    a fresh one, refusals included."""
+    rng = random.Random(29)
+    sets = [random_presentation(rng) for _ in range(100)]
+    for symbols, relations in sets:
+        for args in ((symbols, relations), sets[0]):
+            congruence_class_counts(*args, 4)
+            verify_relations(args[1], args[0])
+    for memo in (presentations._counts, presentations._checks):
+        assert len(memo) == 64
+        assert list(memo)[-1] == presentations._key(*sets[0])
+        assert presentations._key(*sets[1]) not in memo
+    symbols, relations = sets[1]
+    monkeypatch.setattr(presentations, "MAX_NODES", 20)
+    outcomes = [outcome(congruence_class_counts, symbols, relations, n) for n in (5, 2, 4, 5)]
+    assert any(o[0] is SizeError for o in outcomes)
+    for n, got in zip((5, 2, 4, 5), outcomes):
+        assert got == fresh(congruence_class_counts, symbols, relations, n), n
+    monkeypatch.undo()
+    assert congruence_class_counts(symbols, relations, 5) == fresh(
+        congruence_class_counts, symbols, relations, 5
+    )
+    assert verify_relations(relations, symbols) == fresh(verify_relations, relations, symbols)
+    assert list(presentations._counts)[-1] == presentations._key(symbols, relations)
 
 
 @pytest.mark.parametrize("nodes, edges, message", [
