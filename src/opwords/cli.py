@@ -17,6 +17,7 @@ from . import families as fam
 from .generation import (
     GeneratorSet,
     GradedFamily,
+    _keep,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -225,6 +226,11 @@ def cmd_check_presentation(args) -> RunReport:
 
 
 def cmd_check_bijections(args) -> RunReport:
+    """Round-trip each word of the closure through the object view, one line
+    per arity, and check object substitution up to arity 4 where the family
+    has `graft`.  Both are kept per family record (`_round_trips`), so a
+    kept arity is not re-checked; the closure is still asked for first, so
+    a bound is refused as before."""
     report = RunReport(
         f"check bijections --operad {args.operad} --max-arity {args.max_arity}"
     )
@@ -232,7 +238,9 @@ def cmd_check_bijections(args) -> RunReport:
     if family.to_object is None:
         raise UsageError(f"{args.operad} has no object view to round-trip")
     closure = family.closure(args.max_arity)
-    for n in range(1, args.max_arity + 1):
+    _, lines, grafts = _round_trips.get(id(family)) or (family, [], {})
+    _keep(_round_trips, id(family), (family, lines, grafts))
+    for n in range(len(lines) + 1, args.max_arity + 1):
         words_n = closure.words(n)
         bad = []
         for w in words_n:
@@ -240,16 +248,27 @@ def cmd_check_bijections(args) -> RunReport:
             if family.from_object(view) != w:
                 bad.append(w)
         sample = f"  e.g. {format_letters(words_n[-1])} ~ {family.show(view)}"
-        report.add(
+        lines.append((
             f"arity {n}: {len(words_n)} words round-trip"
             + (sample if not bad else f"; first failure {format_letters(bad[0])}"),
-            ok=not bad,
-        )
+            not bad,
+        ))
+    for text, ok in lines[: args.max_arity]:
+        report.add(text, ok=ok)
     if family.graft is not None:
-        small = closure.truncate(min(args.max_arity, 4))
-        ok, checked = _object_substitution_agrees(family, small)
+        k = min(args.max_arity, 4)
+        if k not in grafts:
+            grafts[k] = _object_substitution_agrees(family, closure.truncate(k))
+        ok, checked = grafts[k]
         report.add(f"object-level substitution vs word splice: {checked} cases", ok=ok)
     return report
+
+
+# the round-trips checked in this process, by the id of the family record,
+# which each entry holds so that no other record takes its id: the line and
+# verdict of each arity from 1 up, and the substitution check's `(ok,
+# checked)` by its arity bound; at most 64, the most recently used last
+_round_trips: dict[int, tuple[fam.Family, list, dict[int, tuple[bool, int]]]] = {}
 
 
 def _object_substitution_agrees(

@@ -9,12 +9,13 @@ letter down by one so that substitution stays inside the set.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ..generation import GeneratorSet, GradedFamily, generate_closure
+from ..generation import GeneratorSet, GradedFamily, _keep, _Levels, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
 from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
@@ -323,15 +324,21 @@ def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
 
     The described words are built as `steps_from_phi` of the nonnegative step
     sequences, the unique preimages starting at 0 of the words that
-    `da_prefix_description` accepts, independently of the closure.
+    `da_prefix_description` accepts, independently of the closure.  A row
+    does not depend on the bound, so each is made once per process
+    (`_da_rows`); the closure is still read first, so a bound is refused
+    as before.
     """
-    rows = []
-    levels = da_closure(max_arity).truncate(max_arity).by_arity
-    for n in range(1, max_arity + 1):
-        generated = levels[n]
-        described = {bytes(steps_from_phi(s)) for s in motzkin_prefixes(n - 1)}
-        rows.append((n, generated == described, len(generated), len(described)))
-    return rows
+    closure = da_closure(max_arity)
+    for n in range(len(_da_rows) + 1, max_arity + 1):
+        generated = closure.words(n)
+        described = sorted({steps_from_phi(s) for s in motzkin_prefixes(n - 1)})
+        _da_rows.append((n, generated == described, len(generated), len(described)))
+    return _da_rows[:max_arity]
+
+
+# the rows of `da_description_report` made in this process, arity 1 first
+_da_rows: list[tuple[int, bool, int, int]] = []
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +394,19 @@ class Family:
 
     def enumerated(self, max_arity: int) -> GradedFamily:
         """The enumerator's words to the arity bound, one sorted word per
-        orbit when symmetric, as sorted, deduplicated blocks; the top arity
-        is enumerated first, so an over-cap enumeration is refused before
-        any other work."""
-        words = {n: list(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, 0, -1)}
-        return GradedFamily(self.monoid, max_arity, words, self.symmetric)
+        orbit when symmetric, as sorted, deduplicated blocks.  The blocks are
+        kept per family record and cap (`_enumerations`), so only the arities
+        above the kept ones are enumerated, the top arity first: an over-cap
+        enumeration is refused before any other work, and keeps nothing."""
+        key = id(self), MAX_CANDIDATES
+        _, levels = _enumerations.get(key) or (self, _Levels([]))
+        top = len(levels.blocks)
+        words = {n: map(bytes, self.enumerate_arity(n)) for n in range(max_arity, top, -1)}
+        if words:
+            fresh = GradedFamily(self.monoid, max_arity, words, self.symmetric)
+            levels.blocks += fresh._levels.blocks[top:]
+        _keep(_enumerations, key, (self, levels))
+        return GradedFamily._of(self.monoid, max_arity, levels, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
         """Reference dimensions from a closed-form count, where one is known."""
@@ -508,6 +523,13 @@ FAMILIES: dict[str, Family] = {
 }
 
 
+# the enumerations made in this process, by the id of the family record,
+# which each entry holds so that no other record takes its id, and the
+# candidate cap, so a lower cap refuses as a fresh enumeration does; at most
+# 64, the most recently used last
+_enumerations: dict[tuple[int, int], tuple[Family, _Levels]] = {}
+
+
 def get_family(name: str) -> Family:
     try:
         return FAMILIES[name]
@@ -531,6 +553,12 @@ PER_ZERO = _PerZero()
 PerElement = Word | _PerZero
 
 
+@functools.lru_cache(maxsize=4096)
+def _is_permutation(letters: Letters) -> bool:
+    """`is_twisted_permutation`, once per distinct operand of `per_substitute`."""
+    return is_twisted_permutation(letters)
+
+
 def per_substitute(x: PerElement, i: int, y: PerElement) -> PerElement:
     """Substitution in the quotient of packed words by the repeated-letter
     ideal: the plain word substitution when the result stays duplicate-free,
@@ -542,7 +570,7 @@ def per_substitute(x: PerElement, i: int, y: PerElement) -> PerElement:
     """
     if isinstance(x, _PerZero) or isinstance(y, _PerZero):
         return PER_ZERO
-    if not is_twisted_permutation(x.letters) or not is_twisted_permutation(y.letters):
+    if not _is_permutation(x.letters) or not _is_permutation(y.letters):
         raise NotAMemberError("operands must be duplicate-free words on 0..n-1")
     if not 1 <= i <= len(x):
         raise IndexError(f"position {i} not in 1..{len(x)}")

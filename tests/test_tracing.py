@@ -28,6 +28,11 @@ REQUESTS = [
     ["check", "presentation", "--operad", "comp", "--max-arity", "5"],
     ["check", "bijections", "--operad", "schr", "--max-arity", "4"],
     ["check", "functor", "--max-arity", "3"],
+    # the second of each pair is served from what the first one kept
+    ["check", "bijections", "--operad", "comp", "--max-arity", "5"],
+    ["check", "bijections", "--operad", "comp", "--max-arity", "3"],
+    ["check", "characterization", "--operad", "da", "--max-arity", "6"],
+    ["check", "characterization", "--operad", "da", "--max-arity", "4"],
 ]
 
 # the text tail "pass (0.12s)" and the JSON field "seconds": 0.123
