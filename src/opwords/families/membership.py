@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ..generation import GeneratorSet, GradedFamily, _keep, _Levels, generate_closure
+from ..generation import GeneratorSet, GradedFamily, _keep, _Levels, _packed, generate_closure
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
 from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
@@ -397,14 +397,13 @@ class Family:
         orbit when symmetric, as sorted, deduplicated blocks.  The blocks are
         kept per family record and cap (`_enumerations`), so only the arities
         above the kept ones are enumerated, the top arity first: an over-cap
-        enumeration is refused before any other work, and keeps nothing."""
+        enumeration is refused before any other work, and keeps nothing.
+        Each arity is packed before the next is enumerated."""
         key = id(self), MAX_CANDIDATES
         _, levels = _enumerations.get(key) or (self, _Levels([]))
         top = len(levels.blocks)
-        words = {n: map(bytes, self.enumerate_arity(n)) for n in range(max_arity, top, -1)}
-        if words:
-            fresh = GradedFamily(self.monoid, max_arity, words, self.symmetric)
-            levels.blocks += fresh._levels.blocks[top:]
+        fresh = [_packed(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, top, -1)]
+        levels.blocks += reversed(fresh)
         _keep(_enumerations, key, (self, levels))
         return GradedFamily._of(self.monoid, max_arity, levels, self.symmetric)
 

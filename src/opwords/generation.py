@@ -12,6 +12,8 @@ substitution, truncation included.
 
 A word is packed as `bytes`, one letter per byte, and a finished level is
 joined into one block, n bytes a word: the storage behind `GradedFamily`.
+A level's words are gathered in one set, which drops repeats and is itself
+dropped once the level is joined, before the next level is spliced.
 Within one arity, `bytes` order is tuple order.  A level is spliced from its
 source's block with the generators of one length by columns, through the
 axiom checker's kernel (`words._kernel`), every slot of a slice in one call,
@@ -119,8 +121,7 @@ class GradedFamily:
     The words of arity n are packed one letter per byte into one block, n
     bytes a word, shared with the closure that keeps it.  A block is sorted
     the first time an ordered read (`words`, `write_jsonl`, `==`,
-    `equals_predicate`) needs it, from the level's set when the closure call
-    that built it handed it over, and the sorted block replaces the kept one.
+    `equals_predicate`) needs it, and the sorted block replaces the kept one.
     `by_arity` is a read-only view of the levels as sets of `bytes`, built
     when first read.  A symmetric family keeps one sorted word per orbit,
     and its orbits are expanded only where words are asked for.
@@ -134,22 +135,18 @@ class GradedFamily:
         symmetric: bool = False,
     ) -> None:
         """The family of the packed words of each arity, in any order and
-        with repeats; words already increasing are joined as they come."""
-        blocks = []
-        for n in range(1, max_arity + 1):
-            words = list(by_arity.get(n, ()))
-            increasing = all(map(operator.lt, words, itertools.islice(words, 1, None)))
-            blocks.append(_joined(words) if increasing else _sort(set(words)))
+        with repeats (`_packed`)."""
+        blocks = [_packed(by_arity.get(n, ())) for n in range(1, max_arity + 1)]
         self.monoid, self.max_arity, self.symmetric = monoid, max_arity, symmetric
         self._levels = _Levels(blocks)
         self._sets: dict[int, frozenset[bytes]] = {}
 
     @classmethod
-    def _of(cls, monoid: Monoid, max_arity: int, levels: _Levels, symmetric: bool,
-            sets: dict[int, frozenset[bytes]] | None = None) -> "GradedFamily":
-        """The family read from `levels`; `sets` are level sets already built."""
+    def _of(cls, monoid: Monoid, max_arity: int, levels: _Levels,
+            symmetric: bool) -> "GradedFamily":
+        """The family read from `levels`."""
         family = cls(monoid, 0, {}, symmetric)
-        family.max_arity, family._levels, family._sets = max_arity, levels, sets or {}
+        family.max_arity, family._levels = max_arity, levels
         return family
 
     def _block(self, n: int) -> bytes:
@@ -157,12 +154,18 @@ class GradedFamily:
         return self._levels.blocks[n - 1] if 1 <= n <= self.max_arity else b""
 
     def _sorted(self, n: int) -> bytes:
-        """The words of arity n in bytes order, each kept level sorted once;
-        a set handed over for the level is dropped then."""
+        """The words of arity n in bytes order, each kept level sorted once,
+        from a list of its words: the unsorted block is released first, and
+        joined again from the list if the sort is interrupted."""
         levels = self._levels
         if n in levels.unsorted:
-            words = self._sets.pop(n, None) or _unpacked(levels.blocks[n - 1], n)
-            levels.blocks[n - 1] = _sort(words)
+            words = list(_unpacked(levels.blocks[n - 1], n))
+            levels.blocks[n - 1] = b""
+            try:
+                levels.blocks[n - 1] = _sort(words)
+            except BaseException:
+                levels.blocks[n - 1] = _joined(words)
+                raise
             levels.unsorted.discard(n)
         return self._block(n)
 
@@ -238,8 +241,7 @@ class GradedFamily:
     def truncate(self, max_arity: int) -> "GradedFamily":
         if max_arity > self.max_arity:
             raise ValueError("cannot truncate upward")
-        sets = {n: s for n, s in self._sets.items() if n <= max_arity}
-        return GradedFamily._of(self.monoid, max_arity, self._levels, self.symmetric, sets)
+        return GradedFamily._of(self.monoid, max_arity, self._levels, self.symmetric)
 
     def write_jsonl(self, handle: TextIO) -> None:
         """Write one `Word.to_record` line per word, ordered by arity then
@@ -269,8 +271,7 @@ class GradedFamily:
         for n in arities:
             template = bytearray(head + b", ".join([bytes(len(digits))] * n) + b"]}\n")
             for block in self._ordered(n):
-                for start in range(0, len(block), _CHUNK * n):
-                    chunk = block[start : start + _CHUNK * n]
+                for chunk in _chunks(block, n):
                     lines = template * (len(chunk) // n)
                     for j in range(n):
                         column = chunk[j::n]
@@ -303,9 +304,9 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
 
     Each generator set is closed once per process (`_closures`): a bound at
     or below its kept levels is served from their blocks, and a deeper bound
-    splices only the missing levels, kept once the whole call succeeds.  The
-    family gets the set of the last level this call built, to sort that
-    level from, and no other level's set outlives the call.
+    splices only the missing levels, kept once the whole call succeeds.  A
+    level's set is dropped once it is joined into its block, before the next
+    level is spliced, so no set outlives the call.
 
     Raises `ValueError` when a word of the closure would hold a letter above
     255, which cannot be packed into `bytes`, and before a splice would take
@@ -330,7 +331,6 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
         if n <= max_arity:
             _guard(count, n)
     blocks = closure.blocks[:max_arity]
-    built: dict[int, frozenset[bytes]] = {}  # the set of the last level built
     counts: list[tuple[int, int]] = []
     candidates = closure.counts[-1][0] if closure.counts else 0
 
@@ -345,28 +345,27 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     unary, longer = closure.unary, closure.longer
     for n in range(len(blocks) + 1, max_arity + 1):
         if n == 1:
-            level = frozenset([bytes([m.unit])])
+            level = {bytes([m.unit])}
         else:
-            level = frozenset(
+            level = set(
                 itertools.chain.from_iterable(
                     [spliced((blocks[n - r], n - r + 1), row) for r, row in longer if r <= n]
                 )
             )
         if unary is not None:  # arity-1 generators close each level in itself
-            grown, frontier = set(level), level
+            frontier = level
             while frontier:
                 frontier = set(spliced((_joined(frontier), n), unary))
-                frontier -= grown
-                grown |= frontier
-            level = frozenset(grown)
-        built = {n: level}
+                frontier -= level
+                level |= frontier
         blocks.append(_joined(level))
-    if built:  # kept only now that every new level is finished
+        del level  # released before the next level is spliced
+    if len(blocks) > len(closure.blocks):  # kept only now that every new level is finished
         closure.unsorted.update(range(len(closure.blocks) + 1, len(blocks) + 1))
         closure.blocks = blocks
         closure.counts += counts
         _keep(_closures, gens, closure)
-    return GradedFamily._of(m, max_arity, closure, gens.symmetric, built)
+    return GradedFamily._of(m, max_arity, closure, gens.symmetric)
 
 
 def _guard(candidates: int, n: int) -> None:
@@ -504,6 +503,11 @@ def _unpacked(joined: bytes, n: int) -> Iterator[bytes]:
     return map(_FIRST, struct.iter_unpack(f"{n}s", joined))
 
 
+def _chunks(block: bytes, n: int) -> Iterator[bytes]:
+    """The block of words of arity n, `_CHUNK` words at a time."""
+    return (block[at : at + _CHUNK * n] for at in range(0, len(block), _CHUNK * n))
+
+
 def _letters(joined: bytes) -> bytes:
     """The distinct letters of `joined`: each pass deletes, at C level, the
     letters found so far, and takes the set of a short prefix of the rest."""
@@ -514,9 +518,19 @@ def _letters(joined: bytes) -> bytes:
     return found
 
 
-def _sort(words: Iterable[bytes]) -> bytes:
-    """The words joined in increasing order."""
-    return _joined(sorted(words))
+def _sort(words: list[bytes]) -> bytes:
+    """The words joined in increasing order, sorted in place."""
+    words.sort()
+    return _joined(words)
+
+
+def _packed(words: Iterable[bytes]) -> bytes:
+    """The distinct words joined in increasing order: as they come when
+    they already increase, else sorted from their set."""
+    words = list(words)
+    if all(map(operator.lt, words, itertools.islice(words, 1, None))):
+        return _joined(words)
+    return _sort(list(set(words)))
 
 
 def _arrangements(w: bytes, memo: dict[bytes, list[bytes]]) -> list[bytes]:
@@ -606,11 +620,11 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
 
     Each distinct letter of the family goes through `theta`, and so through
     its carrier check, once and in increasing order, so a refusal names the
-    least letter refused.  Each level is mapped by one `bytes.translate` of
-    its block.  An image letter above 255 cannot be packed and is refused
-    with `ValueError`.  The image of an orbit is an orbit, but a morphism
-    such as mod 2 need not keep a word sorted, so a symmetric family's image
-    words are sorted again.
+    least letter refused.  Each level is read `_CHUNK` words at a time, and
+    mapped by one `bytes.translate` of each slice of its block.  An image
+    letter above 255 cannot be packed and is refused with `ValueError`.  The
+    image of an orbit is an orbit, but a morphism such as mod 2 need not
+    keep a word sorted, so a symmetric family's image words are sorted again.
     """
     if family.monoid != theta.source:
         raise ValueError(
@@ -619,7 +633,8 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
     arities = range(1, family.max_arity + 1)
     found = b""
     for n in arities:
-        found += _letters(family._block(n).translate(None, found))
+        for chunk in _chunks(family._block(n), n):
+            found += _letters(chunk.translate(None, found))
     table = bytearray(256)
     for a in sorted(found):
         b = theta(a)
@@ -631,7 +646,9 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
         table[a] = b
     image = {}
     for n in arities:
-        mapped = _unpacked(family._block(n).translate(table), n)
+        mapped = itertools.chain.from_iterable(
+            _unpacked(chunk.translate(table), n) for chunk in _chunks(family._block(n), n)
+        )
         if family.symmetric:
             mapped = (bytes(sorted(w)) for w in mapped)
         image[n] = sorted(set(mapped))

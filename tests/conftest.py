@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from opwords import cli, generation, presentations
@@ -23,3 +25,14 @@ def fresh_closures():
     membership._enumerations.clear()
     membership._da_rows.clear()
     membership._is_permutation.cache_clear()
+
+
+def traced_peak(run):
+    """Call `run()` under tracemalloc and return the bytes traced when it
+    returns, its result still held, and at the peak; tracing always stops."""
+    tracemalloc.start()
+    try:
+        held = run()  # so that `kept` counts the result
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()

@@ -9,6 +9,7 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import traced_peak
 
 from opwords import families as fam
 from opwords import generation
@@ -282,17 +283,47 @@ def test_dias_closure_through_arity_100_equals_its_enumeration():
 
 def test_column_splices_hold_one_slice_not_the_level():
     """fcat1@11 splices its 16,796 arity-10 words into 58,786 words of arity
-    11.  In slices of `_SPLICE_BYTES`, the closure allocates at its peak about
-    0.4 MB over the finished family; laying the whole level at once, 3.8 MB."""
+    11.  In slices of `_SPLICE_BYTES`, a fresh closure peaks at about 5.6 MB
+    traced, most of it the arity-11 set; laying the whole level at once,
+    8.6 MB.  The peak is bounded, not its excess over the family: the family
+    holds blocks only, while the level's set is the peak."""
     gens = fam.get_family("fcat1").generator_set()
-    tracemalloc.start()
-    try:
-        closure = generate_closure(gens, 11)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(closure.by_arity[11]) == 58_786
-    assert peak - kept < 2 * 10**6
+    _, peak = traced_peak(lambda: generate_closure(gens, 11))
+    assert len(generate_closure(gens, 11).by_arity[11]) == 58_786
+    assert peak < 6 * 10**6
+
+
+def test_a_closure_holds_one_level_set_at_a_time():
+    """A fresh fcat1@12 closure peaks at about 21 MB traced, most of it the
+    set of its 208,012 arity-12 words; keeping the arity-11 set until that
+    one was done, and handing it to the family, took 25.5 MB."""
+    gens = fam.get_family("fcat1").generator_set()
+    _, peak = traced_peak(lambda: generate_closure(gens, 12))
+    assert peak < 23 * 10**6
+
+
+def test_the_first_sort_of_a_level_holds_one_copy_of_its_words():
+    """Sorting fcat1's fresh arity-12 level peaks at about 14.6 MB traced
+    with the family: the list of its words and the sorted block, where
+    sorting from the level's set held the set beside them, 25.3 MB."""
+    gens = fam.get_family("fcat1").generator_set()
+
+    def first_sort():
+        family = generate_closure(gens, 12)
+        tracemalloc.reset_peak()
+        return family._sorted(12)
+
+    _, peak = traced_peak(first_sort)
+    assert peak < 18 * 10**6
+    assert generate_closure(gens, 12).dimensions()[11] == 208_012
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_arity_one_generators_close_each_level_in_itself(symmetric):
+    """Over N6 the arity-1 generator 2 has order 3 and (0, 3) mixes the
+    classes mod 3, so each level's frontier grows over several rounds."""
+    gens = GeneratorSet(cyclic(6), ((2,), (0, 3), (1, 1, 4)), symmetric)
+    assert_matches_all_pairs(gens, 4 if symmetric else 5)
 
 
 def test_letters_above_255_are_refused():
@@ -503,18 +534,33 @@ def test_each_kept_level_is_sorted_once(monkeypatch, tmp_path, capsys):
         assert block == b"".join(sorted(generation._unpacked(block, n)))
 
 
+def test_an_interrupted_sort_keeps_the_level(monkeypatch):
+    """The unsorted block is released while its level is sorted; a sort
+    that does not finish joins the words back, for the next read to sort."""
+    family = closure_of("fcat1", 6)
+
+    def interrupted(words):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(generation, "_sort", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        family.words(6)
+    assert family.dimensions() == (1, 2, 5, 14, 42, 132)
+    monkeypatch.undo()
+    assert family.words(6) == fam.get_family("fcat1").enumerated(6).words(6)
+
+
 @pytest.mark.parametrize("command", ["dims", "gen"])
 def test_reading_a_kept_closure_builds_no_word(command, capsys):
     """Reading the kept fcat1@11, 82,499 words, allocates a few kilobytes,
     where rebuilding each level's set took megabytes."""
     argv = [command, "--operad", "fcat1", "--max-arity", "11"]
     assert main(argv) == 0
-    tracemalloc.start()
-    try:
+
+    def read():
         assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(read)
     assert peak < 64 * 1024
 
 
@@ -715,17 +761,21 @@ def test_quotient_image_of_a_symmetric_family_maps_every_word():
 
 def test_quotient_image_holds_one_chunk_not_the_family():
     """fcat1@11 holds 82,499 words.  Its image mod 2 allocates at its peak
-    about 0.8 MB over the image, most of it the translated copy of the
-    arity-11 block; joining every word at once took about 8 MB."""
+    about 0.2 MB over the image; joining every word at once took about 8 MB."""
     family = generate_closure(fam.get_family("fcat1").generator_set(), 11)
-    tracemalloc.start()
-    try:
-        image = quotient_image(family, reduce_mod(2))
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    kept, peak = traced_peak(lambda: quotient_image(family, reduce_mod(2)))
+    image = quotient_image(family, reduce_mod(2))
     assert image.dimensions() == tuple(2 ** (n - 1) for n in range(1, 12))
     assert peak - kept < 2 * 10**6
+
+
+def test_quotient_image_reads_one_chunk_at_a_time():
+    """Mapping fcat1@11 mod 2 a `_CHUNK` of words at a time, letters found
+    and words translated alike, peaks about 0.2 MB over its image; reading
+    the whole arity-11 block at once took 0.75 MB."""
+    family = generate_closure(fam.get_family("fcat1").generator_set(), 11)
+    kept, peak = traced_peak(lambda: quotient_image(family, reduce_mod(2)))
+    assert peak - kept < 4 * 10**5
 
 
 def test_quotient_image_names_the_least_refused_letter():
@@ -1003,10 +1053,5 @@ def test_streamed_export_holds_one_chunk_not_the_text(name, bound_mb):
     did before exports were streamed, peaked at 11.8 MB and 4.9 MB."""
     family = closure_of(name, 7 if name == "pw" else 10)
     with open(os.devnull, "w", encoding="utf-8") as handle:
-        tracemalloc.start()
-        try:
-            family.write_jsonl(handle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: family.write_jsonl(handle))
     assert peak < bound_mb * 10**6
