@@ -238,8 +238,8 @@ def cmd_check_bijections(args) -> RunReport:
     if family.to_object is None:
         raise UsageError(f"{args.operad} has no object view to round-trip")
     closure = family.closure(args.max_arity)
-    _, lines, grafts = _round_trips.get(id(family)) or (family, [], {})
-    _keep(_round_trips, id(family), (family, lines, grafts))
+    lines, grafts = _round_trips.get(family) or ([], {})
+    _keep(_round_trips, family, (lines, grafts))
     for n in range(len(lines) + 1, args.max_arity + 1):
         words_n = closure.words(n)
         bad = []
@@ -264,11 +264,10 @@ def cmd_check_bijections(args) -> RunReport:
     return report
 
 
-# the round-trips checked in this process, by the id of the family record,
-# which each entry holds so that no other record takes its id: the line and
+# the round-trips checked in this process, by family record: the line and
 # verdict of each arity from 1 up, and the substitution check's `(ok,
 # checked)` by its arity bound; at most 64, the most recently used last
-_round_trips: dict[int, tuple[fam.Family, list, dict[int, tuple[bool, int]]]] = {}
+_round_trips: dict[fam.Family, tuple[list, dict[int, tuple[bool, int]]]] = {}
 
 
 def _object_substitution_agrees(

@@ -350,10 +350,12 @@ _da_rows: list[tuple[int, bool, int, int]] = []
 from . import paths, ribbons, trees  # noqa: E402
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """A named family: monoid, generators when finitely generated, predicate,
-    and a per-arity enumerator.
+    and a per-arity enumerator.  Records compare and hash by identity, so
+    what is kept per record is found without hashing its fields, and a
+    record with equal fields keeps its own.
 
     The enumerator of a symmetric family returns its sorted members, one per
     orbit of the letter-permuting action; `enumerated(n).words(n)` expands
@@ -399,12 +401,12 @@ class Family:
         above the kept ones are enumerated, the top arity first: an over-cap
         enumeration is refused before any other work, and keeps nothing.
         Each arity is packed before the next is enumerated."""
-        key = id(self), MAX_CANDIDATES
-        _, levels = _enumerations.get(key) or (self, _Levels([]))
+        key = self, MAX_CANDIDATES
+        levels = _enumerations.get(key) or _Levels([])
         top = len(levels.blocks)
         fresh = [_packed(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, top, -1)]
         levels.blocks += reversed(fresh)
-        _keep(_enumerations, key, (self, levels))
+        _keep(_enumerations, key, levels)
         return GradedFamily._of(self.monoid, max_arity, levels, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
@@ -522,11 +524,9 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-# the enumerations made in this process, by the id of the family record,
-# which each entry holds so that no other record takes its id, and the
-# candidate cap, so a lower cap refuses as a fresh enumeration does; at most
-# 64, the most recently used last
-_enumerations: dict[tuple[int, int], tuple[Family, _Levels]] = {}
+# the enumerations made in this process, by family record and candidate cap;
+# at most 64, the most recently used last
+_enumerations: dict[tuple[Family, int], _Levels] = {}
 
 
 def get_family(name: str) -> Family:

@@ -25,14 +25,14 @@ source's letters are checked in increasing order, so the letter named does
 not depend on the order of its words.
 
 The truncation of a closure at arity n is the first n levels of any deeper
-one, so each generator set is closed once per process: `_closures` keeps,
-for the 64 sets used last, the scaled generators over one kernel, each
-finished level's block and the running candidate count after every splice.
-A bound at or below the kept levels is served from their blocks, and the
-guard is replayed on the kept counts, so it refuses where a fresh closure
-would; a deeper bound splices only the missing levels, which are kept once
-the whole call succeeds, so a refused call keeps nothing.  A kept block is
-sorted the first time an ordered read needs it, and kept sorted.
+one, so each generator set is closed once per process under each candidate
+guard: `_closures` keeps, for the 64 sets and guards used last, the scaled
+generators over one kernel, each finished level's block and the candidates
+spliced so far.  Every kept level has passed the guard it is kept under, so
+a bound at or below the kept levels is served from their blocks; a deeper
+bound splices only the missing levels, which are kept once the whole call
+succeeds, so a refused call keeps nothing.  A kept block is sorted the first
+time an ordered read needs it, and kept sorted.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
@@ -259,16 +259,13 @@ class GradedFamily:
         deletes the NULs; `json.dumps` escapes control characters, so the
         head holds none.
         """
-        arities = range(1, self.max_arity + 1)
-        seen = b""
-        for n in arities:
-            seen += _letters(self._block(n).translate(None, seen))
-        for a in sorted(seen):
+        seen = self._alphabet()
+        for a in seen:
             self.monoid.check(a)
         digits = _DIGITS[-len(str(max(seen, default=0))) :]
         head = ('{"monoid": ' + json.dumps(self.monoid.name) + ', "letters": [').encode()
         cell = len(digits) + len(", ")
-        for n in arities:
+        for n in range(1, self.max_arity + 1):
             template = bytearray(head + b", ".join([bytes(len(digits))] * n) + b"]}\n")
             for block in self._ordered(n):
                 for chunk in _chunks(block, n):
@@ -278,6 +275,16 @@ class GradedFamily:
                         for at, table in enumerate(digits, len(head) + j * cell):
                             lines[at :: len(template)] = column.translate(table)
                     handle.write(lines.translate(None, b"\0").decode("ascii"))
+
+    def _alphabet(self) -> bytes:
+        """The distinct letters of the words in increasing order, found
+        `_CHUNK` words at a time, so no copy of a whole block is made; an
+        orbit holds the letters of its sorted word."""
+        found = b""
+        for n in range(1, self.max_arity + 1):
+            for chunk in _chunks(self._block(n), n):
+                found += _letters(chunk.translate(None, found))
+        return bytes(sorted(found))
 
     def to_jsonl(self) -> str:
         """The text that `write_jsonl` writes."""
@@ -302,7 +309,8 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     substitution (and under letter permutation when symmetric), truncated to
     the arity bound.  A symmetric closure keeps one sorted word per orbit.
 
-    Each generator set is closed once per process (`_closures`): a bound at
+    Each generator set is closed once per process under each guard
+    (`_closures`, keyed by the set and `MAX_CLOSURE_CANDIDATES`): a bound at
     or below its kept levels is served from their blocks, and a deeper bound
     splices only the missing levels, kept once the whole call succeeds.  A
     level's set is dropped once it is joined into its block, before the next
@@ -312,7 +320,8 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     255, which cannot be packed into `bytes`, and before a splice would take
     its candidates, one per source word, slot and generator (a sorted word's
     arity bounds its slots), past `MAX_CLOSURE_CANDIDATES`, read at each
-    call; a kept level is refused where a fresh closure would be.
+    call and part of the key, so a kept level is refused where a fresh
+    closure would be.
     """
     m = gens.monoid
     gens.check_bound(max_arity)
@@ -322,24 +331,22 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 f"arity-1 generator {g[0]} over {m.name} is not the unit, so "
                 "the closure has infinitely many words of arity 1"
             )
-    closure = _closures.get(gens)
+    key = gens, MAX_CLOSURE_CANDIDATES
+    closure = _closures.get(key)
     if closure is None:
         closure = _Closure(gens)
     else:
-        _keep(_closures, gens, closure)
-    for count, n in closure.counts:
-        if n <= max_arity:
-            _guard(count, n)
+        _keep(_closures, key, closure)
     blocks = closure.blocks[:max_arity]
-    counts: list[tuple[int, int]] = []
-    candidates = closure.counts[-1][0] if closure.counts else 0
+    candidates = closure.candidates
 
     def spliced(W: Block, scaled: _Scaled) -> Iterable[bytes]:
         """`_spliced` of the block W, once its candidates are counted."""
         nonlocal candidates
         candidates += len(W[0]) * len(scaled.generators)
-        _guard(candidates, n)
-        counts.append((candidates, n))
+        if candidates > MAX_CLOSURE_CANDIDATES:
+            raise ValueError(f"{candidates} candidates through arity {n} exceed "
+                             f"the {MAX_CLOSURE_CANDIDATES} guard")
         return _spliced(W, scaled, gens.symmetric)
 
     unary, longer = closure.unary, closure.longer
@@ -362,24 +369,16 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
         del level  # released before the next level is spliced
     if len(blocks) > len(closure.blocks):  # kept only now that every new level is finished
         closure.unsorted.update(range(len(closure.blocks) + 1, len(blocks) + 1))
-        closure.blocks = blocks
-        closure.counts += counts
-        _keep(_closures, gens, closure)
+        closure.blocks, closure.candidates = blocks, candidates
+        _keep(_closures, key, closure)
     return GradedFamily._of(m, max_arity, closure, gens.symmetric)
 
 
-def _guard(candidates: int, n: int) -> None:
-    """Refuse a closure whose candidates through arity n pass the guard."""
-    if candidates > MAX_CLOSURE_CANDIDATES:
-        raise ValueError(f"{candidates} candidates through arity {n} exceed "
-                         f"the {MAX_CLOSURE_CANDIDATES} guard")
-
-
 class _Closure(_Levels):
-    """What is kept of one generator set's closure between calls: its
-    `_Scaled` tables over one kernel, so one set of product tables; its
-    finished levels; and the running candidate count after every splice,
-    with the arity it was for."""
+    """What is kept of one generator set's closure under one candidate guard
+    between calls: its `_Scaled` tables over one kernel, so one set of
+    product tables; its finished levels, every one within the guard; and the
+    candidates spliced to build them."""
 
     def __init__(self, gens: GeneratorSet) -> None:
         super().__init__([])
@@ -391,12 +390,12 @@ class _Closure(_Levels):
         compose = _kernel(m)
         self.unary = _Scaled(m, by_length.pop(1), compose) if 1 in by_length else None
         self.longer = [(r, _Scaled(m, same, compose)) for r, same in by_length.items()]
-        self.counts: list[tuple[int, int]] = []
+        self.candidates = 0
 
 
-# the closures made in this process, by generator set, the most recently
-# used last; at most `_KEPT` of them
-_closures: dict[GeneratorSet, _Closure] = {}
+# the closures made in this process, by generator set and candidate guard,
+# the most recently used last; at most `_KEPT` of them
+_closures: dict[tuple[GeneratorSet, int], _Closure] = {}
 _KEPT = 64
 
 
@@ -630,13 +629,8 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
         raise ValueError(
             f"family over {family.monoid.name}, morphism from {theta.source.name}"
         )
-    arities = range(1, family.max_arity + 1)
-    found = b""
-    for n in arities:
-        for chunk in _chunks(family._block(n), n):
-            found += _letters(chunk.translate(None, found))
     table = bytearray(256)
-    for a in sorted(found):
+    for a in family._alphabet():
         b = theta(a)
         if b > 255:
             raise ValueError(
@@ -645,7 +639,7 @@ def quotient_image(family: GradedFamily, theta: Morphism) -> GradedFamily:
             )
         table[a] = b
     image = {}
-    for n in arities:
+    for n in range(1, family.max_arity + 1):
         mapped = itertools.chain.from_iterable(
             _unpacked(chunk.translate(table), n) for chunk in _chunks(family._block(n), n)
         )

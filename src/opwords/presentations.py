@@ -20,10 +20,11 @@ edges.  Each edge comes from one assignment of classes to a relation's
 leaves, through one builder per side.  The schr relations reach arity 9
 (103,049 classes) in about 1.4 s on a 2-vCPU Xeon.
 
-A process keeps the count (`_counts`) and relation checks (`_checks`) of
-the 64 relation sets used last: a later bound reads the kept arities and
-counts only the missing ones, with the guards replayed on the kept totals,
-so a refusal is the one a fresh count gives (see `congruence_class_counts`).
+A process keeps the relation checks (`_checks`) of the 64 relation sets
+used last, and the counts (`_counts`) of the 64 relation sets and guards
+used last: a later bound reads the kept arities, all within the guards they
+are kept under, and counts only the missing ones, so a refusal is the one a
+fresh count gives (see `congruence_class_counts`).
 
 `eval_term` works on raw letter tuples and checks the carrier once per term.
 """
@@ -380,7 +381,8 @@ def congruence_class_counts(
     the same, and terms with one node are congruent child by child.  By
     induction on arity, the components are the congruence classes.
 
-    Each relation set is counted once per process (`_counts`): a bound at or
+    Each relation set is counted once per process under each pair of guards
+    (`_counts`, keyed by `_key`, `MAX_NODES` and `MAX_EDGES`): a bound at or
     below its kept arities reads their counts, and a deeper bound counts only
     the missing arities, each kept as soon as it is finished.  Only a later
     arity's nodes read class ids, so an arity's nodes get theirs once the
@@ -392,34 +394,25 @@ def congruence_class_counts(
     Before each arity, its nodes and edges are counted from the class counts
     below it; a `SizeError` is raised before an arity that would take the
     nodes of all arities past `MAX_NODES` or their edges past `MAX_EDGES`.
-    Both guards are read at each call and replayed on the kept running
-    totals, so a kept arity is refused where a fresh count would be.
+    Both guards are read at each call; a kept arity has passed the guards
+    it is kept under, so it is refused where a fresh count would be.
     """
-    key = _key(symbols, relations)
+    key = _key(symbols, relations), MAX_NODES, MAX_EDGES
     count = _counts.get(key) or _Count(symbols, relations)
     _keep(_counts, key, count)
     max_arity = max(max_arity, 0)  # a bound below 0 counts no arity, as 0 does
-    for n, (built, edges) in enumerate(count.totals[2 : max_arity + 1], 2):
-        _guard(built, edges, n)
     count.extend(max_arity)
     return tuple(map(len, count.classes[1 : max_arity + 1]))
 
 
-def _guard(built: int, edges: int, n: int) -> None:
-    """Refuse a count whose nodes or edges through arity n pass the guards."""
-    if built > MAX_NODES:
-        raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
-    if edges > MAX_EDGES:
-        raise SizeError(f"{edges} edges through arity {n} exceed the {MAX_EDGES} guard")
-
-
 class _Count:
-    """What is kept of one relation set's congruence count between calls: the
-    symbols' arities and the relations' sides, each a leaf count and the
-    builders of its two `_plan`s; `class_of`, the class id of each node of the
-    arities below the top; the class ids by arity; the running totals of
-    nodes and edges through each arity; and the top arity's union-find,
-    pending until a deeper arity needs its nodes' class ids."""
+    """What is kept of one relation set's congruence count under one pair of
+    guards between calls: the symbols' arities and the relations' sides,
+    each a leaf count and the builders of its two `_plan`s; `class_of`, the
+    class id of each node of the arities below the top; the class ids by
+    arity; the nodes and edges built through the top arity; and the top
+    arity's union-find, pending until a deeper arity needs its nodes' class
+    ids."""
 
     def __init__(
         self, symbols: Mapping[str, GeneratorSymbol], relations: tuple[Relation, ...]
@@ -442,7 +435,7 @@ class _Count:
                 )
         self.leaf_counts = set(self.arities.values()) | {k for k, _, _ in self.sides}
         self.classes = [range(0), range(1)]  # class ids by arity
-        self.totals = [(0, 0), (0, 0)]  # nodes and edges through each arity
+        self.built = self.edges = 0  # nodes and edges through the top arity
         self.pending: list[int] | None = None  # the top arity's union-find
 
     def extend(self, max_arity: int) -> None:
@@ -452,10 +445,12 @@ class _Count:
         for n in range(len(self.classes), max_arity + 1):
             pools = self.pools(n)
             assignments = {k: sum(math.prod(map(len, pool)) for pool in pools[k]) for k in pools}
-            built, edges = self.totals[-1]
-            built += sum(assignments[k] for k in self.arities.values())
-            edges += sum(assignments[k] for k, _, _ in self.sides)
-            _guard(built, edges, n)
+            built = self.built + sum(assignments[k] for k in self.arities.values())
+            edges = self.edges + sum(assignments[k] for k, _, _ in self.sides)
+            if built > MAX_NODES:
+                raise SizeError(f"{built} nodes through arity {n} exceed the {MAX_NODES} guard")
+            if edges > MAX_EDGES:
+                raise SizeError(f"{edges} edges through arity {n} exceed the {MAX_EDGES} guard")
             if self.pending is not None:
                 # arity n - 1: this call's last one frees its nodes before n's
                 # are built; an earlier call's top one has them listed again
@@ -481,7 +476,7 @@ class _Count:
                             merges += 1
             first = self.classes[-1].stop
             self.classes.append(range(first, first + len(index) - merges))
-            self.totals.append((built, edges))
+            self.built, self.edges = built, edges
             self.pending = parent
 
     def pools(self, n: int) -> dict[int, list[list[range]]]:
@@ -515,8 +510,8 @@ class _Count:
         self.pending = None
 
 
-# the congruence counts made in this process, by `_key`; at most 64, the most
-# recently used last
+# the congruence counts made in this process, by `_key` and the two guards;
+# at most 64, the most recently used last
 _counts: dict[tuple, _Count] = {}
 
 

@@ -337,15 +337,13 @@ class _Blocks(dict):
 
 class _Tables(dict):
     """`self[a]` is the 256-byte table of each letter's product with a under
-    `op`, kept mod 256 and built when first read.  It maps the letters that
-    `covered` holds and zero-fills the rest; whoever widens `covered`
-    clears the tables."""
+    `op`, kept mod 256 and built whole when first read."""
 
     def __init__(self, op: Callable[[int, int], int]) -> None:
-        self.op, self.covered = op, b""
+        self.op = op
 
     def __missing__(self, a: int) -> bytes:
-        table = self[a] = bytes([self.op(a, b) & 255 for b in self.covered]).ljust(256, b"\0")
+        table = self[a] = bytes([self.op(a, b) & 255 for b in range(256)])
         return table
 
 
@@ -361,12 +359,10 @@ def _kernel(
     slices W's columns once per call.  For each w, V scaled by w_i is V.translate(T[w_i]);
     for each v, each letter b of v scales W's column i through T[b].  T[a] is
     a 256-byte table multiplying by a, built when first read and kept for the
-    kernel's life; one table serves both sides, as the monoid commutes.  The
-    tables map the letters below some k, which doubles from 8 to at most 256
-    while a block laid through them holds a letter past it, so a table costs
-    about as many products as the letters it meets.  Each column of the rows
-    of one w, or of one v, is laid by one strided assignment.  A `subst` is
-    called on tuples instead, and its results packed.
+    kernel's life; one table serves both sides, as the monoid commutes.  Each
+    column of the rows of one w, or of one v, is laid by one strided
+    assignment.  A `subst` is called on tuples instead, and its results
+    packed.
     """
     if subst is not None:
         def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
@@ -386,9 +382,6 @@ def _kernel(
     def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
         (ws, n), (vs, r) = W, V
         cw, cv = len(ws) // n, len(vs) // r
-        while (vs if cw <= cv else ws).translate(None, T.covered):  # a letter no table maps
-            T.covered = bytes(range(min(256, 2 * len(T.covered) or 8)))
-            T.clear()
         width = n + r - 1
         size = cw * cv * width
         out = bytearray(size * len(slots))

@@ -13,16 +13,17 @@ def fresh_closures():
     likewise each test draws its ribbon diagrams afresh, so a patched
     `ribbon_boxes` or `transpose_boxes` is the one read, and counts its
     congruences and checks its relations afresh, so a patched `_builder`,
-    `_plan` or preset is the one run.  It also round-trips, enumerates,
-    describes `da` and checks `per` operands afresh, so a patched view,
-    enumerator, `steps_from_phi` or `is_twisted_permutation` is the one
-    called."""
+    `_plan` or preset is the one run.  It also closes `da`, round-trips,
+    enumerates, describes `da` and checks `per` operands afresh, so a
+    patched closure, view, enumerator, `steps_from_phi` or
+    `is_twisted_permutation` is the one called."""
     generation._closures.clear()
     ribbons._diagram.cache_clear()
     presentations._counts.clear()
     presentations._checks.clear()
     cli._round_trips.clear()
     membership._enumerations.clear()
+    membership._da_cache = None
     membership._da_rows.clear()
     membership._is_permutation.cache_clear()
 

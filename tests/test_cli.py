@@ -183,10 +183,9 @@ def test_arity_bound_below_one_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-def test_da_bound_below_its_generator_arity_is_usage_error(capsys, monkeypatch, warm):
+def test_da_bound_below_its_generator_arity_is_usage_error(capsys, warm):
     """`da` refuses arity bound 1 like every generated family, whether or not
     the process already holds a larger `da` closure."""
-    monkeypatch.setattr(membership, "_da_cache", None)
     if warm:
         assert run(capsys, "dims", "--operad", "da", "--max-arity", "5")[0] == 0
     refusal = "error: arity bound 1 is below the largest generator arity 2\n"
@@ -736,7 +735,6 @@ def test_check_functor_builds_each_closure_once(capsys, monkeypatch):
         return generate(gens, max_arity)
 
     monkeypatch.setattr(membership, "generate_closure", counting)
-    monkeypatch.setattr(membership, "_da_cache", None)
     code, _, _ = run(capsys, "check", "functor", "--max-arity", "7")
     assert code == 0
     # fcat1, comp, fcat2, scomp and da; fcat1 feeds two arrows

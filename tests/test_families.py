@@ -351,9 +351,8 @@ def test_da_counts_match_nonnegative_step_sequences():
     assert closure.dimensions()[:6] == (1, 2, 5, 13, 35, 96)
 
 
-def test_da_readers_answer_for_one_letter_words(monkeypatch):
+def test_da_readers_answer_for_one_letter_words():
     # the closure refuses bound 1; the readers read the arity-2 closure
-    monkeypatch.setattr(membership, "_da_cache", None)
     assert fam.get_family("da").contains(parse_letters("0"))
     assert fam.enumerate_da(1) == [(0,)]
     with pytest.raises(ValueError, match="below the largest generator arity 2"):

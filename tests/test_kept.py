@@ -13,7 +13,7 @@ import re
 import pytest
 from conftest import traced_peak
 
-from opwords import cli
+from opwords import cli, generation, presentations
 from opwords import families as fam
 from opwords.cli import main
 from opwords.families import membership
@@ -123,7 +123,7 @@ def test_an_over_cap_enumeration_keeps_nothing():
     with pytest.raises(ValueError) as refused:
         family.enumerated(21)
     assert str(refused.value) == refusal
-    (_, levels), = membership._enumerations.values()
+    levels, = membership._enumerations.values()
     assert len(levels.blocks) == 5
     assert family.enumerated(5) == kept
 
@@ -170,3 +170,74 @@ def test_a_lower_cap_refuses_kept_levels_as_fresh_ones(monkeypatch):
         family.enumerated(5)
     assert str(refused.value) == "arity 5 would build 126 sorted members, over the cap of 100"
     assert family.enumerated(4).dimensions() == (1, 4, 27, 256)
+
+
+def capped_memo(name, monkeypatch, calls):
+    """A capped memo's module, cap name, a lowered cap, the request, and the
+    memo, with every splice, counted arity or enumerator call put in `calls`."""
+
+    def counted(fn):
+        def call(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return call
+
+    if name == "closure":
+        gens = fam.get_family("schr").generator_set()
+        monkeypatch.setattr(generation, "_spliced", counted(generation._spliced))
+        return (generation, "MAX_CLOSURE_CANDIDATES", 50,
+                lambda: generation.generate_closure(gens, 6), generation._closures)
+    if name == "count":
+        comp = presentations.PRESENTATIONS["comp"]
+        monkeypatch.setattr(presentations._Count, "pools", counted(presentations._Count.pools))
+        return (presentations, "MAX_NODES", 10,
+                lambda: presentations.congruence_class_counts(comp.symbols, comp.relations, 6),
+                presentations._counts)
+    family = fam.get_family("fcat1")
+    family = dataclasses.replace(family, enumerate_arity=counted(family.enumerate_arity))
+    return (membership, "MAX_CANDIDATES", 100,
+            lambda: family.enumerated(8), membership._enumerations)
+
+
+@pytest.mark.parametrize("name", ["closure", "count", "enumeration"])
+def test_a_capped_memo_keeps_each_entry_under_its_cap(monkeypatch, name):
+    """Kept at the default cap, a request is refused under a lowered cap with
+    a fresh request's message; with the cap restored, it is served from the
+    first entry with no new splice, arity or enumerator call."""
+    calls = []
+    module, cap, lowered, ask, memo = capped_memo(name, monkeypatch, calls)
+    first = ask()
+    (entry,) = memo.values()
+    assert calls
+    default = getattr(module, cap)
+    monkeypatch.setattr(module, cap, lowered)
+    with pytest.raises(ValueError) as kept_refusal:
+        ask()
+    kept = dict(memo)
+    memo.clear()
+    with pytest.raises(ValueError) as fresh_refusal:
+        ask()
+    memo.clear()
+    memo.update(kept)
+    assert str(kept_refusal.value) == str(fresh_refusal.value)
+    assert f"{lowered}" in str(kept_refusal.value)
+    monkeypatch.setattr(module, cap, default)
+    calls.clear()
+    assert ask() == first
+    assert calls == []
+    assert list(memo.values())[-1] is entry
+
+
+def test_equal_family_records_are_kept_apart(monkeypatch):
+    """Family records hash by identity: a copy with equal fields gets its own
+    round-trips and enumerations."""
+    family = fam.get_family("prt")
+    twin = dataclasses.replace(family)
+    assert twin != family
+    for record in (family, twin):
+        monkeypatch.setitem(fam.FAMILIES, "prt", record)
+        assert run("check", "bijections", "--operad", "prt", "--max-arity", "4")[0] == 0
+        record.enumerated(4)
+    assert list(cli._round_trips) == [family, twin]
+    assert [record for record, _ in membership._enumerations] == [family, twin]

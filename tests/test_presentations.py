@@ -406,6 +406,12 @@ def test_rewrites_reach_both_directions():
 # counts and relation checks kept per process
 
 
+def counts_key(symbols, relations):
+    """The key a count is kept under at the guards in force."""
+    key = presentations._key(symbols, relations)
+    return key, presentations.MAX_NODES, presentations.MAX_EDGES
+
+
 def fresh(call, *args):
     """What `call` gives with nothing kept, as its result or its exception's
     type and message; what is kept stays as it was."""
@@ -461,10 +467,11 @@ def test_memos_keep_the_64_relation_sets_used_last(monkeypatch):
         for args in ((symbols, relations), sets[0]):
             congruence_class_counts(*args, 4)
             verify_relations(args[1], args[0])
-    for memo in (presentations._counts, presentations._checks):
+    for memo, key in ((presentations._counts, counts_key),
+                      (presentations._checks, presentations._key)):
         assert len(memo) == 64
-        assert list(memo)[-1] == presentations._key(*sets[0])
-        assert presentations._key(*sets[1]) not in memo
+        assert list(memo)[-1] == key(*sets[0])
+        assert key(*sets[1]) not in memo
     symbols, relations = sets[1]
     monkeypatch.setattr(presentations, "MAX_NODES", 20)
     outcomes = [outcome(congruence_class_counts, symbols, relations, n) for n in (5, 2, 4, 5)]
@@ -476,7 +483,7 @@ def test_memos_keep_the_64_relation_sets_used_last(monkeypatch):
         congruence_class_counts, symbols, relations, 5
     )
     assert verify_relations(relations, symbols) == fresh(verify_relations, relations, symbols)
-    assert list(presentations._counts)[-1] == presentations._key(symbols, relations)
+    assert list(presentations._counts)[-1] == counts_key(symbols, relations)
 
 
 @pytest.mark.parametrize("nodes, edges, message", [
@@ -500,20 +507,22 @@ def test_kept_counts_are_refused_with_the_fresh_message(monkeypatch, nodes, edge
 
 
 def test_a_refused_extension_keeps_the_arities_it_finished(monkeypatch):
+    monkeypatch.setattr(presentations, "MAX_NODES", 100)
     assert congruence_class_counts(COMP.symbols, COMP.relations, 3) == (1, 2, 4)
     (count,) = presentations._counts.values()
-    monkeypatch.setattr(presentations, "MAX_NODES", 100)
     with pytest.raises(SizeError, match="^258 nodes through arity 6 exceed the 100 guard$"):
         congruence_class_counts(COMP.symbols, COMP.relations, 8)
     # arities 4 and 5 are kept; only arity 5, the top one, has no class ids
     assert [len(c) for c in count.classes] == [0, 1, 2, 4, 8, 16]
     assert count.pending is not None
     assert len(count.class_of) == 2 + 8 + 24
+    assert presentations._counts == {counts_key(COMP.symbols, COMP.relations): count}
     monkeypatch.setattr(presentations, "MAX_NODES", 500_000)
     assert congruence_class_counts(COMP.symbols, COMP.relations, 8) == fresh(
         congruence_class_counts, COMP.symbols, COMP.relations, 8
     ) == (1, 2, 4, 8, 16, 32, 64, 128)
-    assert presentations._counts == {presentations._key(COMP.symbols, COMP.relations): count}
+    assert list(presentations._counts)[-1] == counts_key(COMP.symbols, COMP.relations)
+    assert [len(c) for c in count.classes] == [0, 1, 2, 4, 8, 16]
 
 
 def test_bounds_up_to_one_check_the_relations_and_keep_nothing_beyond():
