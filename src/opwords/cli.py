@@ -18,6 +18,7 @@ from .generation import (
     GeneratorSet,
     GradedFamily,
     _keep,
+    _recall,
     equals_predicate,
     generate_closure,
     quotient_image,
@@ -228,7 +229,7 @@ def cmd_check_presentation(args) -> RunReport:
 def cmd_check_bijections(args) -> RunReport:
     """Round-trip each word of the closure through the object view, one line
     per arity, and check object substitution up to arity 4 where the family
-    has `graft`.  Both are kept per family record (`_round_trips`), so a
+    has `graft`.  Both are kept per family record (`generation._kept`), so a
     kept arity is not re-checked; the closure is still asked for first, so
     a bound is refused as before."""
     report = RunReport(
@@ -238,8 +239,7 @@ def cmd_check_bijections(args) -> RunReport:
     if family.to_object is None:
         raise UsageError(f"{args.operad} has no object view to round-trip")
     closure = family.closure(args.max_arity)
-    lines, grafts = _round_trips.get(family) or ([], {})
-    _keep(_round_trips, family, (lines, grafts))
+    lines, grafts = kept = _recall(family) or ([], {})
     for n in range(len(lines) + 1, args.max_arity + 1):
         words_n = closure.words(n)
         bad = []
@@ -253,6 +253,7 @@ def cmd_check_bijections(args) -> RunReport:
             + (sample if not bad else f"; first failure {format_letters(bad[0])}"),
             not bad,
         ))
+        _keep(family, kept, sum(len(text) for text, _ in lines))
     for text, ok in lines[: args.max_arity]:
         report.add(text, ok=ok)
     if family.graft is not None:
@@ -262,12 +263,6 @@ def cmd_check_bijections(args) -> RunReport:
         ok, checked = grafts[k]
         report.add(f"object-level substitution vs word splice: {checked} cases", ok=ok)
     return report
-
-
-# the round-trips checked in this process, by family record: the line and
-# verdict of each arity from 1 up, and the substitution check's `(ok,
-# checked)` by its arity bound; at most 64, the most recently used last
-_round_trips: dict[fam.Family, tuple[list, dict[int, tuple[bool, int]]]] = {}
 
 
 def _object_substitution_agrees(

@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from ..generation import GeneratorSet, GradedFamily, _keep, _Levels, _packed, generate_closure
+from ..generation import (
+    GeneratorSet, GradedFamily, _keep, _Levels, _packed, _recall, generate_closure,
+)
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
 from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
@@ -291,13 +293,13 @@ _da_cache: GradedFamily | None = None
 
 
 def da_closure(max_arity: int) -> GradedFamily:
-    """The `da` closure to the arity bound, kept across calls; the bound is
-    checked against the generators before the kept closure is read."""
+    """`_da_cache`, the deepest `da` closure read, while it reads the levels
+    that `generate_closure`, asked at every call, serves to the arity bound."""
     global _da_cache
-    gens = FAMILIES["da"].generator_set()
-    gens.check_bound(max_arity)
-    if _da_cache is None or _da_cache.max_arity < max_arity:
-        _da_cache = generate_closure(gens, max_arity)
+    closure = generate_closure(FAMILIES["da"].generator_set(), max_arity)
+    if (_da_cache is None or _da_cache.max_arity < max_arity
+            or _da_cache._levels is not closure._levels):
+        _da_cache = closure
     return _da_cache
 
 
@@ -324,21 +326,16 @@ def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
 
     The described words are built as `steps_from_phi` of the nonnegative step
     sequences, the unique preimages starting at 0 of the words that
-    `da_prefix_description` accepts, independently of the closure.  A row
-    does not depend on the bound, so each is made once per process
-    (`_da_rows`); the closure is still read first, so a bound is refused
-    as before.
+    `da_prefix_description` accepts, independently of the closure, which is
+    read first, so a bound is refused before any row is made.
     """
     closure = da_closure(max_arity)
-    for n in range(len(_da_rows) + 1, max_arity + 1):
+    rows = []
+    for n in range(1, max_arity + 1):
         generated = closure.words(n)
         described = sorted({steps_from_phi(s) for s in motzkin_prefixes(n - 1)})
-        _da_rows.append((n, generated == described, len(generated), len(described)))
-    return _da_rows[:max_arity]
-
-
-# the rows of `da_description_report` made in this process, arity 1 first
-_da_rows: list[tuple[int, bool, int, int]] = []
+        rows.append((n, generated == described, len(generated), len(described)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -396,17 +393,18 @@ class Family:
 
     def enumerated(self, max_arity: int) -> GradedFamily:
         """The enumerator's words to the arity bound, one sorted word per
-        orbit when symmetric, as sorted, deduplicated blocks.  The blocks are
-        kept per family record and cap (`_enumerations`), so only the arities
-        above the kept ones are enumerated, the top arity first: an over-cap
+        orbit when symmetric, as sorted, deduplicated blocks, kept per family
+        record and cap (`generation._kept`), so only the arities above the
+        kept ones are enumerated, the top arity first: an over-cap
         enumeration is refused before any other work, and keeps nothing.
         Each arity is packed before the next is enumerated."""
         key = self, MAX_CANDIDATES
-        levels = _enumerations.get(key) or _Levels([])
+        levels = _recall(key) or _Levels([])
         top = len(levels.blocks)
         fresh = [_packed(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, top, -1)]
-        levels.blocks += reversed(fresh)
-        _keep(_enumerations, key, levels)
+        if fresh:
+            levels.blocks += reversed(fresh)
+            _keep(key, levels, sum(map(len, levels.blocks)))
         return GradedFamily._of(self.monoid, max_arity, levels, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
@@ -522,11 +520,6 @@ FAMILIES: dict[str, Family] = {
         count=lambda n: n,
     ),
 }
-
-
-# the enumerations made in this process, by family record and candidate cap;
-# at most 64, the most recently used last
-_enumerations: dict[tuple[Family, int], _Levels] = {}
 
 
 def get_family(name: str) -> Family:

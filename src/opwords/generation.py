@@ -26,13 +26,13 @@ not depend on the order of its words.
 
 The truncation of a closure at arity n is the first n levels of any deeper
 one, so each generator set is closed once per process under each candidate
-guard: `_closures` keeps, for the 64 sets and guards used last, the scaled
-generators over one kernel, each finished level's block and the candidates
-spliced so far.  Every kept level has passed the guard it is kept under, so
-a bound at or below the kept levels is served from their blocks; a deeper
-bound splices only the missing levels, which are kept once the whole call
-succeeds, so a refused call keeps nothing.  A kept block is sorted the first
-time an ordered read needs it, and kept sorted.
+guard: `_kept`, the process's one registry of results, which drops those
+used least recently past `_KEPT_BYTES`, keeps the scaled generators over one
+kernel, each finished level's block and the candidates spliced so far.
+Every kept level has passed the guard it is kept under, so a bound at or
+below the kept levels is served from their blocks; a deeper bound splices
+only the missing levels, which are kept once the whole call succeeds, so a
+refused call keeps nothing.  A kept block is sorted when first read in order.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
 orbit of the letter-permuting action.  The monoids are commutative, so the
@@ -309,12 +309,12 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     substitution (and under letter permutation when symmetric), truncated to
     the arity bound.  A symmetric closure keeps one sorted word per orbit.
 
-    Each generator set is closed once per process under each guard
-    (`_closures`, keyed by the set and `MAX_CLOSURE_CANDIDATES`): a bound at
-    or below its kept levels is served from their blocks, and a deeper bound
-    splices only the missing levels, kept once the whole call succeeds.  A
-    level's set is dropped once it is joined into its block, before the next
-    level is spliced, so no set outlives the call.
+    Each generator set is closed once per process under each guard (`_kept`,
+    keyed by the set and `MAX_CLOSURE_CANDIDATES`): a bound at or below its
+    kept levels is served from their blocks, and a deeper bound splices only
+    the missing levels, kept once the whole call succeeds.  A level's set is
+    dropped once it is joined into its block, before the next level is
+    spliced, so no set outlives the call.
 
     Raises `ValueError` when a word of the closure would hold a letter above
     255, which cannot be packed into `bytes`, and before a splice would take
@@ -332,11 +332,7 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 "the closure has infinitely many words of arity 1"
             )
     key = gens, MAX_CLOSURE_CANDIDATES
-    closure = _closures.get(key)
-    if closure is None:
-        closure = _Closure(gens)
-    else:
-        _keep(_closures, key, closure)
+    closure = _recall(key) or _Closure(gens)
     blocks = closure.blocks[:max_arity]
     candidates = closure.candidates
 
@@ -370,7 +366,7 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     if len(blocks) > len(closure.blocks):  # kept only now that every new level is finished
         closure.unsorted.update(range(len(closure.blocks) + 1, len(blocks) + 1))
         closure.blocks, closure.candidates = blocks, candidates
-        _keep(_closures, key, closure)
+        _keep(key, closure, sum(map(len, blocks)))
     return GradedFamily._of(m, max_arity, closure, gens.symmetric)
 
 
@@ -393,19 +389,38 @@ class _Closure(_Levels):
         self.candidates = 0
 
 
-# the closures made in this process, by generator set and candidate guard,
-# the most recently used last; at most `_KEPT` of them
-_closures: dict[tuple[GeneratorSet, int], _Closure] = {}
-_KEPT = 64
+class _Kept(dict):
+    """Each key's `(entry, bytes it states)`, least recently used first, and `total` bytes."""
+
+    total = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.total = 0
 
 
-def _keep(memo: dict, key: object, entry: object) -> None:
-    """Put the entry last in the memo, dropping the least recently used
-    entry past `_KEPT`."""
-    memo.pop(key, None)
-    memo[key] = entry
-    if len(memo) > _KEPT:
-        del memo[next(iter(memo))]
+_kept = _Kept()
+# the most bytes the kept entries may state: fcat1@14's 50,469,889 bytes of blocks fit
+_KEPT_BYTES = 1 << 26
+
+
+def _recall(key: object) -> object | None:
+    """The entry kept under the key, moved last, or None."""
+    found = _kept.pop(key, None)
+    if found:
+        _kept[key] = found
+    return found and found[0]
+
+
+def _keep(key: object, entry: object, size: int) -> None:
+    """Keep the entry, made or grown to `size` bytes, last under the key; drop the
+    oldest past `_KEPT_BYTES`, or the key's entry if it alone passes it."""
+    _kept.total -= _kept.pop(key, (None, 0))[1]
+    if size <= _KEPT_BYTES:
+        _kept[key] = entry, size
+        _kept.total += size
+        while _kept.total > _KEPT_BYTES:
+            _kept.total -= _kept.pop(next(iter(_kept)))[1]
 
 
 class _Scaled(dict):

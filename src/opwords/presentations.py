@@ -18,12 +18,10 @@ every arity below it, to compare with the dimensions of the operad the
 generators realize; it builds at most `MAX_NODES` nodes and `MAX_EDGES`
 edges.  Each edge comes from one assignment of classes to a relation's
 leaves, through one builder per side.  The schr relations reach arity 9
-(103,049 classes) in about 1.4 s on a 2-vCPU Xeon.
+(103,049 classes) in 0.9–1.4 s on a 2-vCPU VM under CPython 3.11.
 
-A process keeps the relation checks (`_checks`) of the 64 relation sets
-used last, and the counts (`_counts`) of the 64 relation sets and guards
-used last: a later bound reads the kept arities, all within the guards they
-are kept under, and counts only the missing ones, so a refusal is the one a
+A process keeps its relation checks and counts in `generation._kept`, so a
+later bound counts only the arities not kept, and a refusal is the one a
 fresh count gives (see `congruence_class_counts`).
 
 `eval_term` works on raw letter tuples and checks the carrier once per term.
@@ -38,7 +36,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .families import FAMILIES
-from .generation import _keep
+from .generation import _keep, _recall
 from .words import Letters, PositionError, Word, splice
 
 __all__ = [
@@ -283,20 +281,17 @@ def verify_relations(
     relations: tuple[Relation, ...], symbols: Mapping[str, GeneratorSymbol]
 ) -> list[RelationCheck]:
     """Evaluate both sides of every relation in the target operad, once per
-    relation set and symbols in a process (`_checks`); each call returns a
-    new list."""
+    relation set and symbols in a process (`generation._kept`); each call
+    returns a new list."""
     key = _key(symbols, relations)
-    kept = _checks.get(key) or (relations, [
-        RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
-        for rel in relations
-    ])
-    _keep(_checks, key, kept)
+    kept = _recall(key)
+    if kept is None:  # held with the relations, whose id the key holds
+        kept = relations, [
+            RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
+            for rel in relations
+        ]
+        _keep(key, kept, sum(len(c.left_word) + len(c.right_word) for c in kept[1]))
     return list(kept[1])
-
-
-# the relation checks made in this process, by `_key`, each with the
-# relations whose id the key holds; at most 64, the most recently used last
-_checks: dict[tuple, tuple[tuple[Relation, ...], list[RelationCheck]]] = {}
 
 
 def match_slots(pattern: Term, subject: Term) -> list[Term] | None:
@@ -382,14 +377,13 @@ def congruence_class_counts(
     induction on arity, the components are the congruence classes.
 
     Each relation set is counted once per process under each pair of guards
-    (`_counts`, keyed by `_key`, `MAX_NODES` and `MAX_EDGES`): a bound at or
-    below its kept arities reads their counts, and a deeper bound counts only
-    the missing arities, each kept as soon as it is finished.  Only a later
-    arity's nodes read class ids, so an arity's nodes get theirs once the
-    guards let the next arity be built.  Until then only its union-find is
-    kept; when a later call needs its class ids, its nodes are listed again
-    from the class ids below it, since keeping them would hold a dict of
-    every node of that arity between calls.
+    (`generation._kept`, by `_key`, `MAX_NODES` and `MAX_EDGES`): a bound at
+    or below its kept arities reads their counts, and a deeper bound counts
+    only the missing arities, each kept as soon as it is finished.  Only a
+    later arity's nodes read class ids, so an arity's nodes get theirs once
+    the guards let the next arity be built.  Until then only its union-find
+    is kept; a later call that needs its class ids lists its nodes again from
+    the class ids below it, rather than hold a dict of them between calls.
 
     Before each arity, its nodes and edges are counted from the class counts
     below it; a `SizeError` is raised before an arity that would take the
@@ -398,10 +392,16 @@ def congruence_class_counts(
     it is kept under, so it is refused where a fresh count would be.
     """
     key = _key(symbols, relations), MAX_NODES, MAX_EDGES
-    count = _counts.get(key) or _Count(symbols, relations)
-    _keep(_counts, key, count)
+    count = _recall(key)
+    top = 0 if count is None else len(count.classes)
+    count = count or _Count(symbols, relations)
     max_arity = max(max_arity, 0)  # a bound below 0 counts no arity, as 0 does
-    count.extend(max_arity)
+    try:
+        count.extend(max_arity)
+    finally:
+        if len(count.classes) > top:  # made or grown: about 100 bytes a node with a
+            # class id, 36 a pending union-find slot (tracemalloc: schr@8, motz@12)
+            _keep(key, count, 100 * len(count.class_of) + 36 * len(count.pending or ()))
     return tuple(map(len, count.classes[1 : max_arity + 1]))
 
 
@@ -508,11 +508,6 @@ class _Count:
                 parent[i] = i = parent[parent[i]]
             class_of[nd] = roots.setdefault(i, first + len(roots))
         self.pending = None
-
-
-# the congruence counts made in this process, by `_key` and the two guards;
-# at most 64, the most recently used last
-_counts: dict[tuple, _Count] = {}
 
 
 def _plan(

@@ -1,31 +1,35 @@
+import contextlib
 import tracemalloc
 
 import pytest
 
-from opwords import cli, generation, presentations
+from opwords import generation
 from opwords.families import membership, ribbons
 
 
 @pytest.fixture(autouse=True)
 def fresh_closures():
-    """Each test closes its generator sets afresh, so a test that patches the
-    splice or the guard runs the patched code, not a level kept by another;
-    likewise each test draws its ribbon diagrams afresh, so a patched
-    `ribbon_boxes` or `transpose_boxes` is the one read, and counts its
-    congruences and checks its relations afresh, so a patched `_builder`,
-    `_plan` or preset is the one run.  It also closes `da`, round-trips,
-    enumerates, describes `da` and checks `per` operands afresh, so a
-    patched closure, view, enumerator, `steps_from_phi` or
-    `is_twisted_permutation` is the one called."""
-    generation._closures.clear()
-    ribbons._diagram.cache_clear()
-    presentations._counts.clear()
-    presentations._checks.clear()
-    cli._round_trips.clear()
-    membership._enumerations.clear()
+    """Each test starts with nothing kept (`generation._kept` and
+    `membership._da_cache`), so a test that patches the splice, a guard,
+    `_builder`, `_plan`, a preset, a view or an enumerator runs the patched
+    code, not a result kept by another; likewise each test draws its ribbon
+    diagrams and checks `per` operands afresh, so a patched `ribbon_boxes`,
+    `transpose_boxes` or `is_twisted_permutation` is the one called."""
+    generation._kept.clear()
     membership._da_cache = None
-    membership._da_rows.clear()
+    ribbons._diagram.cache_clear()
     membership._is_permutation.cache_clear()
+
+
+@contextlib.contextmanager
+def nothing_kept():
+    """Run the block with an empty registry; what is kept stays as it was."""
+    kept = generation._kept
+    generation._kept = generation._Kept()
+    try:
+        yield
+    finally:
+        generation._kept = kept
 
 
 def traced_peak(run):

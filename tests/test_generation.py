@@ -9,7 +9,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import traced_peak
+from conftest import nothing_kept, traced_peak
 
 from opwords import families as fam
 from opwords import generation
@@ -356,12 +356,8 @@ def test_letters_above_255_are_refused_only_where_a_word_holds_them():
 def fresh_closure(gens, bound):
     """The closure computed with no kept level, leaving the kept ones as
     they were."""
-    kept = generation._closures
-    generation._closures = {}
-    try:
+    with nothing_kept():
         return generate_closure(gens, bound)
-    finally:
-        generation._closures = kept
 
 
 def refusal(gens, bound):
@@ -408,21 +404,26 @@ def kept_key(gens):
 
 
 def kept_state(gens):
-    kept = generation._closures[kept_key(gens)]
+    kept = generation._kept[kept_key(gens)][0]
     return list(kept.blocks), kept.candidates
 
 
-def test_memo_keeps_the_64_sets_used_last(monkeypatch):
-    """100 seeded sets leave 64; a set used again is kept over older ones,
-    and an evicted set asked again answers as a fresh one, refusals too."""
+def test_memo_keeps_the_sets_used_last_within_its_bytes(monkeypatch):
+    """97 seeded sets closed to arity 4 state 5,776 bytes of blocks; under a
+    2,000-byte budget the sets used last are kept, a set used again over
+    older ones, and an evicted set asked again answers as a fresh one,
+    refusals too."""
+    monkeypatch.setattr(generation, "_KEPT_BYTES", 2000)
     sets = list(dict.fromkeys(random_generator_set(seed) for seed in range(100)))
-    assert len(sets) > 64
     for gens in sets:
         generate_closure(gens, 4)
         generate_closure(sets[0], 3)
-    assert len(generation._closures) == 64
-    assert list(generation._closures)[-1] == kept_key(sets[0])
-    assert kept_key(sets[1]) not in generation._closures
+    kept = generation._kept
+    assert kept.total == sum(size for _, size in kept.values()) <= 2000
+    assert 10 < len(kept) < len(sets) - 10
+    assert list(kept)[-1] == kept_key(sets[0])
+    assert list(kept)[:-1] == [kept_key(gens) for gens in sets[1 - len(kept):]]
+    assert kept_key(sets[1]) not in kept
     monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 3)
     refused = outcome(generate_closure, sets[1], 5)
     assert refused == "4 candidates through arity 5 exceed the 3 guard"
@@ -430,7 +431,7 @@ def test_memo_keeps_the_64_sets_used_last(monkeypatch):
         assert outcome(generate_closure, sets[1], bound) == outcome(fresh_closure, sets[1], bound)
     monkeypatch.undo()
     assert generate_closure(sets[1], 5) == fresh_closure(sets[1], 5)
-    assert list(generation._closures)[-1] == kept_key(sets[1])
+    assert list(generation._kept)[-1] == kept_key(sets[1])
 
 
 def outcome(close, gens, bound):
@@ -497,7 +498,7 @@ def test_refused_extension_keeps_the_kept_levels(monkeypatch, capsys):
     gens = fam.get_family("prt").generator_set()
     monkeypatch.setattr(generation, "MAX_CLOSURE_CANDIDATES", 1000)
     assert "1000 guard" in refusal(gens, 12)
-    assert generation._closures == {}  # a refused first closure keeps nothing
+    assert generation._kept == {}  # a refused first closure keeps nothing
     assert main(["dims", "--operad", "prt", "--max-arity", "5"]) == 0
     before = kept_state(gens)
     assert main(["dims", "--operad", "prt", "--max-arity", "12"]) == 2
@@ -512,7 +513,7 @@ def test_kept_closure_is_refused_a_letter_above_255_as_a_fresh_one():
     message = refusal(gens, 3)
     assert message.startswith("letter 256 over N300 ")
     assert len(kept_state(gens)[0]) == 2
-    generation._closures.clear()
+    generation._kept.clear()
     assert refusal(gens, 3) == message
 
 
@@ -533,7 +534,7 @@ def test_each_kept_level_is_sorted_once(monkeypatch, tmp_path, capsys):
                  ["check", "characterization"]):
         assert main(argv + ["--operad", "prt", "--max-arity", "8"]) == 0
     assert sorted(sorted_arities) == list(range(1, 9))
-    kept = generation._closures[kept_key(fam.get_family("prt").generator_set())]
+    kept = generation._kept[kept_key(fam.get_family("prt").generator_set())][0]
     assert kept.unsorted == set()
     for n, block in enumerate(kept.blocks, 1):
         assert block == b"".join(sorted(generation._unpacked(block, n)))

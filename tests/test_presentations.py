@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from conftest import nothing_kept
 
 from opwords import families as fam
-from opwords import presentations
+from opwords import generation, presentations
 from opwords.monoids import NATURALS, cyclic
 from opwords.presentations import (
     LEAF,
@@ -415,15 +416,8 @@ def counts_key(symbols, relations):
 def fresh(call, *args):
     """What `call` gives with nothing kept, as its result or its exception's
     type and message; what is kept stays as it was."""
-    kept = dict(presentations._counts), dict(presentations._checks)
-    presentations._counts.clear()
-    presentations._checks.clear()
-    try:
+    with nothing_kept():
         return outcome(call, *args)
-    finally:
-        for memo, entries in zip((presentations._counts, presentations._checks), kept):
-            memo.clear()
-            memo.update(entries)
 
 
 def outcome(call, *args):
@@ -444,7 +438,7 @@ def test_kept_counts_equal_a_fresh_count_on_presets(name):
     for n in BOUNDS + (top, 2, top - 1, top):
         expected = fresh(congruence_class_counts, preset.symbols, preset.relations, n)
         assert congruence_class_counts(preset.symbols, preset.relations, n) == expected
-    assert len(presentations._counts) == 1
+    assert len(generation._kept) == 1
 
 
 def test_kept_counts_equal_a_fresh_count_on_random_relations():
@@ -454,24 +448,32 @@ def test_kept_counts_equal_a_fresh_count_on_random_relations():
         for n in BOUNDS:
             expected = fresh(congruence_class_counts, symbols, relations, n)
             assert congruence_class_counts(symbols, relations, n) == expected, n
-    assert len(presentations._counts) == 64
+    assert len(generation._kept) == 100
+    assert generation._kept.total <= generation._KEPT_BYTES
 
 
-def test_memos_keep_the_64_relation_sets_used_last(monkeypatch):
-    """Of 100 relation sets, the counts and checks of the 64 used last are
-    kept, a set used again moved last; an evicted set asked again answers as
-    a fresh one, refusals included."""
+def test_memos_keep_the_relation_sets_used_last_within_their_bytes(monkeypatch):
+    """The counts and checks of 100 relation sets to arity 4 state 158,046
+    bytes; under a 50,000-byte budget those used last are kept, a set used
+    again moved last; an evicted set asked again answers as a fresh one,
+    refusals included."""
+    monkeypatch.setattr(generation, "_KEPT_BYTES", 50_000)
     rng = random.Random(29)
     sets = [random_presentation(rng) for _ in range(100)]
+    used = []
     for symbols, relations in sets:
         for args in ((symbols, relations), sets[0]):
             congruence_class_counts(*args, 4)
             verify_relations(args[1], args[0])
-    for memo, key in ((presentations._counts, counts_key),
-                      (presentations._checks, presentations._key)):
-        assert len(memo) == 64
-        assert list(memo)[-1] == key(*sets[0])
-        assert key(*sets[1]) not in memo
+            used += [counts_key(*args), presentations._key(*args)]
+    kept = generation._kept
+    assert kept.total == sum(size for _, size in kept.values()) <= 50_000
+    assert 20 < len(kept) < 180
+    by_last_use = list(dict.fromkeys(reversed(used)))[::-1]
+    assert list(kept) == by_last_use[-len(kept):]
+    assert list(kept)[-2:] == [counts_key(*sets[0]), presentations._key(*sets[0])]
+    for key in (counts_key, presentations._key):
+        assert key(*sets[1]) not in kept
     symbols, relations = sets[1]
     monkeypatch.setattr(presentations, "MAX_NODES", 20)
     outcomes = [outcome(congruence_class_counts, symbols, relations, n) for n in (5, 2, 4, 5)]
@@ -483,7 +485,9 @@ def test_memos_keep_the_64_relation_sets_used_last(monkeypatch):
         congruence_class_counts, symbols, relations, 5
     )
     assert verify_relations(relations, symbols) == fresh(verify_relations, relations, symbols)
-    assert list(presentations._counts)[-1] == counts_key(symbols, relations)
+    assert list(generation._kept)[-2:] == [
+        counts_key(symbols, relations), presentations._key(symbols, relations)
+    ]
 
 
 @pytest.mark.parametrize("nodes, edges, message", [
@@ -509,26 +513,27 @@ def test_kept_counts_are_refused_with_the_fresh_message(monkeypatch, nodes, edge
 def test_a_refused_extension_keeps_the_arities_it_finished(monkeypatch):
     monkeypatch.setattr(presentations, "MAX_NODES", 100)
     assert congruence_class_counts(COMP.symbols, COMP.relations, 3) == (1, 2, 4)
-    (count,) = presentations._counts.values()
+    ((count, _),) = generation._kept.values()
     with pytest.raises(SizeError, match="^258 nodes through arity 6 exceed the 100 guard$"):
         congruence_class_counts(COMP.symbols, COMP.relations, 8)
     # arities 4 and 5 are kept; only arity 5, the top one, has no class ids
     assert [len(c) for c in count.classes] == [0, 1, 2, 4, 8, 16]
     assert count.pending is not None
     assert len(count.class_of) == 2 + 8 + 24
-    assert presentations._counts == {counts_key(COMP.symbols, COMP.relations): count}
+    assert list(generation._kept) == [counts_key(COMP.symbols, COMP.relations)]
+    assert generation._kept[counts_key(COMP.symbols, COMP.relations)][0] is count
     monkeypatch.setattr(presentations, "MAX_NODES", 500_000)
     assert congruence_class_counts(COMP.symbols, COMP.relations, 8) == fresh(
         congruence_class_counts, COMP.symbols, COMP.relations, 8
     ) == (1, 2, 4, 8, 16, 32, 64, 128)
-    assert list(presentations._counts)[-1] == counts_key(COMP.symbols, COMP.relations)
+    assert list(generation._kept)[-1] == counts_key(COMP.symbols, COMP.relations)
     assert [len(c) for c in count.classes] == [0, 1, 2, 4, 8, 16]
 
 
 def test_bounds_up_to_one_check_the_relations_and_keep_nothing_beyond():
     for n in (0, 1, 0, -1, -2):
         assert congruence_class_counts(COMP.symbols, COMP.relations, n) == (1,) * max(n, 0)
-    (count,) = presentations._counts.values()
+    ((count, _),) = generation._kept.values()
     assert len(count.classes) == 2 and count.pending is None
     assert congruence_class_counts(COMP.symbols, COMP.relations, 2) == (1, 2)
     # a relation set that does not fit its symbols is refused at every call
