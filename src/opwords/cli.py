@@ -3,6 +3,11 @@
 Exit codes: 0 when every sub-verdict passed, 1 when a counterexample or
 mismatch was found, 2 on usage errors.  Identical command lines produce
 identical reports and exports, except for the wall-time field.
+
+A well-formed command line, a command's words and then its options, each
+spelled in full with its value in the next word, is read in one pass over the
+actions `build_parser` declares (`_read`).  argparse parses any other line,
+and alone declares the options and writes help and usage errors.
 """
 from __future__ import annotations
 
@@ -305,58 +310,68 @@ def cmd_check_functor(args) -> RunReport:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged.  Its `leaves` maps each leaf's command words to the leaf's
+    function and its options' actions by option string, for `_read`."""
     parser = argparse.ArgumentParser(
         prog="opwords",
         description="generate and verify word operads over a monoid",
     )
+    parser.leaves = {}
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
+    as_json = common.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def leaf(words, p, func, *actions):
+        p.set_defaults(func=func)
+        parser.leaves[words] = func, {s: a for a in (as_json, *actions) for s in a.option_strings}
+
     gen = sub.add_parser("gen", parents=[common], help="generate a closure and export it")
-    _operad_args(gen)
-    gen.add_argument("--out", help="write the family as JSONL")
-    gen.set_defaults(func=cmd_gen)
+    leaf(("gen",), gen, cmd_gen,
+         gen.add_argument("--operad", choices=sorted(fam.FAMILIES), help="preset name"),
+         gen.add_argument("--monoid", help="custom monoid: N, N2, N3, ..., B01"),
+         gen.add_argument("--generators", help="comma-separated generator words, e.g. 00,01"),
+         gen.add_argument("--symmetric", action="store_true"),
+         gen.add_argument("--max-arity", type=_arity, default=6),
+         gen.add_argument("--out", help="write the family as JSONL"))
 
     dims = sub.add_parser("dims", parents=[common], help="dimension sequence of a preset")
-    dims.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
-    dims.add_argument("--max-arity", type=_arity, default=5)
-    dims.set_defaults(func=cmd_dims)
+    leaf(("dims",), dims, cmd_dims,
+         dims.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES)),
+         dims.add_argument("--max-arity", type=_arity, default=5))
 
     check = sub.add_parser("check", help="run a verification")
     kinds = check.add_subparsers(dest="kind", required=True)
 
     axioms = kinds.add_parser("axioms", parents=[common])
-    axioms.add_argument("--monoid", required=True)
-    axioms.add_argument("--max-arity", type=_arity, default=3)
-    axioms.add_argument(
-        "--letter-cap", type=int, help="largest letter checked over N (default 3)"
-    )
-    axioms.set_defaults(func=cmd_check_axioms)
+    leaf(("check", "axioms"), axioms, cmd_check_axioms,
+         axioms.add_argument("--monoid", required=True),
+         axioms.add_argument("--max-arity", type=_arity, default=3),
+         axioms.add_argument("--letter-cap", type=int,
+                             help="largest letter checked over N (default 3)"))
 
     charac = kinds.add_parser("characterization", parents=[common])
-    charac.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
-    charac.add_argument("--max-arity", type=_arity, default=6)
-    charac.set_defaults(func=cmd_check_characterization)
+    leaf(("check", "characterization"), charac, cmd_check_characterization,
+         charac.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES)),
+         charac.add_argument("--max-arity", type=_arity, default=6))
 
     rels = kinds.add_parser("relations", parents=[common])
-    rels.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS))
-    rels.set_defaults(func=cmd_check_relations)
+    leaf(("check", "relations"), rels, cmd_check_relations,
+         rels.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS)))
 
     pres = kinds.add_parser("presentation", parents=[common])
-    pres.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS))
-    pres.add_argument("--max-arity", type=_arity, default=6)
-    pres.set_defaults(func=cmd_check_presentation)
+    leaf(("check", "presentation"), pres, cmd_check_presentation,
+         pres.add_argument("--operad", required=True, choices=sorted(PRESENTATIONS)),
+         pres.add_argument("--max-arity", type=_arity, default=6))
 
     bij = kinds.add_parser("bijections", parents=[common])
-    bij.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES))
-    bij.add_argument("--max-arity", type=_arity, default=6)
-    bij.set_defaults(func=cmd_check_bijections)
+    leaf(("check", "bijections"), bij, cmd_check_bijections,
+         bij.add_argument("--operad", required=True, choices=sorted(fam.FAMILIES)),
+         bij.add_argument("--max-arity", type=_arity, default=6))
 
     fun = kinds.add_parser("functor", parents=[common])
-    fun.add_argument("--max-arity", type=_arity, default=5)
-    fun.set_defaults(func=cmd_check_functor)
+    leaf(("check", "functor"), fun, cmd_check_functor,
+         fun.add_argument("--max-arity", type=_arity, default=5))
     return parser
 
 
@@ -373,17 +388,46 @@ def _arity(text: str) -> int:
     return n
 
 
-def _operad_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--operad", choices=sorted(fam.FAMILIES), help="preset name")
-    p.add_argument("--monoid", help="custom monoid: N, N2, N3, ..., B01")
-    p.add_argument("--generators", help="comma-separated generator words, e.g. 00,01")
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--max-arity", type=_arity, default=6)
+def _read(leaves: dict, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `parse_args` gives a well-formed command line, read in one
+    pass: a leaf's command words, then its options, each spelled in full and
+    each value in the next word.  None for argparse to parse and report:
+    help, an abbreviation or `--opt=value`, an unknown or missing option or
+    value, a positional or `--`, a value its type or choices refuse, and an
+    option that takes other than one value or none."""
+    words = tuple(argv[:1]) if tuple(argv[:1]) in leaves else tuple(argv[:2])
+    if words not in leaves:
+        return None
+    func, options = leaves[words]
+    args = argparse.Namespace(**{a.dest: a.default for a in options.values()},
+                              **dict(zip(("command", "kind"), words)), func=func)
+    given, tokens = set(), iter(argv[len(words):])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action.nargs not in (None, 0):
+            return None
+        value = action.const
+        if action.nargs is None:
+            value = next(tokens, "-")  # a missing value reads as an option
+            if value.startswith("-"):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+        given.add(action)
+    if any(a.required and a not in given for a in options.values()):
+        return None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(parser.leaves, argv) or parser.parse_args(argv)
     start = time.perf_counter()
     try:
         report: RunReport = args.func(args)

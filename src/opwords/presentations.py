@@ -93,6 +93,11 @@ def term_arity(t: Term) -> int:
     return sum(term_arity(a) for a in t.args)
 
 
+def _nodes(t: Term) -> int:
+    """The symbol nodes of a term: leaves are not counted."""
+    return 0 if t.is_leaf else 1 + sum(map(_nodes, t.args))
+
+
 def graft_term(t: Term, i: int, s: Term) -> Term:
     """Substitute s for the i-th leaf of t, counting leaves left to right."""
     total = term_arity(t)
@@ -290,7 +295,9 @@ def verify_relations(
             RelationCheck(rel, eval_term(rel.left, symbols), eval_term(rel.right, symbols))
             for rel in relations
         ]
-        _keep(key, kept, sum(len(c.left_word) + len(c.right_word) for c in kept[1]))
+        # 290-325 bytes a symbol node with its share of the relation, check and
+        # words, over the presets (tracemalloc); a parsed leaf is the one `LEAF`
+        _keep(key, kept, 300 * sum(_nodes(r.left) + _nodes(r.right) for r in relations))
     return list(kept[1])
 
 

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -761,3 +763,151 @@ def test_reports_are_deterministic_up_to_timing(capsys, tmp_path):
         return lines[:-1], path.read_text()  # final line carries wall time
 
     assert snapshot() == snapshot()
+
+
+# ---------------------------------------------------------------------------
+# a command line read in one pass, and the lines left to argparse
+
+KINDS = ("axioms", "characterization", "relations", "presentation", "bijections", "functor")
+
+# lines `cli._read` leaves to argparse, each with the spelled-out line that
+# argparse reads it as, or None where argparse prints help or a usage error
+FALL_THROUGH = [
+    *((words, None) for words in [("-h",), ("gen", "-h"), ("dims", "-h"), ("check", "-h")]),
+    *((("check", kind, "-h"), None) for kind in KINDS),
+    (("dims", "--oper", "prt"), ("dims", "--operad", "prt")),
+    (("check", "presentation", "--operad=prt"), ("check", "presentation", "--operad", "prt")),
+    (("dims", "--operad", "prt", "--max-arity", "0"), None),
+    (("gen", "--operad", "prt", "--max-arity", "-1"), None),
+    (("check", "functor", "--max-arity"), None),
+    (("check", "bijections", "--max-arity", "3"), None),
+    (("dims", "--operad", "prt", "extra"), None),
+    (("dims", "--operad", "prt", "--"), None),
+    (("check", "axioms", "--monoid", "N", "--letter-cap", "x"), None),
+    (("gen", "--operad", "prt", "--out", "--json"), None),
+    (("--json", "gen", "--operad", "prt"), None),
+    (("check",), None),
+    ((), None),
+]
+
+
+def _well_formed_lines():
+    """Each leaf with each preset its --operad takes (with each of four monoids
+    for check axioms), bounds 1-3, with and without --json, --out and
+    --letter-cap, the options in declared and in reverse order."""
+    for words, (_, options) in build_parser().leaves.items():
+        heads = ([("--operad", name) for name in options["--operad"].choices]
+                 if "--operad" in options else
+                 [("--monoid", m) for m in ("N", "N2", "N3", "B01")]
+                 if "--monoid" in options else [()])
+        bounds = [("--max-arity", str(n)) for n in (1, 2, 3)] if "--max-arity" in options else [()]
+        extras = [part for part in [("--json",), ("--out", "x.jsonl"), ("--letter-cap", "2")]
+                  if part[0] in options]
+        for head, bound, k in itertools.product(heads, bounds, range(len(extras) + 1)):
+            for chosen in itertools.combinations(extras, k):
+                parts = [head, bound, *chosen]
+                for order in (parts, parts[::-1]):
+                    yield (*words, *itertools.chain(*order))
+
+
+def _lines_in_this_file():
+    """The command lines written out in this file: the arguments of each
+    `run(capsys, ...)` call and each tuple or list that starts with a command
+    word.  A part that is no string literal, a path or a bound, stands in as
+    "7"; a line with a starred part is left out."""
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run":
+            parts = node.args[1:]
+        elif isinstance(node, (ast.Tuple, ast.List)):
+            parts = node.elts
+        else:
+            continue
+        literal = [p.value if isinstance(p, ast.Constant) and isinstance(p.value, str) else "7"
+                   for p in parts]
+        if literal and literal[0] in ("gen", "dims", "check") and not any(
+            isinstance(p, ast.Starred) for p in parts
+        ):
+            yield tuple(literal)
+
+
+def _read_line(argv):
+    """What `cli._read` makes of the line."""
+    return cli._read(build_parser().leaves, list(argv))
+
+
+def _parsed(argv):
+    """The namespace `parse_args` gives the line, or None where it exits."""
+    try:
+        return build_parser().parse_args(list(argv))
+    except SystemExit:
+        return None
+
+
+def test_a_line_is_read_to_the_namespace_argparse_gives(capsys):
+    """The reader refuses every line argparse refuses.  Of the lines argparse
+    reads, it leaves to argparse only a value that starts with "-", which
+    argparse reads as a negative number."""
+    generated, written = set(_well_formed_lines()), set(_lines_in_this_file())
+    assert len(generated) > 1000 and len(written) > 60
+    left = set()
+    for argv in sorted(generated | written - {argv for argv, _ in FALL_THROUGH}):
+        got, parsed = _read_line(argv), _parsed(argv)
+        assert got == parsed or (got is None and argv in written), argv
+        if got is None and parsed is not None:
+            left.add(argv)
+    assert left == {("check", "axioms", "--monoid", "N", "--max-arity", "2", "--letter-cap", "-1")}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, spelled", FALL_THROUGH,
+                         ids=[" ".join(argv) or "none" for argv, _ in FALL_THROUGH])
+def test_a_line_the_reader_refuses_is_parsed_by_argparse(capsys, argv, spelled):
+    """Help and usage errors come from argparse byte for byte, exit code
+    included; an abbreviated line is read as its spelled-out line."""
+    assert _read_line(argv) is None
+
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    expected = outcome(build_parser().parse_args)
+    if spelled:
+        assert expected == (_read_line(spelled), "", "")
+    else:
+        assert outcome(main) == expected
+
+
+def test_a_well_formed_line_runs_without_argparse(capsys, monkeypatch, tmp_path):
+    """With argparse's parsing refused, well-formed lines still report through
+    `main(argv)` and through `main()` on `sys.argv`, and every line left to
+    argparse reaches it."""
+    def refused(*args, **kwargs):
+        raise AssertionError("argparse parsed the line")
+
+    build_parser()
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refused)
+    lines = [
+        ("gen", "--operad", "prt", "--max-arity", "3", "--out", str(tmp_path / "prt.jsonl")),
+        ("dims", "--operad", "comp", "--max-arity", "4", "--json"),
+        ("check", "axioms", "--monoid", "N", "--max-arity", "1", "--letter-cap", "2"),
+        ("check", "characterization", "--operad", "motz", "--max-arity", "3"),
+        ("check", "relations", "--operad", "comp"),
+        ("check", "presentation", "--operad", "schr", "--max-arity", "3"),
+        ("check", "bijections", "--operad", "prt", "--max-arity", "3"),
+        ("check", "functor", "--max-arity", "2"),
+    ]
+    for argv in lines:
+        monkeypatch.setattr(sys, "argv", ["opwords", *argv])
+        for ran in (run(capsys, *argv), (main(), *capsys.readouterr())):
+            code, out, err = ran
+            assert (code, err) == (0, ""), argv
+            report = json.loads(out)["lines"] if "--json" in argv else out.splitlines()[1:-1]
+            assert report and "FAIL" not in str(report), argv
+    assert (tmp_path / "prt.jsonl").read_text().count("\n") == 4
+    for argv, _ in FALL_THROUGH:
+        with pytest.raises(AssertionError, match="argparse parsed the line"):
+            main(list(argv))

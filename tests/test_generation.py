@@ -293,29 +293,42 @@ def test_column_splices_hold_one_slice_not_the_level():
     assert peak < 6 * 10**6
 
 
-def test_a_closure_holds_one_level_set_at_a_time():
+@pytest.fixture(scope="module")
+def fcat1_at_12():
+    """One fresh fcat1@12 closure traced: the closure's peak, then, after
+    `reset_peak`, the peak of the first sort of its arity-12 level, and the
+    closure's dimensions."""
+    gens = fam.get_family("fcat1").generator_set()
+    peaks = []
+
+    def closure_then_first_sort():
+        family = generate_closure(gens, 12)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        family._sorted(12)
+        return family
+
+    with nothing_kept():
+        _, sort_peak = traced_peak(closure_then_first_sort)
+        dimensions = generate_closure(gens, 12).dimensions()
+    return peaks[0], sort_peak, dimensions
+
+
+def test_a_closure_holds_one_level_set_at_a_time(fcat1_at_12):
     """A fresh fcat1@12 closure peaks at about 21 MB traced, most of it the
     set of its 208,012 arity-12 words; keeping the arity-11 set until that
     one was done, and handing it to the family, took 25.5 MB."""
-    gens = fam.get_family("fcat1").generator_set()
-    _, peak = traced_peak(lambda: generate_closure(gens, 12))
+    peak, _, _ = fcat1_at_12
     assert peak < 23 * 10**6
 
 
-def test_the_first_sort_of_a_level_holds_one_copy_of_its_words():
+def test_the_first_sort_of_a_level_holds_one_copy_of_its_words(fcat1_at_12):
     """Sorting fcat1's fresh arity-12 level peaks at about 14.6 MB traced
     with the family: the list of its words and the sorted block, where
     sorting from the level's set held the set beside them, 25.3 MB."""
-    gens = fam.get_family("fcat1").generator_set()
-
-    def first_sort():
-        family = generate_closure(gens, 12)
-        tracemalloc.reset_peak()
-        return family._sorted(12)
-
-    _, peak = traced_peak(first_sort)
+    _, peak, dimensions = fcat1_at_12
     assert peak < 18 * 10**6
-    assert generate_closure(gens, 12).dimensions()[11] == 208_012
+    assert dimensions[11] == 208_012
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

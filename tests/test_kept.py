@@ -353,13 +353,28 @@ def test_a_refused_count_states_the_arities_it_finished(monkeypatch, first):
     assert refused == [size for _, size in generation._kept.values()]
 
 
-@pytest.mark.parametrize("name, n, kind", [("fcat1", 11, 0), ("schr", 8, 1), ("prt", 10, 2)],
-                         ids=["closure", "count", "enumeration"])
+def checks(name, n):
+    """Relation checks of n freshly parsed copies of a preset's relations,
+    each kept under its own tuple."""
+    preset = presentations.PRESENTATIONS[name]
+    return lambda: [
+        presentations.verify_relations(
+            presentations.parse_relations(preset.relations_text), preset.symbols
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, n, kind", [("fcat1", 11, 0), ("schr", 8, 1), ("prt", 10, 2), ("schr", 100, 3)],
+    ids=["closure", "count", "enumeration", "check"],
+)
 def test_a_kept_entry_states_about_the_bytes_it_holds(name, n, kind):
-    """The fcat1 closure to arity 11, the schr count to arity 8 and the prt
-    enumeration to arity 10 each state between half and twice the bytes
-    they hold when kept (tracemalloc)."""
-    ask = requests(name, n)[kind][1]
+    """The fcat1 closure to arity 11, the schr count to arity 8, the prt
+    enumeration to arity 10 and the relation checks of 100 freshly parsed
+    schr relation sets each state between half and twice the bytes they
+    hold when kept (tracemalloc)."""
+    ask = [*(ask for _, ask in requests(name, n)), checks(name, n)][kind]
 
     def kept_only():
         ask()

@@ -453,11 +453,11 @@ def test_kept_counts_equal_a_fresh_count_on_random_relations():
 
 
 def test_memos_keep_the_relation_sets_used_last_within_their_bytes(monkeypatch):
-    """The counts and checks of 100 relation sets to arity 4 state 158,046
-    bytes; under a 50,000-byte budget those used last are kept, a set used
+    """The counts and checks of 100 relation sets to arity 4 state 536,092
+    bytes; under a 170,000-byte budget those used last are kept, a set used
     again moved last; an evicted set asked again answers as a fresh one,
     refusals included."""
-    monkeypatch.setattr(generation, "_KEPT_BYTES", 50_000)
+    monkeypatch.setattr(generation, "_KEPT_BYTES", 170_000)
     rng = random.Random(29)
     sets = [random_presentation(rng) for _ in range(100)]
     used = []
@@ -467,7 +467,7 @@ def test_memos_keep_the_relation_sets_used_last_within_their_bytes(monkeypatch):
             verify_relations(args[1], args[0])
             used += [counts_key(*args), presentations._key(*args)]
     kept = generation._kept
-    assert kept.total == sum(size for _, size in kept.values()) <= 50_000
+    assert kept.total == sum(size for _, size in kept.values()) <= 170_000
     assert 20 < len(kept) < 180
     by_last_use = list(dict.fromkeys(reversed(used)))[::-1]
     assert list(kept) == by_last_use[-len(kept):]
