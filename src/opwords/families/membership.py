@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from ..generation import (
-    GeneratorSet, GradedFamily, _keep, _Levels, _packed, _recall, generate_closure,
+    GeneratorSet, GradedFamily, _keep, _packed, _recall, generate_closure,
 )
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
-from .paths import da_phi, is_motzkin_prefix, motzkin_prefixes, steps_from_phi
+from .paths import da_phi, is_motzkin_prefix
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def da_closure(max_arity: int) -> GradedFamily:
     global _da_cache
     closure = generate_closure(FAMILIES["da"].generator_set(), max_arity)
     if (_da_cache is None or _da_cache.max_arity < max_arity
-            or _da_cache._levels is not closure._levels):
+            or _da_cache._blocks is not closure._blocks):
         _da_cache = closure
     return _da_cache
 
@@ -324,18 +324,31 @@ def da_prefix_description(letters: Letters) -> bool:
 def da_description_report(max_arity: int) -> list[tuple[int, bool, int, int]]:
     """Per arity: (n, agreement, closure count, description count).
 
-    The described words are built as `steps_from_phi` of the nonnegative step
-    sequences, the unique preimages starting at 0 of the words that
-    `da_prefix_description` accepts, independently of the closure, which is
-    read first, so a bound is refused before any row is made.
+    The described words are the words that `da_prefix_description` accepts,
+    built independently of the closure, which is read first, so a bound is
+    refused before any row is made.  Those of arity n are those of arity
+    n - 1, each kept packed with the height its step word reaches, extended
+    by each next letter, in increasing order, whose step keeps that height
+    nonnegative; so each arity's come in increasing order, one pass builds
+    every row, and they are compared with the closure's block as it is.
     """
     closure = da_closure(max_arity)
     rows = []
+    described = [(b"\0", 0)]
     for n in range(1, max_arity + 1):
-        generated = closure.words(n)
-        described = sorted({steps_from_phi(s) for s in motzkin_prefixes(n - 1)})
-        rows.append((n, generated == described, len(generated), len(described)))
+        if n > 1:
+            described = [
+                (w + c, h + s) for w, h in described for c, s in _DA_STEPS[w[-1]] if h + s >= 0
+            ]
+        block = closure._block(n)
+        agree = block == b"".join(w for w, _ in described)
+        rows.append((n, agree, len(block) // n, len(described)))
     return rows
+
+
+# from each letter over N3, each next letter c, packed, in increasing order,
+# and its step in {-1, 0, 1}, as `da_phi` reads it
+_DA_STEPS = [[(bytes((c,)), (c - a + 1) % 3 - 1) for c in range(3)] for a in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +412,13 @@ class Family:
         enumeration is refused before any other work, and keeps nothing.
         Each arity is packed before the next is enumerated."""
         key = self, MAX_CANDIDATES
-        levels = _recall(key) or _Levels([])
-        top = len(levels.blocks)
+        blocks = _recall(key) or []
+        top = len(blocks)
         fresh = [_packed(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, top, -1)]
         if fresh:
-            levels.blocks += reversed(fresh)
-            _keep(key, levels, sum(map(len, levels.blocks)))
-        return GradedFamily._of(self.monoid, max_arity, levels, self.symmetric)
+            blocks += reversed(fresh)
+            _keep(key, blocks, sum(map(len, blocks)))
+        return GradedFamily._of(self.monoid, max_arity, blocks, self.symmetric)
 
     def expected_dims(self, max_arity: int) -> tuple[int, ...] | None:
         """Reference dimensions from a closed-form count, where one is known."""

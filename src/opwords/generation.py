@@ -11,15 +11,17 @@ arities never shrink, so induction on y shows the result closed under every
 substitution, truncation included.
 
 A word is packed as `bytes`, one letter per byte, and a finished level is
-joined into one block, n bytes a word: the storage behind `GradedFamily`.
-A level's words are gathered in one set, which drops repeats and is itself
-dropped once the level is joined, before the next level is spliced.
-Within one arity, `bytes` order is tuple order.  A level is spliced from its
-source's block with the generators of one length by columns, through the
-axiom checker's kernel (`words._kernel`), every slot of a slice in one call,
-in slices of its words that each lay at most `_SPLICE_BYTES`; a level of at
-most `_SMALL_LEVEL` words, or whose slices would hold at most that many, is
-spliced word by word.  A letter above 255 cannot be packed, and is refused
+joined into one block in increasing order, n bytes a word: the storage
+behind `GradedFamily`.  A level's words are gathered in one set, which
+drops repeats; the set is turned into a list and dropped, and the list is
+sorted and joined, all before the next level is spliced.  Within one arity,
+`bytes` order is tuple order, so every block is in tuple order from the
+moment it is made, and no read sorts or rewrites it.  A level is spliced
+from its source's block with the generators of one length by columns,
+through the axiom checker's kernel (`words._kernel`), every slot of a slice
+in one call, in slices of its words that each lay at most `_SPLICE_BYTES`;
+a level of at most `_SMALL_LEVEL` words, or whose slices would hold at most
+that many, is spliced word by word.  A letter above 255 cannot be packed, and is refused
 with `ValueError` exactly when a word of the closure would hold it; the
 source's letters are checked in increasing order, so the letter named does
 not depend on the order of its words.
@@ -32,16 +34,15 @@ kernel, each finished level's block and the candidates spliced so far.
 Every kept level has passed the guard it is kept under, so a bound at or
 below the kept levels is served from their blocks; a deeper bound splices
 only the missing levels, which are kept once the whole call succeeds, so a
-refused call keeps nothing.  A kept block is sorted when first read in order.
+refused call keeps nothing.
 
 When the symmetric flag is set, the closure runs over sorted words, one per
-orbit of the letter-permuting action.  The monoids are commutative, so the
-letters of x o_i g, as a multiset, depend only on the multisets of x and g
-and on the letter x_i, and a sorted word is spliced once per distinct
-letter.  The family keeps those sorted words, one per orbit: its dimensions
-are sums of multinomials, and an orbit is expanded into its distinct
-rearrangements, built from the letter counts, only where a caller asks for
-words.  Its words are listed one pair of first two letters at a time: the
+orbit of the letter-permuting action.  The letters of x o_i g, as a
+multiset, depend only on the multisets of x and g and on the letter x_i, so
+a sorted word is spliced once per distinct letter.  The family keeps those
+sorted words, one per orbit: its dimensions are sums of multinomials, and
+an orbit is expanded into its distinct rearrangements, built from the
+letter counts, only where a caller asks for words.  Its words are listed one pair of first two letters at a time: the
 words that start with ab are ab followed by the rearrangements of each orbit
 word that holds a and b, less one of each, and distinct orbit words leave
 distinct rests, so no word repeats.
@@ -106,25 +107,16 @@ class GeneratorSet:
             )
 
 
-class _Levels:
-    """A family's words, one block per arity (arity n at index n - 1), n
-    bytes a word, and the arities whose block is not yet in bytes order."""
-
-    def __init__(self, blocks: list[bytes]) -> None:
-        self.blocks = blocks
-        self.unsorted: set[int] = set()
-
-
 class GradedFamily:
     """Arity-indexed finite sets of canonical words, an arity-truncated closure.
 
     The words of arity n are packed one letter per byte into one block, n
-    bytes a word, shared with the closure that keeps it.  A block is sorted
-    the first time an ordered read (`words`, `write_jsonl`, `==`,
-    `equals_predicate`) needs it, and the sorted block replaces the kept one.
-    `by_arity` is a read-only view of the levels as sets of `bytes`, built
-    when first read.  A symmetric family keeps one sorted word per orbit,
-    and its orbits are expanded only where words are asked for.
+    bytes a word, in increasing order, shared with the closure or
+    enumeration that keeps it, so an ordered read (`words`, `write_jsonl`,
+    `==`, `equals_predicate`) reads the block as it is and changes nothing
+    kept.  `by_arity` is a read-only view of the levels as sets of `bytes`,
+    built when first read.  A symmetric family keeps one sorted word per
+    orbit, and its orbits are expanded only where words are asked for.
     """
 
     def __init__(
@@ -136,38 +128,22 @@ class GradedFamily:
     ) -> None:
         """The family of the packed words of each arity, in any order and
         with repeats (`_packed`)."""
-        blocks = [_packed(by_arity.get(n, ())) for n in range(1, max_arity + 1)]
         self.monoid, self.max_arity, self.symmetric = monoid, max_arity, symmetric
-        self._levels = _Levels(blocks)
+        self._blocks = [_packed(by_arity.get(n, ())) for n in range(1, max_arity + 1)]
         self._sets: dict[int, frozenset[bytes]] = {}
 
     @classmethod
-    def _of(cls, monoid: Monoid, max_arity: int, levels: _Levels,
+    def _of(cls, monoid: Monoid, max_arity: int, blocks: list[bytes],
             symmetric: bool) -> "GradedFamily":
-        """The family read from `levels`."""
+        """The family read from `blocks`, one sorted block per arity, arity
+        n at index n - 1, of which it reads the first `max_arity`."""
         family = cls(monoid, 0, {}, symmetric)
-        family.max_arity, family._levels = max_arity, levels
+        family.max_arity, family._blocks = max_arity, blocks
         return family
 
     def _block(self, n: int) -> bytes:
-        """The words of arity n, in any order."""
-        return self._levels.blocks[n - 1] if 1 <= n <= self.max_arity else b""
-
-    def _sorted(self, n: int) -> bytes:
-        """The words of arity n in bytes order, each kept level sorted once,
-        from a list of its words: the unsorted block is released first, and
-        joined again from the list if the sort is interrupted."""
-        levels = self._levels
-        if n in levels.unsorted:
-            words = list(_unpacked(levels.blocks[n - 1], n))
-            levels.blocks[n - 1] = b""
-            try:
-                levels.blocks[n - 1] = _sort(words)
-            except BaseException:
-                levels.blocks[n - 1] = _joined(words)
-                raise
-            levels.unsorted.discard(n)
-        return self._block(n)
+        """The words of arity n in bytes order."""
+        return self._blocks[n - 1] if 1 <= n <= self.max_arity else b""
 
     def _set(self, n: int) -> frozenset[bytes]:
         found = self._sets.get(n)
@@ -185,13 +161,13 @@ class GradedFamily:
             return NotImplemented
         return (self.monoid, self.max_arity, self.symmetric) == (
             other.monoid, other.max_arity, other.symmetric
-        ) and all(self._sorted(n) == other._sorted(n) for n in range(1, self.max_arity + 1))
+        ) and all(self._block(n) == other._block(n) for n in range(1, self.max_arity + 1))
 
     def _ordered(self, n: int) -> Iterable[bytes]:
         """The packed words of arity n in increasing order, as consecutive
         blocks: the whole arity, or one per `_sorted_runs` run."""
         if not self.symmetric or n == 1:
-            return [self._sorted(n)]
+            return [self._block(n)]
         return map(_joined, self._sorted_runs(n))
 
     def _sorted_runs(self, n: int) -> Iterator[list[bytes]]:
@@ -241,7 +217,7 @@ class GradedFamily:
     def truncate(self, max_arity: int) -> "GradedFamily":
         if max_arity > self.max_arity:
             raise ValueError("cannot truncate upward")
-        return GradedFamily._of(self.monoid, max_arity, self._levels, self.symmetric)
+        return GradedFamily._of(self.monoid, max_arity, self._blocks, self.symmetric)
 
     def write_jsonl(self, handle: TextIO) -> None:
         """Write one `Word.to_record` line per word, ordered by arity then
@@ -313,8 +289,9 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
     keyed by the set and `MAX_CLOSURE_CANDIDATES`): a bound at or below its
     kept levels is served from their blocks, and a deeper bound splices only
     the missing levels, kept once the whole call succeeds.  A level's set is
-    dropped once it is joined into its block, before the next level is
-    spliced, so no set outlives the call.
+    turned into a list and dropped, and the list sorted and joined into the
+    level's block (`_sort`), before the next level is spliced, so no set
+    outlives the call and every block is in bytes order.
 
     Raises `ValueError` when a word of the closure would hold a letter above
     255, which cannot be packed into `bytes`, and before a splice would take
@@ -361,23 +338,22 @@ def generate_closure(gens: GeneratorSet, max_arity: int) -> GradedFamily:
                 frontier = set(spliced((_joined(frontier), n), unary))
                 frontier -= level
                 level |= frontier
-        blocks.append(_joined(level))
+        level = list(level)  # the set released before the words are sorted
+        blocks.append(_sort(level))
         del level  # released before the next level is spliced
     if len(blocks) > len(closure.blocks):  # kept only now that every new level is finished
-        closure.unsorted.update(range(len(closure.blocks) + 1, len(blocks) + 1))
         closure.blocks, closure.candidates = blocks, candidates
         _keep(key, closure, sum(map(len, blocks)))
-    return GradedFamily._of(m, max_arity, closure, gens.symmetric)
+    return GradedFamily._of(m, max_arity, closure.blocks, gens.symmetric)
 
 
-class _Closure(_Levels):
+class _Closure:
     """What is kept of one generator set's closure under one candidate guard
     between calls: its `_Scaled` tables over one kernel, so one set of
     product tables; its finished levels, every one within the guard; and the
     candidates spliced to build them."""
 
     def __init__(self, gens: GeneratorSet) -> None:
-        super().__init__([])
         m = gens.monoid
         by_length: dict[int, list[Letters]] = {}
         for g in set(gens.generators):
@@ -386,6 +362,7 @@ class _Closure(_Levels):
         compose = _kernel(m)
         self.unary = _Scaled(m, by_length.pop(1), compose) if 1 in by_length else None
         self.longer = [(r, _Scaled(m, same, compose)) for r, same in by_length.items()]
+        self.blocks: list[bytes] = []
         self.candidates = 0
 
 
@@ -615,7 +592,7 @@ def equals_predicate(family: GradedFamily, expected: GradedFamily) -> Comparison
             False, detail=f"symmetry mismatch: {family.symmetric} vs {expected.symmetric}"
         )
     for n in range(1, max(family.max_arity, expected.max_arity) + 1):
-        got, want = family._sorted(n), expected._sorted(n)
+        got, want = family._block(n), expected._block(n)
         if got != want:
             got, want = set(_unpacked(got, n)), set(_unpacked(want, n))
             missing = want - got

@@ -18,9 +18,10 @@ class CarrierError(ValueError):
 
 @dataclass(frozen=True)
 class Monoid:
-    """A commutative monoid on a set of nonnegative integers: the carrier is
-    0..size-1, or all naturals when `size` is None, and `op` is the raw
-    product on canonical ints, without carrier checks.
+    """A monoid on a set of nonnegative integers: the carrier is 0..size-1,
+    or all naturals when `size` is None, and `op` is the raw product on
+    canonical ints, without carrier checks.  `op` must be total on 0..255,
+    since the closure and the axiom checker tabulate it over every byte.
 
     Two monoids are equal when their name, unit and size are.
     """

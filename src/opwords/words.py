@@ -336,8 +336,9 @@ class _Blocks(dict):
 
 
 class _Tables(dict):
-    """`self[a]` is the 256-byte table of each letter's product with a under
-    `op`, kept mod 256 and built whole when first read."""
+    """`self[a]` is the 256-byte table of `op(a, c)` for each byte c, kept
+    mod 256 and built whole when first read, so `op` must be total on
+    0..255."""
 
     def __init__(self, op: Callable[[int, int], int]) -> None:
         self.op = op
@@ -357,12 +358,12 @@ def _kernel(
 
     For each slot it loops over the smaller of W and V; looping over V, it
     slices W's columns once per call.  For each w, V scaled by w_i is V.translate(T[w_i]);
-    for each v, each letter b of v scales W's column i through T[b].  T[a] is
-    a 256-byte table multiplying by a, built when first read and kept for the
-    kernel's life; one table serves both sides, as the monoid commutes.  Each
-    column of the rows of one w, or of one v, is laid by one strided
-    assignment.  A `subst` is called on tuples instead, and its results
-    packed.
+    for each v, each letter b of v scales W's column i on the right, to
+    w_i b, through R[b].  T[a] is a 256-byte table of the products a c, and
+    R[b] one of the products c b, each built when first read and kept for
+    the kernel's life; the monoid need not commute.  Each column of the rows
+    of one w, or of one v, is laid by one strided assignment.  A `subst` is
+    called on tuples instead, and its results packed.
     """
     if subst is not None:
         def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
@@ -377,7 +378,7 @@ def _kernel(
 
         return compose
 
-    T = _Tables(m.op)
+    T, R = _Tables(m.op), _Tables(lambda b, c: m.op(c, b))
 
     def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
         (ws, n), (vs, r) = W, V
@@ -409,7 +410,7 @@ def _kernel(
                     for c, at in kept:
                         out[start + at : stop : w_step] = columns[c]
                     for at, b in enumerate(vs[s * r : (s + 1) * r], start + i - 1):
-                        out[at:stop:w_step] = columns[i - 1].translate(T[b])
+                        out[at:stop:w_step] = columns[i - 1].translate(R[b])
         return out, width
 
     return compose

@@ -1,10 +1,12 @@
 import contextlib
+import itertools
 import tracemalloc
 
 import pytest
 
 from opwords import generation
 from opwords.families import membership, ribbons
+from opwords.monoids import Monoid
 
 
 @pytest.fixture(autouse=True)
@@ -41,3 +43,18 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def transformations(k):
+    """The full transformation monoid on k points, which does not commute:
+    its elements are the maps numbered by their value tuples in
+    lexicographic order, and (f g)(x) = f(g(x)).  Its product gives 0
+    outside the carrier, so it is total on 0..255."""
+    maps = list(itertools.product(range(k), repeat=k))
+    index = {f: a for a, f in enumerate(maps)}
+    table = [[index[tuple(f[x] for x in g)] for g in maps] for f in maps]
+
+    def op(a, b):
+        return table[a][b] if a < len(maps) and b < len(maps) else 0
+
+    return Monoid(f"T{k}", index[tuple(range(k))], len(maps), op)

@@ -6,6 +6,7 @@ import time
 import zlib
 
 import pytest
+from conftest import transformations
 
 from opwords import words
 from opwords.monoids import BOOLEAN, NATURALS, cyclic
@@ -37,6 +38,16 @@ def test_axioms_pass_on_finite_monoids(m):
     for r in reports:
         assert r.ok, str(r)
         assert r.checked > 0
+
+
+def test_axioms_pass_over_a_monoid_that_does_not_commute():
+    """Over T2, the maps of two points under composition, the paper's T is
+    an operad too.  Scaling a column of W by the letters of V on the left
+    made blocks differ where no check fails, which raised `RuntimeError`."""
+    T2 = transformations(2)
+    reports = check_axioms(T2, (3, 3, 2))
+    assert all(r.ok for r in reports), [str(r) for r in reports]
+    assert sum(r.checked for r in reports) == axiom_check_count(T2, (3, 3, 2)) == 1_901_832
 
 
 def test_axioms_pass_on_naturals_with_capped_letters():
@@ -374,11 +385,14 @@ def test_check_count_over_one_letter_does_not_loop_per_arity():
 
 
 @pytest.mark.parametrize(
-    "m", [NATURALS, cyclic(2), cyclic(3), BOOLEAN, cyclic(256)], ids=lambda m: m.name
+    "m",
+    [NATURALS, cyclic(2), cyclic(3), BOOLEAN, cyclic(256), transformations(2)],
+    ids=lambda m: m.name,
 )
 def test_packed_row_kernel_equals_splice(m):
     # over N with letter cap 3, a slot holds up to 6 and a result up to 9;
-    # over N256 the letters 200..255 give products that wrap past a byte
+    # over N256 the letters 200..255 give products that wrap past a byte;
+    # T2 does not commute, so each side must be multiplied in its order
     if m == NATURALS:
         slot_letters, letters = range(7), range(4)
     elif m == cyclic(256):

@@ -396,6 +396,19 @@ def test_da_description_report_matches_the_brute_force_filter():
     assert fam.da_description_report(9) == brute_da_description_report(9)
 
 
+@pytest.mark.parametrize("bound", [3, 5, 7, 9, 11])
+def test_da_description_report_matches_the_step_sequences(bound):
+    """Reference: the described words as `steps_from_phi` of every
+    nonnegative step sequence."""
+    closure = fam.da_closure(bound)
+    rows = []
+    for n in range(1, bound + 1):
+        described = sorted(fam.steps_from_phi(s) for s in fam.motzkin_prefixes(n - 1))
+        generated = closure.words(n)
+        rows.append((n, generated == described, len(generated), len(described)))
+    assert fam.da_description_report(bound) == rows
+
+
 def test_da_membership_is_closure_membership():
     assert fam.get_family("da").contains(parse_letters("011220201"))
     assert not fam.get_family("da").contains(parse_letters("002"))

@@ -6,10 +6,9 @@ import json
 import math
 import os
 import random
-import tracemalloc
 
 import pytest
-from conftest import nothing_kept, traced_peak
+from conftest import nothing_kept, traced_peak, transformations
 
 from opwords import families as fam
 from opwords import generation
@@ -283,7 +282,7 @@ def test_dias_closure_through_arity_100_equals_its_enumeration():
 
 def test_column_splices_hold_one_slice_not_the_level():
     """fcat1@11 splices its 16,796 arity-10 words into 58,786 words of arity
-    11.  In slices of `_SPLICE_BYTES`, a fresh closure peaks at about 5.6 MB
+    11.  In slices of `_SPLICE_BYTES`, a fresh closure peaks at about 5.4 MB
     traced, most of it the arity-11 set; laying the whole level at once,
     8.6 MB.  The peak is bounded, not its excess over the family: the family
     holds blocks only, while the level's set is the peak."""
@@ -293,41 +292,17 @@ def test_column_splices_hold_one_slice_not_the_level():
     assert peak < 6 * 10**6
 
 
-@pytest.fixture(scope="module")
-def fcat1_at_12():
-    """One fresh fcat1@12 closure traced: the closure's peak, then, after
-    `reset_peak`, the peak of the first sort of its arity-12 level, and the
-    closure's dimensions."""
+def test_a_closure_holds_one_level_set_at_a_time():
+    """A fresh fcat1@12 closure peaks at about 20.8 MB traced, most of it
+    the set of its 208,012 arity-12 words, sort included: the set is turned
+    into a list and dropped before the list is sorted and joined.  Keeping
+    the arity-11 set until that one was done, and handing it to the family,
+    took 25.5 MB."""
     gens = fam.get_family("fcat1").generator_set()
-    peaks = []
-
-    def closure_then_first_sort():
-        family = generate_closure(gens, 12)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        family._sorted(12)
-        return family
-
     with nothing_kept():
-        _, sort_peak = traced_peak(closure_then_first_sort)
+        _, peak = traced_peak(lambda: generate_closure(gens, 12))
         dimensions = generate_closure(gens, 12).dimensions()
-    return peaks[0], sort_peak, dimensions
-
-
-def test_a_closure_holds_one_level_set_at_a_time(fcat1_at_12):
-    """A fresh fcat1@12 closure peaks at about 21 MB traced, most of it the
-    set of its 208,012 arity-12 words; keeping the arity-11 set until that
-    one was done, and handing it to the family, took 25.5 MB."""
-    peak, _, _ = fcat1_at_12
     assert peak < 23 * 10**6
-
-
-def test_the_first_sort_of_a_level_holds_one_copy_of_its_words(fcat1_at_12):
-    """Sorting fcat1's fresh arity-12 level peaks at about 14.6 MB traced
-    with the family: the list of its words and the sorted block, where
-    sorting from the level's set held the set beside them, 25.3 MB."""
-    _, peak, dimensions = fcat1_at_12
-    assert peak < 18 * 10**6
     assert dimensions[11] == 208_012
 
 
@@ -337,6 +312,23 @@ def test_arity_one_generators_close_each_level_in_itself(symmetric):
     classes mod 3, so each level's frontier grows over several rounds."""
     gens = GeneratorSet(cyclic(6), ((2,), (0, 3), (1, 1, 4)), symmetric)
     assert_matches_all_pairs(gens, 4 if symmetric else 5)
+
+
+def test_closures_over_monoids_that_do_not_commute_match_all_pairs_reference():
+    """Over T2, every set of two arity-2 generators; over T3, seeded sets of
+    one or two generators (e, a), e the unit.  A level of over
+    `_SMALL_LEVEL` words is laid by columns, and a letter x_i must multiply
+    each letter of g on the left: 16 of the T2 sets and 7 of the T3 sets
+    found too many words at arity 5 when it multiplied on the right."""
+    T2, T3 = transformations(2), transformations(3)
+    sets = [GeneratorSet(T2, pair)
+            for pair in itertools.combinations(itertools.product(T2.elements(), repeat=2), 2)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        letters = [rng.choice(T3.elements()) for _ in range(rng.randint(1, 2))]
+        sets.append(GeneratorSet(T3, tuple((T3.unit, a) for a in letters)))
+    for gens in sets:
+        assert_matches_all_pairs(gens, 5)
 
 
 def test_letters_above_255_are_refused():
@@ -472,6 +464,40 @@ def test_kept_closure_holds_one_joined_level_per_arity():
             assert frozenset(generation._unpacked(block, n)) == family.by_arity[n]
 
 
+INVARIANT_CASES = {
+    "fresh": (fam.get_family("fcat1").generator_set(), 8),
+    "deeper": (fam.get_family("schr").generator_set(), 6),
+    "symmetric": (fam.get_family("pw").generator_set(), 6),
+    "arity-1": (GeneratorSet(cyclic(6), ((2,), (0, 3), (1, 1, 4))), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+def test_every_kept_block_is_sorted_when_made_and_no_read_changes_it(case):
+    """Each block is in bytes order as soon as its level is laid, fresh or
+    extending a kept closure, symmetric or closed by an arity-1 generator;
+    the ordered reads then leave every kept block the same object and the
+    registry's bytes as they were."""
+    gens, bound = INVARIANT_CASES[case]
+    if case == "deeper":
+        generate_closure(gens, bound - 2)
+    family = generate_closure(gens, bound)
+    blocks, _ = kept_state(gens)
+    assert len(blocks) == bound
+    for n, block in enumerate(blocks, 1):
+        assert block == b"".join(sorted(generation._unpacked(block, n)))
+    total = generation._kept.total
+    for n in range(1, bound + 1):
+        family.words(n)
+    family.write_jsonl(io.StringIO())
+    expected = fresh_closure(gens, bound)
+    assert family == expected
+    assert equals_predicate(family, expected).ok
+    after, _ = kept_state(gens)
+    assert len(after) == bound and all(a is b for a, b in zip(after, blocks))
+    assert generation._kept.total == total
+
+
 # sha256 of each `gen --out` file, as written by a closure that kept nothing
 KEPT_EXPORT_DIGESTS = {
     "fcat1@11": "9311516ac540881b358ea751746fccd667db99f746c65e525b00397c040816ee",
@@ -531,13 +557,13 @@ def test_kept_closure_is_refused_a_letter_above_255_as_a_fresh_one():
 
 
 def test_each_kept_level_is_sorted_once(monkeypatch, tmp_path, capsys):
-    """Two exports, `check bijections` and `check characterization` of prt
-    sort each kept level once, and leave every kept block in bytes order."""
+    """Each level is sorted as it is laid: two exports, `check bijections`
+    and `check characterization` of prt sort arities 1 to 8 once each, and
+    every kept block is in bytes order."""
     sort = generation._sort
     sorted_arities = []
 
     def counting(words):
-        words = list(words)
         sorted_arities.append(len(words[0]))
         return sort(words)
 
@@ -547,26 +573,33 @@ def test_each_kept_level_is_sorted_once(monkeypatch, tmp_path, capsys):
                  ["check", "characterization"]):
         assert main(argv + ["--operad", "prt", "--max-arity", "8"]) == 0
     assert sorted(sorted_arities) == list(range(1, 9))
-    kept = generation._kept[kept_key(fam.get_family("prt").generator_set())][0]
-    assert kept.unsorted == set()
-    for n, block in enumerate(kept.blocks, 1):
+    blocks, _ = kept_state(fam.get_family("prt").generator_set())
+    for n, block in enumerate(blocks, 1):
         assert block == b"".join(sorted(generation._unpacked(block, n)))
 
 
-def test_an_interrupted_sort_keeps_the_level(monkeypatch):
-    """The unsorted block is released while its level is sorted; a sort
-    that does not finish joins the words back, for the next read to sort."""
-    family = closure_of("fcat1", 6)
+def test_an_interrupted_sort_keeps_no_new_level(monkeypatch):
+    """A sort interrupted while a deeper call lays arity 6 keeps neither
+    arity 5 nor 6: the kept closure is as it was, and the next call equals
+    the enumeration."""
+    gens = fam.get_family("fcat1").generator_set()
+    generate_closure(gens, 4)
+    before = kept_state(gens)
+    sort = generation._sort
 
     def interrupted(words):
-        raise KeyboardInterrupt
+        if len(words[0]) == 6:
+            raise KeyboardInterrupt
+        return sort(words)
 
     monkeypatch.setattr(generation, "_sort", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        family.words(6)
-    assert family.dimensions() == (1, 2, 5, 14, 42, 132)
+        generate_closure(gens, 6)
+    assert kept_state(gens) == before
     monkeypatch.undo()
-    assert family.words(6) == fam.get_family("fcat1").enumerated(6).words(6)
+    family = generate_closure(gens, 6)
+    assert family.dimensions() == (1, 2, 5, 14, 42, 132)
+    assert family == fam.get_family("fcat1").enumerated(6)
 
 
 @pytest.mark.parametrize("command", ["dims", "gen"])

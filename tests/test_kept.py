@@ -127,8 +127,8 @@ def test_an_over_cap_enumeration_keeps_nothing():
     with pytest.raises(ValueError) as refused:
         family.enumerated(21)
     assert str(refused.value) == refusal
-    (levels, _), = generation._kept.values()
-    assert len(levels.blocks) == 5
+    (blocks, _), = generation._kept.values()
+    assert len(blocks) == 5
     assert family.enumerated(5) == kept
 
 

@@ -25,6 +25,7 @@ KEPT_AS_ORACLES = (
     "words.lift_morphism",
     "words.Word.to_record",
     "families.membership.has_repeated_letter",
+    "families.paths.motzkin_prefixes",
     "families.trees.leaf_count",
     "families.trees.is_schroeder_tree",
     "presentations.graft_term",
