@@ -1,11 +1,14 @@
 """Membership predicates and enumerators for the word families.
 
 Each family ships two independent routes to the same set: a letterwise
-predicate and a direct enumerator per arity.  `check characterization`
-compares a generated closure with the enumeration, and the tests compare
-both with the predicate.  Twisted variants of the classical families
-(endofunctions, parking functions, packed words, permutations) shift every
-letter down by one so that substitution stays inside the set.
+predicate and a direct enumerator per arity.  An enumerator returns the
+members of one arity as packed words, one letter per byte, in increasing
+order, built as `bytes` from the start, so an enumeration is joined into its
+block as it comes.  `check characterization` compares a generated closure
+with the enumeration, and the tests compare both with the predicate.
+Twisted variants of the classical families (endofunctions, parking
+functions, packed words, permutations) shift every letter down by one so
+that substitution stays inside the set.
 """
 from __future__ import annotations
 
@@ -13,10 +16,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..generation import (
-    GeneratorSet, GradedFamily, _keep, _packed, _recall, generate_closure,
+    _BYTE, GeneratorSet, GradedFamily, _joined, _keep, _packed, _recall, _unpacked,
+    generate_closure,
 )
 from ..monoids import BOOLEAN, Monoid, NATURALS, cyclic
 from ..words import Letters, NotAMemberError, Word, parse_letters, substitute
@@ -123,33 +127,43 @@ def is_dias_word(letters: Letters) -> bool:
 # enumerators
 
 
-def _prefix_walk(n: int, start: int, next_range: Callable[[int], Iterable[int]]):
-    """All length-n walks from `start` where each step draws from next_range(prev)."""
-    walks = [(start,)]
+def _prefix_walk(n: int, next_letters: Callable[[int], list[bytes]]) -> list[bytes]:
+    """The length-n words from 0 whose letter after each letter a is one of
+    next_letters(a), a slice of `_BYTE`, packed, in increasing order.
+
+    Each level slices the next letters once for every letter up to the last
+    one of its greatest word, which is the greatest last letter when no
+    letter's next letters reach past a greater letter's.
+    """
+    walks = [b"\0"]
     for _ in range(n - 1):
-        walks = [w + (b,) for w in walks for b in next_range(w[-1])]
+        nexts = list(map(next_letters, range(walks[-1][-1] + 1)))
+        walks = [w + b for w in walks for b in nexts[w[-1]]]
     return walks
 
 
-def enumerate_prt(n: int) -> list[Letters]:
+def enumerate_prt(n: int) -> list[bytes]:
     _check_counts(n, map(_fuss_catalan(1), itertools.count(0)))
-    return _prefix_walk(n, 0, lambda a: range(1, a + 2))
+    return _prefix_walk(n, lambda a: _BYTE[1 : a + 2])
 
 
-def enumerate_fcat(n: int, k: int) -> list[Letters]:
+def enumerate_fcat(n: int, k: int) -> list[bytes]:
     _check_counts(n, map(_fuss_catalan(k), itertools.count(1)))
-    return _prefix_walk(n, 0, lambda a: range(0, a + k + 1))
+    if k * (n - 1) > 255:
+        raise ValueError(f"arity {n} has letters above 255, which cannot be packed")
+    return _prefix_walk(n, lambda a: _BYTE[: a + k + 1])
 
 
-def enumerate_motz(n: int) -> list[Letters]:
+def enumerate_motz(n: int) -> list[bytes]:
     """Walks from 0 in steps of -1, 0 or 1 that never go below 0 and end at
-    0: each step goes only to a height the letters left can come down from."""
+    0: each step goes only to a height the letters left can come down from,
+    so the next letters are looked up by the last letter and the letters
+    left."""
     _check_counts(n, _motz_counts())
-    walks = [(0,)]
+    walks = [b"\0"]
     for left in range(n - 2, -1, -1):  # letters left after the next one
-        walks = [
-            w + (b,) for w in walks for b in range(max(0, w[-1] - 1), min(w[-1] + 1, left) + 1)
-        ]
+        nexts = [_BYTE[max(0, a - 1) : min(a + 1, left) + 1] for a in range(n - 1 - left)]
+        walks = [w + b for w in walks for b in nexts[w[-1]]]
     return walks
 
 
@@ -162,7 +176,7 @@ def _motz_counts() -> Iterator[int]:
         by_height = [sum(by_height[max(0, h - 1) : h + 2]) for h in range(len(by_height) + 1)]
 
 
-def enumerate_schr(n: int) -> list[Letters]:
+def enumerate_schr(n: int) -> list[bytes]:
     """Members in lexicographic order, built from the run structure of
     `is_schr_word` rather than by filtering all n^n candidates.
 
@@ -173,16 +187,19 @@ def enumerate_schr(n: int) -> list[Letters]:
     _check_counts(n, _schr_counts())
     # raised[k]: members of arity k with every letter raised by one;
     # spans[k]: words of length k whose maximal nonzero runs are raised members
-    raised: list[list[Letters]] = [[]]
-    spans: list[list[Letters]] = [[()]]
-    found: list[Letters] = []
+    raised: list[list[bytes]] = [[]]
+    spans: list[list[bytes]] = [[b""]]
+    found: list[bytes] = []
+    up = bytes(range(1, 256)) + b"\0"  # each letter raised by one; a letter stays below its arity
     for k in range(1, n + 1):
-        found = [(0,) + tail for tail in spans[k - 1]]
+        found = [b"\0" + tail for tail in spans[k - 1]]
         for r in range(1, k):
-            found += [run + (0,) + tail for run in raised[r] for tail in spans[k - r - 1]]
-        raised.append([tuple(a + 1 for a in w) for w in found])
+            heads = [run + b"\0" for run in raised[r]]
+            found += [head + tail for head in heads for tail in spans[k - r - 1]]
+        raised.append(list(_unpacked(_joined(found).translate(up), k)))
         spans.append(found + raised[k])
-    return sorted(found)
+    found.sort()
+    return found
 
 
 def _schr_counts() -> Iterator[int]:
@@ -198,24 +215,19 @@ def _schr_counts() -> Iterator[int]:
         yield members
 
 
-def enumerate_comp(n: int) -> list[Letters]:
+def enumerate_comp(n: int) -> list[bytes]:
     _check_counts(n, (2**m for m in itertools.count()))
-    return [(0,) + tail for tail in itertools.product((0, 1), repeat=n - 1)]
+    return _prefix_walk(n, lambda a: _BYTE[:2])
 
 
-def enumerate_scomp(n: int) -> list[Letters]:
+def enumerate_scomp(n: int) -> list[bytes]:
     _check_counts(n, (3**m for m in itertools.count()))
-    return [(0,) + tail for tail in itertools.product((0, 1, 2), repeat=n - 1)]
+    return _prefix_walk(n, lambda a: _BYTE[:3])
 
 
-def enumerate_dias(n: int) -> list[Letters]:
+def enumerate_dias(n: int) -> list[bytes]:
     _check_counts(n, itertools.count(1))
-    out = []
-    for pos in range(n):
-        w = [0] * n
-        w[pos] = 1
-        out.append(tuple(w))
-    return out
+    return [bytes(pos) + b"\1" + bytes(n - 1 - pos) for pos in range(n - 1, -1, -1)]
 
 
 # the most members an enumerator may build at one arity, counted before any
@@ -258,31 +270,33 @@ def _check_members(n: int, count: Callable[[int], int]) -> None:
 # `GradedFamily` keeps
 
 
-def enumerate_end(n: int) -> list[Letters]:
+def enumerate_end(n: int) -> list[bytes]:
     """Nondecreasing words over 0..n-1: the C(2n-1, n) multisets."""
     _check_members(n, lambda n: math.comb(2 * n - 1, n))
-    return list(itertools.combinations_with_replacement(range(n), n))
+    return list(map(bytes, itertools.combinations_with_replacement(range(n), n)))
 
 
-def enumerate_pf(n: int) -> list[Letters]:
-    """Nondecreasing words with a_i <= i, a Catalan number of them."""
+def enumerate_pf(n: int) -> list[bytes]:
+    """Nondecreasing words with a_i <= i, a Catalan number of them: the
+    letter after a at index i is one of a..i."""
     _check_members(n, lambda n: math.comb(2 * n, n) // (n + 1))
-    words = [(0,)]
+    words = [b"\0"]
     for i in range(1, n):
-        words = [w + (b,) for w in words for b in range(w[-1], i + 1)]
+        nexts = [_BYTE[a : i + 1] for a in range(i)]
+        words = [w + b for w in words for b in nexts[w[-1]]]
     return words
 
 
-def enumerate_pw(n: int) -> list[Letters]:
+def enumerate_pw(n: int) -> list[bytes]:
     """Nondecreasing words from 0 in steps of 0 or 1, one per composition of n."""
     _check_members(n, lambda n: 2 ** (n - 1))
-    return _prefix_walk(n, 0, lambda a: (a, a + 1))
+    return _prefix_walk(n, lambda a: _BYTE[a : a + 2])
 
 
-def enumerate_per(n: int) -> list[Letters]:
+def enumerate_per(n: int) -> list[bytes]:
     """The one sorted permutation, 0..n-1."""
     _check_members(n, lambda n: 1)
-    return [tuple(range(n))]
+    return [bytes(range(n))]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +325,8 @@ def is_da_word(letters: Letters) -> bool:
     return da_closure(max(len(letters), 2)).contains(letters)
 
 
-def enumerate_da(n: int) -> list[Letters]:
-    return da_closure(max(n, 2)).words(n)
+def enumerate_da(n: int) -> list[bytes]:
+    return list(_unpacked(da_closure(max(n, 2))._block(n), n))
 
 
 def da_prefix_description(letters: Letters) -> bool:
@@ -367,10 +381,11 @@ class Family:
     what is kept per record is found without hashing its fields, and a
     record with equal fields keeps its own.
 
-    The enumerator of a symmetric family returns its sorted members, one per
-    orbit of the letter-permuting action; `enumerated(n).words(n)` expands
-    them into every member.  `count` is the closed-form dimension at each
-    arity, where one is known.
+    `enumerate_arity(n)` returns the members of arity n as packed words in
+    increasing order; that of a symmetric family returns its sorted members,
+    one per orbit of the letter-permuting action, and
+    `enumerated(n).words(n)` expands them into every member.  `count` is
+    the closed-form dimension at each arity, where one is known.
     A family with an object view maps a word to its object with `to_object`
     and back with `from_object`, and prints the object with `show`; `graft`
     is substitution on the objects, where it is implemented.
@@ -381,7 +396,7 @@ class Family:
     generators: tuple[Letters, ...] | None
     symmetric: bool
     contains: Callable[[Letters], bool]
-    enumerate_arity: Callable[[int], list[Letters]]
+    enumerate_arity: Callable[[int], list[bytes]]
     table_dims: tuple[int, ...] | None = None
     note: str | None = None
     count: Callable[[int], int] | None = None
@@ -406,7 +421,8 @@ class Family:
 
     def enumerated(self, max_arity: int) -> GradedFamily:
         """The enumerator's words to the arity bound, one sorted word per
-        orbit when symmetric, as sorted, deduplicated blocks, kept per family
+        orbit when symmetric, joined as they come when they increase, else
+        sorted and deduplicated (`_packed`), into blocks kept per family
         record and cap (`generation._kept`), so only the arities above the
         kept ones are enumerated, the top arity first: an over-cap
         enumeration is refused before any other work, and keeps nothing.
@@ -414,7 +430,7 @@ class Family:
         key = self, MAX_CANDIDATES
         blocks = _recall(key) or []
         top = len(blocks)
-        fresh = [_packed(map(bytes, self.enumerate_arity(n))) for n in range(max_arity, top, -1)]
+        fresh = [_packed(self.enumerate_arity(n)) for n in range(max_arity, top, -1)]
         if fresh:
             blocks += reversed(fresh)
             _keep(key, blocks, sum(map(len, blocks)))

@@ -20,8 +20,9 @@ class CarrierError(ValueError):
 class Monoid:
     """A monoid on a set of nonnegative integers: the carrier is 0..size-1,
     or all naturals when `size` is None, and `op` is the raw product on
-    canonical ints, without carrier checks.  `op` must be total on 0..255,
-    since the closure and the axiom checker tabulate it over every byte.
+    canonical ints, without carrier checks.  `op` must be total on the
+    carrier, or on 0..255 for the naturals: the closure and the axiom
+    checker tabulate it over every byte of the carrier.
 
     Two monoids are equal when their name, unit and size are.
     """

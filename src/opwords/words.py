@@ -336,15 +336,16 @@ class _Blocks(dict):
 
 
 class _Tables(dict):
-    """`self[a]` is the 256-byte table of `op(a, c)` for each byte c, kept
-    mod 256 and built whole when first read, so `op` must be total on
-    0..255."""
+    """`self[a]` is the 256-byte table of `op(a, c)` for each byte c in
+    `carrier`, kept mod 256 and built whole when first read; a byte outside
+    the carrier maps to 0, which the kernel never reads.  So `op` must be
+    total on the carrier, or on 0..255 when the carrier is every byte."""
 
-    def __init__(self, op: Callable[[int, int], int]) -> None:
-        self.op = op
+    def __init__(self, op: Callable[[int, int], int], carrier: range) -> None:
+        self.op, self.carrier = op, carrier
 
     def __missing__(self, a: int) -> bytes:
-        table = self[a] = bytes([self.op(a, b) & 255 for b in range(256)])
+        table = self[a] = bytes([self.op(a, b) & 255 for b in self.carrier]).ljust(256, b"\0")
         return table
 
 
@@ -360,10 +361,11 @@ def _kernel(
     slices W's columns once per call.  For each w, V scaled by w_i is V.translate(T[w_i]);
     for each v, each letter b of v scales W's column i on the right, to
     w_i b, through R[b].  T[a] is a 256-byte table of the products a c, and
-    R[b] one of the products c b, each built when first read and kept for
-    the kernel's life; the monoid need not commute.  Each column of the rows
-    of one w, or of one v, is laid by one strided assignment.  A `subst` is
-    called on tuples instead, and its results packed.
+    R[b] one of the products c b, c over the carrier (`_Tables`), each built
+    when first read and kept for the kernel's life; the monoid need not
+    commute.  Each column of the rows of one w, or of one v, is laid by one
+    strided assignment.  A `subst` is called on tuples instead, and its
+    results packed.
     """
     if subst is not None:
         def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
@@ -378,7 +380,8 @@ def _kernel(
 
         return compose
 
-    T, R = _Tables(m.op), _Tables(lambda b, c: m.op(c, b))
+    carrier = range(256 if m.size is None else min(m.size, 256))
+    T, R = _Tables(m.op, carrier), _Tables(lambda b, c: m.op(c, b), carrier)
 
     def compose(W: Block, slots: Sequence[int], V: Block, by_v: bool = False) -> Block:
         (ws, n), (vs, r) = W, V

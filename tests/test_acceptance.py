@@ -158,14 +158,14 @@ def test_criterion_07_bijection_round_trips():
                 assert trip(letters) == letters, (name, letters)
 
         # object-level substitution agrees with the word splice
-        prt_words = [w for n in range(1, 6) for w in fam.enumerate_prt(n)]
+        prt_words = [w for n in range(1, 6) for w in map(tuple, fam.enumerate_prt(n))]
         trees = {w: fam.word_to_tree(w) for w in prt_words}
         add = NATURALS.op
         for s, t in itertools.product(prt_words, repeat=2):
             for i in range(1, len(s) + 1):
                 grafted = fam.prt_graft(trees[s], i, trees[t])
                 assert fam.tree_to_word(grafted) == splice(s, i, t, add)
-        comp_words = [w for n in range(1, 6) for w in fam.enumerate_comp(n)]
+        comp_words = [w for n in range(1, 6) for w in map(tuple, fam.enumerate_comp(n))]
         comps = {w: fam.word_to_composition(w) for w in comp_words}
         mod2 = cyclic(2).op
         for c, d in itertools.product(comp_words, repeat=2):

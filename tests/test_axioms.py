@@ -9,7 +9,8 @@ import pytest
 from conftest import transformations
 
 from opwords import words
-from opwords.monoids import BOOLEAN, NATURALS, cyclic
+from opwords.generation import GeneratorSet, generate_closure
+from opwords.monoids import BOOLEAN, NATURALS, Monoid, cyclic
 from opwords.words import (
     AxiomReport,
     all_perms,
@@ -48,6 +49,18 @@ def test_axioms_pass_over_a_monoid_that_does_not_commute():
     reports = check_axioms(T2, (3, 3, 2))
     assert all(r.ok for r in reports), [str(r) for r in reports]
     assert sum(r.checked for r in reports) == axiom_check_count(T2, (3, 3, 2)) == 1_901_832
+
+
+def test_a_table_monoid_is_read_on_its_carrier_only():
+    """A monoid whose product is a table lookup defined on its carrier only
+    is `cyclic(2)` under another name: its axiom reports and its closure's
+    blocks are those of `cyclic(2)`.  Tabulating the product over every
+    byte raised `IndexError`."""
+    t = [[0, 1], [1, 0]]
+    table = Monoid("Z2t", 0, 2, lambda a, b: t[a][b])
+    assert check_axioms(table, (2, 2, 2)) == check_axioms(cyclic(2), (2, 2, 2))
+    closures = [generate_closure(GeneratorSet(m, ((0, 1),)), 9) for m in (table, cyclic(2))]
+    assert closures[0]._blocks[:9] == closures[1]._blocks[:9]
 
 
 def test_axioms_pass_on_naturals_with_capped_letters():

@@ -536,7 +536,7 @@ def test_characterization_witnesses_are_the_least_words_of_the_difference(
     """An enumerator that drops the orbit of 0112 and adds the non-member
     orbit of 0022 is reported by the least words of the full difference."""
     family = fam.get_family("pw")
-    dropped, added = (0, 1, 1, 2), (0, 0, 2, 2)
+    dropped, added = bytes((0, 1, 1, 2)), bytes((0, 0, 2, 2))
 
     def corrupted(n):
         words = family.enumerate_arity(n)

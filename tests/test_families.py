@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -167,19 +168,27 @@ def test_motz_enumeration_is_the_filtered_prefix_walks():
         walks = [(0,)]
         for _ in range(n - 1):
             walks = [w + (b,) for w in walks for b in range(max(0, w[-1] - 1), w[-1] + 2)]
-        assert fam.enumerate_motz(n) == [w for w in walks if w[-1] == 0], n
+        assert fam.enumerate_motz(n) == [bytes(w) for w in walks if w[-1] == 0], n
 
 
 def test_symmetric_enumerators_refuse_letters_past_a_byte():
     """A symmetric member of arity n holds the letter n - 1, which packs only
     up to arity 256; a larger arity is refused before its count is taken."""
-    assert fam.enumerate_per(256) == [tuple(range(256))]
+    assert fam.enumerate_per(256) == [bytes(range(256))]
     for enumerate_arity in (fam.enumerate_end, fam.enumerate_pf,
                             fam.enumerate_pw, fam.enumerate_per):
         with pytest.raises(ValueError, match="arity 257 has letters above 255"):
             enumerate_arity(257)
         with pytest.raises(ValueError, match="cannot be packed"):
             enumerate_arity(10**9)
+
+
+def test_fcat_refuses_letters_past_a_byte():
+    """A member of fcat_k of arity n reaches the letter k(n - 1), which packs
+    only up to 255; a larger one is refused, not left out."""
+    assert fam.enumerate_fcat(2, 255)[-1] == bytes((0, 255))
+    with pytest.raises(ValueError, match="arity 2 has letters above 255"):
+        fam.fcat_family(256).enumerated(2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +229,7 @@ def test_sorted_members_are_one_word_per_orbit(name):
         got = sorted_members(n)
         assert len(got) == len(set(got)), (name, n)
         orbits = {tuple(sorted(w)) for w in _filtered_product(n, member)}
-        assert got == sorted(orbits), (name, n)
+        assert got == list(map(bytes, sorted(orbits))), (name, n)
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
@@ -250,8 +259,20 @@ def test_predicates_accept_exactly_the_enumerated_words(name):
     members = {n: set(family.enumerate_arity(n)) for n in range(1, 6)}
     letters = range(max(map(max, itertools.chain(*members.values()))) + 2)
     for n, want in members.items():
-        got = {w for w in itertools.product(letters, repeat=n) if family.contains(w)}
+        got = {bytes(w) for w in itertools.product(letters, repeat=n) if family.contains(w)}
         assert got == want, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(fam.FAMILIES))
+def test_enumerators_return_packed_words_in_increasing_order(name):
+    """Each enumerator returns its members of arity n, sorted ones when
+    symmetric, as `bytes` of n letters in strictly increasing order, which
+    `_packed` joins as they come, without sorting."""
+    enumerate_arity = fam.get_family(name).enumerate_arity
+    for n in range(1, 8):
+        words = enumerate_arity(n)
+        assert all(type(w) is bytes and len(w) == n for w in words), (name, n)
+        assert all(map(operator.lt, words, words[1:])), (name, n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +345,7 @@ def test_schr_factor_condition_edges():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_schr_enumerator_matches_predicate_filter(n):
     brute = [w for w in itertools.product(range(n), repeat=n) if fam.is_schr_word(w)]
-    assert fam.enumerate_schr(n) == brute
+    assert fam.enumerate_schr(n) == list(map(bytes, brute))
 
 
 def test_motz_words_end_at_zero():
@@ -354,7 +375,7 @@ def test_da_counts_match_nonnegative_step_sequences():
 def test_da_readers_answer_for_one_letter_words():
     # the closure refuses bound 1; the readers read the arity-2 closure
     assert fam.get_family("da").contains(parse_letters("0"))
-    assert fam.enumerate_da(1) == [(0,)]
+    assert fam.enumerate_da(1) == [b"\0"]
     with pytest.raises(ValueError, match="below the largest generator arity 2"):
         fam.da_closure(1)
 

@@ -140,6 +140,15 @@ def test_an_enumeration_packs_one_arity_at_a_time():
     assert peak < 5 * 10**6
 
 
+def test_an_enumeration_builds_packed_words_only():
+    """fcat1@11 enumerates 58,786 words of arity 11, 16,796 of arity 10 and
+    fewer below.  Built as packed words from the start, a fresh enumeration
+    peaks at about 4 MB traced; built as tuples and packed after, 11.8 MB."""
+    gc.collect()
+    _, peak = traced_peak(lambda: fam.get_family("fcat1").enumerated(11))
+    assert peak < 5 * 10**6
+
+
 def test_a_repeated_bijection_check_calls_no_view(monkeypatch):
     family = fam.get_family("prt")
     calls = []

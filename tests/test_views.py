@@ -44,7 +44,7 @@ def test_word_to_tree_rejects_non_members():
 
 def test_tree_round_trip_exhaustive():
     for n in range(1, 8):
-        for letters in fam.enumerate_prt(n):
+        for letters in map(tuple, fam.enumerate_prt(n)):
             tree = fam.word_to_tree(letters)
             assert fam.tree_to_word(tree) == letters
 
@@ -76,7 +76,7 @@ def test_graft_position_error():
 
 
 def test_graft_matches_word_substitution_exhaustively():
-    words = [w for n in range(1, 5) for w in fam.enumerate_prt(n)]
+    words = [w for n in range(1, 5) for w in map(tuple, fam.enumerate_prt(n))]
     trees = {w: fam.word_to_tree(w) for w in words}
     for s, t in itertools.product(words, repeat=2):
         for i in range(1, len(s) + 1):
@@ -123,7 +123,7 @@ def test_schr_word_to_tree_rejects_non_members():
 
 def test_schr_round_trip_exhaustive():
     for n in range(1, 7):
-        for letters in fam.enumerate_schr(n):
+        for letters in map(tuple, fam.enumerate_schr(n)):
             tree = fam.schr_word_to_tree(letters)
             assert fam.is_schroeder_tree(tree)
             assert fam.leaf_count(tree) == n + 1
@@ -156,7 +156,7 @@ def test_kdyck_rejects_non_members():
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_kdyck_round_trip_exhaustive(k):
     for n in range(1, 6):
-        for letters in fam.enumerate_fcat(n, k):
+        for letters in map(tuple, fam.enumerate_fcat(n, k)):
             path = fam.word_to_kdyck(letters, k)
             assert len(path) == (k + 1) * n
             assert fam.kdyck_to_word(path, k) == letters
@@ -176,7 +176,7 @@ def test_motzkin_small():
 
 def test_motzkin_round_trip_exhaustive():
     for n in range(1, 8):
-        for letters in fam.enumerate_motz(n):
+        for letters in map(tuple, fam.enumerate_motz(n)):
             path = fam.word_to_motzkin(letters)
             assert len(path) == n - 1
             assert fam.motzkin_to_word(path) == letters
@@ -200,7 +200,7 @@ def test_phi_small():
 
 def test_phi_round_trip_on_da_words():
     for n in range(1, 7):
-        for letters in fam.enumerate_da(n):
+        for letters in map(tuple, fam.enumerate_da(n)):
             assert fam.steps_from_phi(fam.da_phi(letters)) == letters
 
 
@@ -234,7 +234,7 @@ def test_composition_word_examples():
 
 def test_composition_round_trip_exhaustive():
     for n in range(1, 9):
-        for letters in fam.enumerate_comp(n):
+        for letters in map(tuple, fam.enumerate_comp(n)):
             parts = fam.word_to_composition(letters)
             assert sum(parts) == n
             assert fam.composition_to_word(parts) == letters
@@ -497,7 +497,7 @@ def words_up_to(length, letters=range(4)):
 
 
 def test_word_to_tree_matches_reference_on_every_prt_word():
-    words = [w for n in range(1, 10) for w in fam.enumerate_prt(n)]
+    words = [w for n in range(1, 10) for w in map(tuple, fam.enumerate_prt(n))]
     assert len(words) == 2056
     for w in words:
         tree = fam.word_to_tree(w)
@@ -571,14 +571,14 @@ def test_kdyck_views_match_reference_both_ways(k, top):
     # the reference inverse takes each path back to its word, so the path
     # is the word's; the rewritten inverse must agree
     for n in range(1, top + 1):
-        for w in fam.enumerate_fcat(n, k):
+        for w in map(tuple, fam.enumerate_fcat(n, k)):
             path = fam.word_to_kdyck(w, k)
             assert fam.kdyck_to_word(path, k) == ref_kdyck_to_word(path, k) == w
 
 
 def test_motzkin_views_match_reference_both_ways():
     for n in range(1, 9):
-        for w in fam.enumerate_motz(n):
+        for w in map(tuple, fam.enumerate_motz(n)):
             path = fam.word_to_motzkin(w)
             assert fam.motzkin_to_word(path) == ref_motzkin_to_word(path) == w
 
